@@ -18,20 +18,20 @@ fn main() {
     let mut seed = 0;
     suite.bench_heavy("mode/full", || {
         seed += 1;
-        let mut m = LabelSaMapper::new(labels.clone(), SaParams::fast(), seed);
-        std::hint::black_box(search.run(&mut m, &dfg, &acc));
+        let m = LabelSaMapper::new(labels.clone(), SaParams::fast(), seed);
+        std::hint::black_box(search.run(&m, &dfg, &acc, 1).0);
     });
     let mut seed = 0;
     suite.bench_heavy("mode/routing_priority_only", || {
         seed += 1;
-        let mut m = LabelSaMapper::routing_priority_only(labels.clone(), SaParams::fast(), seed);
-        std::hint::black_box(search.run(&mut m, &dfg, &acc));
+        let m = LabelSaMapper::routing_priority_only(labels.clone(), SaParams::fast(), seed);
+        std::hint::black_box(search.run(&m, &dfg, &acc, 1).0);
     });
     let mut seed = 0;
     suite.bench_heavy("mode/initial_only", || {
         seed += 1;
-        let mut m = LabelSaMapper::initial_only(labels.clone(), SaParams::fast(), seed);
-        std::hint::black_box(search.run(&mut m, &dfg, &acc));
+        let m = LabelSaMapper::initial_only(labels.clone(), SaParams::fast(), seed);
+        std::hint::black_box(search.run(&m, &dfg, &acc, 1).0);
     });
 
     suite.finish();

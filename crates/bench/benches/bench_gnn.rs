@@ -62,37 +62,23 @@ fn main() {
 
     // Inference throughput (predictions/sec = 1e9 / median_ns). The
     // predict entries run the serving path — compiled plans on the
-    // thread's warm scratch — so their history measures graph-tape →
-    // compiled-plan inference across PRs; the `_tape` twins keep the
-    // historical `Graph::inference` path measured in-binary.
-    let net = ScheduleOrderNet::new(NODE_ATTR_DIM, 0);
-    let net_plan = net.compile();
+    // thread's warm scratch.
+    let net_plan = ScheduleOrderNet::new(NODE_ATTR_DIM, 0).compile();
     let sample = schedule_sample();
     suite.bench("schedule_order/predict_syr2k", || {
         PlanScratch::with(|s| std::hint::black_box(net_plan.predict(s, &sample)));
     });
-    suite.bench("schedule_order/predict_syr2k_tape", || {
-        std::hint::black_box(net.predict(&sample));
-    });
 
-    let mlp = EdgeMlp::new(EDGE_ATTR_DIM, 0);
-    let mlp_plan = mlp.compile();
+    let mlp_plan = EdgeMlp::new(EDGE_ATTR_DIM, 0).compile();
     let attrs = vec![1.0; EDGE_ATTR_DIM];
     suite.bench("edge_mlp/predict", || {
         PlanScratch::with(|s| std::hint::black_box(mlp_plan.predict(s, &attrs)));
     });
-    suite.bench("edge_mlp/predict_tape", || {
-        std::hint::black_box(mlp.predict(&attrs));
-    });
 
-    let spatial = SpatialNet::new(EDGE_ATTR_DIM, 0);
-    let spatial_plan = spatial.compile();
+    let spatial_plan = SpatialNet::new(EDGE_ATTR_DIM, 0).compile();
     let ctx = &spatial_train_set(8)[3];
     suite.bench("spatial/predict", || {
         PlanScratch::with(|s| std::hint::black_box(spatial_plan.predict(s, ctx)));
-    });
-    suite.bench("spatial/predict_tape", || {
-        std::hint::black_box(spatial.predict(ctx));
     });
 
     // Training-epoch throughput: one full epoch over a fixed set, fresh

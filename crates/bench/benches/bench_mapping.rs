@@ -1,6 +1,6 @@
 //! Benches for the three mappers — the kernel behind the compilation-time
 //! comparison of Fig. 11 — plus the annealer's inner-loop microbenches:
-//! movement throughput (snapshot-clone vs. undo-journal engines) and the
+//! movement throughput (the undo-journal engine) and the
 //! deterministic portfolio. Mapper runs take seconds, so they register as
 //! heavy benches: fewer samples, skipped in `cargo test` smoke mode. The
 //! movement and portfolio entries are cheap and run (once) even in smoke
@@ -16,7 +16,6 @@ use lisa_events::{PipelineEvent, RecordingObserver};
 use lisa_gnn::TrainConfig;
 use lisa_labels::movement::{MovementPredictor, MovementRecorder};
 use lisa_mapper::exact::{ExactMapper, ExactParams};
-use lisa_mapper::greedy::{GreedyMapper, GreedyParams};
 use lisa_mapper::sa::{movement_throughput, MovementEngine};
 use lisa_mapper::schedule::{IiMapper, IiSearch};
 use lisa_mapper::{
@@ -60,22 +59,21 @@ fn main() {
     let search = IiSearch { max_ii: Some(10) };
 
     // Movement throughput: the annealer's hot loop on the Fig. 4 running
-    // example over a 3x3 CGRA at II 3. `snapshot_clone` prices each move
-    // against a full `Mapping` clone + cost rescan (the pre-journal code
-    // path); `journal` uses the transaction rollback + incremental cost.
-    // Identical seeds and identical trajectories, so ns/iter is a direct
-    // engine comparison.
+    // example over a 3x3 CGRA at II 3, using the transaction rollback +
+    // incremental cost.
     let fig4 = fig4();
     let acc3 = Accelerator::cgra("3x3", 3, 3);
     const MOVES: u32 = 200;
-    for (tag, engine) in [
-        ("snapshot_clone", MovementEngine::SnapshotClone),
-        ("journal", MovementEngine::Journal),
-    ] {
-        suite.bench(&format!("movement/fig4_3x3/{tag}"), || {
-            std::hint::black_box(movement_throughput(&fig4, &acc3, 3, 42, MOVES, engine));
-        });
-    }
+    suite.bench("movement/fig4_3x3/journal", || {
+        std::hint::black_box(movement_throughput(
+            &fig4,
+            &acc3,
+            3,
+            42,
+            MOVES,
+            MovementEngine::Journal,
+        ));
+    });
 
     // Big-fabric scaling: beyond 128 PEs the accelerator swaps its dense
     // all-pairs hop table for the landmark distance oracle. These entries
@@ -83,10 +81,10 @@ fn main() {
     // make needlessly heavy (a 32×32 table alone is 2 MiB, rebuilt per
     // interconnect change) and record the index footprint as metrics,
     // alongside the movement throughput the annealer sustains there. The
-    // end-to-end map uses the greedy mapper: its producer-adjacent
-    // placement stays compact regardless of fabric size, whereas the
-    // annealer's fixed iteration budget cannot pull a random scatter
-    // over 1024 PEs back together.
+    // end-to-end map uses the constructive list scheduler: its
+    // producer-adjacent placement stays compact regardless of fabric
+    // size, whereas the annealer's fixed iteration budget cannot pull a
+    // random scatter over 1024 PEs back together.
     let doitgen = polybench::kernel("doitgen").unwrap();
     for (key, dim) in [("16x16", 16usize), ("32x32", 32)] {
         let big = Accelerator::cgra(key, dim, dim);
@@ -112,9 +110,10 @@ fn main() {
                 MovementEngine::Journal,
             ));
         });
-        suite.bench(&format!("e2e/doitgen_{key}/greedy"), || {
-            let mut greedy = GreedyMapper::new(GreedyParams::default());
-            let outcome = IiSearch { max_ii: Some(8) }.run(&mut greedy, &doitgen, &big);
+        suite.bench(&format!("e2e/doitgen_{key}/constructive"), || {
+            let outcome = IiSearch { max_ii: Some(8) }
+                .run(&ConstructiveStrategy::new(), &doitgen, &big, 1)
+                .0;
             assert!(outcome.mapped(), "doitgen must map on {key}");
             std::hint::black_box(outcome);
         });
@@ -127,9 +126,9 @@ fn main() {
     // as metrics, so the reduction is machine-checkable from
     // `target/bench`; the timing pair measures the wall-clock effect.
     let recorder = Arc::new(MovementRecorder::new());
-    let mut observed = SaMapper::new(SaParams::fast(), 42)
+    let observed = SaMapper::new(SaParams::fast(), 42)
         .with_observer(EventSink::new(Arc::clone(&recorder) as Arc<dyn Observer>));
-    let _ = IiSearch { max_ii: Some(4) }.run(&mut observed, &fig4, &acc3);
+    let _ = IiSearch { max_ii: Some(4) }.run(&observed, &fig4, &acc3, 1);
     let (predictor, _) = MovementPredictor::train(
         &recorder.snapshot(),
         &TrainConfig {
@@ -178,8 +177,8 @@ fn main() {
     for chains in [1usize, 4] {
         let portfolio = PortfolioParams::new(chains);
         suite.bench(&format!("portfolio/fig4_3x3/chains{chains}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 42).with_portfolio(portfolio);
-            std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&mut sa, &fig4, &acc3));
+            let sa = SaMapper::new(SaParams::fast(), 42).with_portfolio(portfolio);
+            std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&sa, &fig4, &acc3, 1).0);
         });
     }
 
@@ -276,10 +275,10 @@ fn main() {
         let fig9 = &fig9;
         suite.bench_heavy(&format!("strategy/fig9_4x4/{tag}"), || {
             for dfg in fig9 {
-                let mut sa = SaMapper::new(SaParams::fast(), 7)
+                let sa = SaMapper::new(SaParams::fast(), 7)
                     .with_portfolio(PortfolioParams::new(2))
                     .with_strategy(spec.clone());
-                std::hint::black_box(search.run(&mut sa, dfg, &acc));
+                std::hint::black_box(search.run(&sa, dfg, &acc, 1).0);
             }
         });
     }
@@ -289,15 +288,15 @@ fn main() {
         let mut seed = 0;
         suite.bench_heavy(&format!("sa/{name}"), || {
             seed += 1;
-            let mut sa = SaMapper::new(SaParams::fast(), seed);
-            std::hint::black_box(search.run(&mut sa, &dfg, &acc));
+            let sa = SaMapper::new(SaParams::fast(), seed);
+            std::hint::black_box(search.run(&sa, &dfg, &acc, 1).0);
         });
         let mut seed = 0;
         suite.bench_heavy(&format!("lisa_initial_labels/{name}"), || {
             seed += 1;
             let labels = GuidanceLabels::initial(&dfg);
-            let mut lisa = LabelSaMapper::new(labels, SaParams::fast(), seed);
-            std::hint::black_box(search.run(&mut lisa, &dfg, &acc));
+            let lisa = LabelSaMapper::new(labels, SaParams::fast(), seed);
+            std::hint::black_box(search.run(&lisa, &dfg, &acc, 1).0);
         });
     }
 
@@ -307,16 +306,16 @@ fn main() {
     for chains in [1usize, 4] {
         let portfolio = PortfolioParams::new(chains);
         suite.bench_heavy(&format!("portfolio/doitgen_4x4/chains{chains}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 7).with_portfolio(portfolio);
-            std::hint::black_box(search.run(&mut sa, &doitgen, &acc));
+            let sa = SaMapper::new(SaParams::fast(), 7).with_portfolio(portfolio);
+            std::hint::black_box(search.run(&sa, &doitgen, &acc, 1).0);
         });
     }
 
     // The exact mapper only on the smallest kernel (it is the slow one).
     let dfg = polybench::kernel("doitgen").unwrap();
     suite.bench_heavy("ilp/doitgen", || {
-        let mut ilp = ExactMapper::new(ExactParams::fast());
-        std::hint::black_box(search.run(&mut ilp, &dfg, &acc));
+        let ilp = ExactMapper::new(ExactParams::fast());
+        std::hint::black_box(search.run(&ilp, &dfg, &acc, 1).0);
     });
 
     suite.finish();

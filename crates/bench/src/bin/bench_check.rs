@@ -14,14 +14,13 @@ use lisa_bench::timing::bench_dir;
 /// Mapping-suite entries every run — smoke or measure — must produce
 /// (cheap tier).
 const REQUIRED_MAPPING: &[&str] = &[
-    "movement/fig4_3x3/snapshot_clone",
     "movement/fig4_3x3/journal",
     "portfolio/fig4_3x3/chains1",
     "portfolio/fig4_3x3/chains4",
     "movement/fig4_16x16/journal",
-    "e2e/doitgen_16x16/greedy",
+    "e2e/doitgen_16x16/constructive",
     "movement/fig4_32x32/journal",
-    "e2e/doitgen_32x32/greedy",
+    "e2e/doitgen_32x32/constructive",
     "filter/fig4_3x3/off",
     "filter/fig4_3x3/on",
     "strategy/doitgen_4x4/sa",
@@ -48,16 +47,13 @@ const REQUIRED_MAPPING_METRICS: &[&str] = &[
     "strategy/doitgen_4x4/sa_router_invocations",
 ];
 
-/// GNN-suite entries every run must produce: inference throughput for
-/// each architecture on both the compiled-plan serving path and the
-/// historical graph tape, plus one training epoch per architecture.
+/// GNN-suite entries every run must produce: compiled-plan inference
+/// throughput for each architecture, plus one training epoch per
+/// architecture.
 const REQUIRED_GNN: &[&str] = &[
     "schedule_order/predict_syr2k",
-    "schedule_order/predict_syr2k_tape",
     "edge_mlp/predict",
-    "edge_mlp/predict_tape",
     "spatial/predict",
-    "spatial/predict_tape",
     "schedule_order/train_epoch_8",
     "edge_mlp/train_epoch_64",
     "spatial/train_epoch_48",

@@ -1,12 +1,13 @@
 //! Extension experiment: where does the deterministic list scheduler sit?
 //! The paper's taxonomy (§I) puts hybrid heuristics between meta-heuristics
 //! and mathematical optimisation; this binary quantifies that on the 4×4
-//! baseline CGRA — greedy is near-instant but pays II on dense kernels,
-//! SA recovers some II with stochastic search, LISA recovers more.
+//! baseline CGRA — the constructive list scheduler is near-instant but
+//! pays II on dense kernels, SA recovers some II with stochastic search,
+//! LISA recovers more.
 
 use lisa_bench::Harness;
-use lisa_mapper::greedy::GreedyMapper;
 use lisa_mapper::schedule::IiSearch;
+use lisa_mapper::ConstructiveStrategy;
 
 fn main() {
     let harness = Harness::from_env();
@@ -14,10 +15,10 @@ fn main() {
     let lisa = harness.train_lisa(&acc);
 
     println!();
-    println!("Extension: greedy list scheduling vs SA vs LISA (4x4, II / time)");
+    println!("Extension: constructive list scheduling vs SA vs LISA (4x4, II / time)");
     println!(
         "{:<12} {:>14} {:>14} {:>14}",
-        "benchmark", "Greedy", "SA", "LISA"
+        "benchmark", "Constructive", "SA", "LISA"
     );
     let search = IiSearch {
         max_ii: Some(harness.ii_cap()),
@@ -31,8 +32,7 @@ fn main() {
     };
     let mut sums = (0u32, 0u32, 0u32);
     for dfg in lisa_dfg::polybench::all_kernels() {
-        let mut greedy = GreedyMapper::default();
-        let g = search.run(&mut greedy, &dfg, &acc);
+        let g = search.run(&ConstructiveStrategy::new(), &dfg, &acc, 1).0;
         let s = harness.median_sa(&dfg, &acc);
         let (l, _) = lisa.map_capped(&dfg, &acc, harness.ii_cap());
         println!(
@@ -47,7 +47,7 @@ fn main() {
         sums.2 += l.ii.unwrap_or(17);
     }
     println!(
-        "total II: Greedy {}  SA {}  LISA {} (lower is better)",
+        "total II: Constructive {}  SA {}  LISA {} (lower is better)",
         sums.0, sums.1, sums.2
     );
 }

@@ -24,10 +24,10 @@ fn main() {
     let mut mesh_sum = 0u32;
     let mut hop_sum = 0u32;
     for dfg in lisa_dfg::polybench::all_kernels() {
-        let mut sa1 = SaMapper::new(harness.sa_params(), harness.seed());
-        let m = search.run(&mut sa1, &dfg, &mesh);
-        let mut sa2 = SaMapper::new(harness.sa_params(), harness.seed());
-        let h = search.run(&mut sa2, &dfg, &hycube);
+        let sa1 = SaMapper::new(harness.sa_params(), harness.seed());
+        let m = search.run(&sa1, &dfg, &mesh, 1).0;
+        let sa2 = SaMapper::new(harness.sa_params(), harness.seed());
+        let h = search.run(&sa2, &dfg, &hycube, 1).0;
         println!(
             "{:<12} {:>8} {:>8}",
             dfg.name(),

@@ -20,11 +20,11 @@ fn main() {
             max_ii: Some(harness.ii_cap()),
         };
 
-        let mut ilp = ExactMapper::new(harness.exact_params());
-        let ilp_outcome = search.run(&mut ilp, &dfg, &acc);
+        let ilp = ExactMapper::new(harness.exact_params());
+        let ilp_outcome = search.run(&ilp, &dfg, &acc, 1).0;
 
-        let mut sa = SaMapper::new(harness.sa_params(), harness.seed());
-        let sa_outcome = search.run(&mut sa, &dfg, &acc);
+        let sa = SaMapper::new(harness.sa_params(), harness.seed());
+        let sa_outcome = search.run(&sa, &dfg, &acc, 1).0;
 
         let lisa = harness.train_lisa(&acc);
         let (lisa_outcome, _) = lisa.map_capped(&dfg, &acc, harness.ii_cap());

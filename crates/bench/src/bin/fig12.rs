@@ -27,12 +27,13 @@ fn main() {
             // SA + routing priority: vanilla SA movements, label-4 routing
             // order, using the GNN-predicted labels.
             let labels = lisa.predict_labels(&dfg);
-            let mut rp =
+            let rp =
                 LabelSaMapper::routing_priority_only(labels, harness.sa_params(), harness.seed());
             let rp_outcome = IiSearch {
                 max_ii: Some(harness.ii_cap()),
             }
-            .run(&mut rp, &dfg, &acc);
+            .run(&rp, &dfg, &acc, 1)
+            .0;
 
             let (lisa_outcome, _) = lisa.map_capped(&dfg, &acc, harness.ii_cap());
 

@@ -106,9 +106,9 @@ fn main() {
     let mut predictors: Vec<Arc<MovementPredictor>> = Vec::new();
     for dfg in &benches {
         let recorder = Arc::new(MovementRecorder::new());
-        let mut sa = SaMapper::new(harness.sa_params(), capture_seed)
+        let sa = SaMapper::new(harness.sa_params(), capture_seed)
             .with_observer(EventSink::new(Arc::clone(&recorder) as Arc<dyn Observer>));
-        let _ = search.run(&mut sa, dfg, &acc);
+        let _ = search.run(&sa, dfg, &acc, 1);
         let set: MovementSet = recorder.snapshot();
         let improving = set.pairs.iter().filter(|p| p.delta_cost <= 0.0).count();
         let (predictor, report) =
@@ -148,7 +148,7 @@ fn main() {
                 sa = sa.with_movement_filter(f);
             }
             let start = Instant::now();
-            let (outcome, mapping) = search.run_with_mapping(&mut sa, dfg, &acc);
+            let (outcome, mapping) = search.run(&sa, dfg, &acc, 1);
             let elapsed = start.elapsed();
             if let Some(m) = &mapping {
                 m.verify().expect("mapping invariants hold");

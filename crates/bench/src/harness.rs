@@ -222,8 +222,8 @@ impl Harness {
         let cap = self.ii_cap();
         let search = IiSearch { max_ii: Some(cap) };
 
-        let mut ilp = ExactMapper::new(self.exact_params());
-        let ilp_outcome = search.run(&mut ilp, dfg, acc);
+        let ilp = ExactMapper::new(self.exact_params());
+        let ilp_outcome = search.run(&ilp, dfg, acc, 1).0;
 
         let sa_outcome = self.median_sa(dfg, acc);
 
@@ -245,8 +245,8 @@ impl Harness {
         };
         let mut outcomes: Vec<MappingOutcome> = (0..3)
             .map(|run| {
-                let mut sa = SaMapper::new(self.sa_params(), self.seed + run * 101);
-                search.run(&mut sa, dfg, acc)
+                let sa = SaMapper::new(self.sa_params(), self.seed + run * 101);
+                search.run(&sa, dfg, acc, 1).0
             })
             .collect();
         outcomes.sort_by_key(|o| o.ii.unwrap_or(u32::MAX));
@@ -266,8 +266,8 @@ impl Harness {
         };
         let mut outcomes: Vec<MappingOutcome> = (0..3)
             .map(|run| {
-                let mut sa = SaMapper::new(params.clone(), self.seed + run * 101);
-                search.run(&mut sa, dfg, acc)
+                let sa = SaMapper::new(params.clone(), self.seed + run * 101);
+                search.run(&sa, dfg, acc, 1).0
             })
             .collect();
         outcomes.sort_by_key(|o| o.ii.unwrap_or(u32::MAX));

@@ -1,12 +1,11 @@
 //! Frozen inference for the four label networks.
 //!
-//! A trained [`crate::Lisa`] never mutates its networks again, so the
-//! serving path can pay the tape overhead of `predict_with` exactly
-//! once: [`CompiledModel::freeze`] lowers each network into a flat,
-//! tape-free op sequence (`lisa-gnn`'s compiled plans) at construction
-//! time. [`CompiledModel::predict`] then derives a DFG's labels with no
-//! graph dispatch and no per-call parameter copies, bit-identical to
-//! the tape path — the export/import round-trip tests pin that.
+//! A trained [`crate::Lisa`] never mutates its networks again, so
+//! [`CompiledModel::freeze`] lowers each network into a flat, tape-free
+//! op sequence (`lisa-gnn`'s compiled plans) once, at construction time.
+//! [`CompiledModel::predict`] then derives a DFG's labels with no graph
+//! dispatch and no per-call parameter copies, bit-identical to each
+//! network's training forward (pinned by `lisa-gnn`'s plan tests).
 
 use lisa_dfg::Dfg;
 use lisa_gnn::dataset::{ContextEdgeSample, NodeGraphSample};

@@ -161,8 +161,8 @@ impl Lisa {
     /// Derives the four guidance labels for a new DFG with the trained
     /// GNNs (Fig. 2 right: milliseconds instead of the iterative method's
     /// minutes). Runs on the frozen [`CompiledModel`] — no tape, no
-    /// graph dispatch — with output bit-identical to the historical
-    /// `Graph::inference` path.
+    /// graph dispatch — with output bit-identical to the networks'
+    /// training forward.
     ///
     /// Predictions are post-processed for mapper consumption: spatial
     /// distances are clamped to ≥ 0 and temporal distances to ≥ 1
@@ -187,7 +187,7 @@ impl Lisa {
     ) -> (MappingOutcome, Option<Mapping<'a>>) {
         let labels = self.predict_labels(dfg);
         let mapper = self.build_mapper(labels, self.config.seed, &self.config.strategy);
-        IiSearch::default().run_with_mapping_par(&mapper, dfg, acc, self.config.parallelism)
+        IiSearch::default().run(&mapper, dfg, acc, self.config.parallelism)
     }
 
     /// Streams inference-time annealing events (movement samples, filter
@@ -318,7 +318,7 @@ impl Lisa {
         IiSearch {
             max_ii: Some(max_ii),
         }
-        .run_with_mapping_par(&mapper, dfg, acc, parallelism)
+        .run(&mapper, dfg, acc, parallelism)
     }
 }
 
@@ -370,8 +370,7 @@ pub(crate) fn evaluate_accuracy(
     temporal_net: &EdgeMlp,
     set: &TrainingSet,
 ) -> LabelAccuracy {
-    // Compiled plans and one warm scratch for the whole holdout sweep;
-    // bit-identical to the historical shared-tape path.
+    // Compiled plans and one warm scratch for the whole holdout sweep.
     let schedule = schedule_net.compile();
     let same_level = same_level_net.compile();
     let spatial = spatial_net.compile();

@@ -8,17 +8,15 @@
 //! [`ParamGrads`] sink via [`Graph::backward_into`], which is what the
 //! deterministic parallel trainer uses).
 //!
-//! Two throughput features shape the tape:
+//! **Arena reuse** shapes the tape's throughput: [`Graph::reset`] clears
+//! the tape but keeps every backing buffer in an internal free pool, so a
+//! training loop reuses one graph's allocations across all samples and
+//! epochs instead of reallocating per sample. Backward likewise keeps its
+//! per-node gradient scratch between calls.
 //!
-//! * **Arena reuse** — [`Graph::reset`] clears the tape but keeps every
-//!   backing buffer in an internal free pool, so a training loop reuses
-//!   one graph's allocations across all samples and epochs instead of
-//!   reallocating per sample. Backward likewise keeps its per-node
-//!   gradient scratch between calls.
-//! * **Inference mode** — [`Graph::inference`] builds a forward-only
-//!   graph that skips op journaling (every node is recorded as an
-//!   input): values are identical to a recording graph, backward is
-//!   unavailable and panics. `predict()` paths use this.
+//! The tape exists for training. Inference runs on compiled plans (each
+//! model's `compile()`, executed on a [`crate::PlanScratch`]), which are
+//! pinned bit-identical to the model's forward on this tape.
 //!
 //! The op set is what the paper's four label networks (Eq. 1–7) require:
 //! matrix–vector and batched matrix–matrix products, elementwise
@@ -282,7 +280,6 @@ impl GradSink<'_> {
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    recording: bool,
     /// Recycled backing buffers for node values and backward temporaries.
     pool: Vec<Vec<f64>>,
     /// Per-node gradient tensors reused across backward calls.
@@ -290,48 +287,9 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Creates an empty recording graph (supports backward).
+    /// Creates an empty graph.
     pub fn new() -> Self {
-        Graph {
-            nodes: Vec::new(),
-            recording: true,
-            pool: Vec::new(),
-            grad_scratch: Vec::new(),
-        }
-    }
-
-    /// Creates an empty forward-only graph: ops skip journaling (each
-    /// node is stored as a plain input), values are identical to a
-    /// recording graph, and [`Self::backward`] panics.
-    pub fn inference() -> Self {
-        Graph {
-            recording: false,
-            ..Graph::new()
-        }
-    }
-
-    /// Whether the graph journals ops for backward.
-    pub fn is_recording(&self) -> bool {
-        self.recording
-    }
-
-    /// Runs `f` with this thread's shared forward-only tape, so ad-hoc
-    /// single-sample `predict()` calls reuse one arena per thread
-    /// instead of reallocating node buffers every call. The tape is
-    /// reset before `f` runs; a reentrant call falls back to a fresh
-    /// temporary graph.
-    pub fn with_inference_tape<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
-        thread_local! {
-            static TAPE: std::cell::RefCell<Graph> =
-                std::cell::RefCell::new(Graph::inference());
-        }
-        TAPE.with(|tape| match tape.try_borrow_mut() {
-            Ok(mut g) => {
-                g.reset();
-                f(&mut g)
-            }
-            Err(_) => f(&mut Graph::inference()),
-        })
+        Graph::default()
     }
 
     /// Clears the tape for a fresh forward pass while keeping every
@@ -360,7 +318,6 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
-        let op = if self.recording { op } else { Op::Input };
         self.nodes.push(Node { op, value });
         VarId(self.nodes.len() - 1)
     }
@@ -665,8 +622,7 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `loss` is not a 1×1 var, or if the graph was built with
-    /// [`Graph::inference`].
+    /// Panics if `loss` is not a 1×1 var.
     pub fn backward(&mut self, loss: VarId, store: &mut ParamStore) {
         self.backward_impl(loss, &mut GradSink::Store(store));
     }
@@ -679,17 +635,12 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `loss` is not a 1×1 var, or if the graph was built with
-    /// [`Graph::inference`].
+    /// Panics if `loss` is not a 1×1 var.
     pub fn backward_into(&mut self, loss: VarId, sink: &mut ParamGrads) {
         self.backward_impl(loss, &mut GradSink::Grads(sink));
     }
 
     fn backward_impl(&mut self, loss: VarId, sink: &mut GradSink<'_>) {
-        assert!(
-            self.recording,
-            "backward requires a recording graph (Graph::new), not Graph::inference"
-        );
         assert_eq!(self.nodes[loss.0].value.len(), 1, "loss must be scalar");
         let mut grads = std::mem::take(&mut self.grad_scratch);
         if grads.len() < self.nodes.len() {
@@ -1231,35 +1182,6 @@ mod tests {
         let k = gb.input(Tensor::scalar(1.0 / 3.0));
         let scaled = gb.scale(k, sum);
         assert_eq!(ga.value(loss).item(), gb.value(scaled).item());
-    }
-
-    #[test]
-    fn inference_mode_matches_recording_values() {
-        let mut store = ParamStore::new(17);
-        let w = store.alloc(2, 3);
-        let run = |g: &mut Graph, s: &ParamStore| {
-            let wv = g.param(s, w);
-            let x = g.input(batch_input());
-            let h = g.matmul(wv, x);
-            g.relu(h)
-        };
-        let mut rec = Graph::new();
-        let a = run(&mut rec, &store);
-        let mut inf = Graph::inference();
-        let b = run(&mut inf, &store);
-        assert!(!inf.is_recording());
-        assert_eq!(rec.value(a).data(), inf.value(b).data());
-    }
-
-    #[test]
-    #[should_panic(expected = "backward requires a recording graph")]
-    fn inference_backward_panics() {
-        let mut store = ParamStore::new(0);
-        let w = store.alloc(1, 1);
-        let mut g = Graph::inference();
-        let wv = g.param(&store, w);
-        let loss = g.squared_error(wv, 0.0);
-        g.backward(loss, &mut store);
     }
 
     #[test]

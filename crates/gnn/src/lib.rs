@@ -19,7 +19,7 @@
 //! ```
 //! use lisa_gnn::models::EdgeMlp;
 //! use lisa_gnn::dataset::EdgeSample;
-//! use lisa_gnn::{metrics, TrainConfig};
+//! use lisa_gnn::{metrics, PlanScratch, TrainConfig};
 //!
 //! let samples: Vec<EdgeSample> = (0..24)
 //!     .map(|i| EdgeSample {
@@ -29,7 +29,12 @@
 //!     .collect();
 //! let mut net = EdgeMlp::new(2, 1);
 //! net.train(&samples, &TrainConfig { epochs: 150, ..TrainConfig::paper() });
-//! let preds: Vec<f64> = samples.iter().map(|s| net.predict(&s.attrs)).collect();
+//! let plan = net.compile();
+//! let mut scratch = PlanScratch::new();
+//! let preds: Vec<f64> = samples
+//!     .iter()
+//!     .map(|s| plan.predict(&mut scratch, &s.attrs))
+//!     .collect();
 //! let truths: Vec<f64> = samples.iter().map(|s| s.target).collect();
 //! let acc = metrics::accuracy(metrics::LabelKind::Temporal, &preds, &truths);
 //! assert!(acc > 0.5);

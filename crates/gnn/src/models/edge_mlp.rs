@@ -26,7 +26,7 @@ const MICRO_BATCH: usize = 8;
 /// ```
 /// use lisa_gnn::models::EdgeMlp;
 /// use lisa_gnn::dataset::EdgeSample;
-/// use lisa_gnn::TrainConfig;
+/// use lisa_gnn::{PlanScratch, TrainConfig};
 ///
 /// // Learn target = attrs[0] + attrs[1].
 /// let samples: Vec<EdgeSample> = (0..32)
@@ -40,7 +40,7 @@ const MICRO_BATCH: usize = 8;
 /// let config = TrainConfig { epochs: 400, lr: 5e-3, weight_decay: 0.0, ..TrainConfig::paper() };
 /// let report = net.train(&samples, &config);
 /// assert!(report.improved());
-/// let pred = net.predict(&[2.0, 1.0]);
+/// let pred = net.compile().predict(&mut PlanScratch::new(), &[2.0, 1.0]);
 /// assert!((pred - 3.0).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -142,27 +142,22 @@ impl EdgeMlp {
         g.matmul(r, h)
     }
 
-    /// Predicts the label value for one attribute vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attribute dimension differs from construction.
-    pub fn predict(&self, attrs: &[f64]) -> f64 {
-        Graph::with_inference_tape(|g| self.predict_with(g, attrs))
-    }
-
-    /// Like [`Self::predict`], but reuses the caller's graph (reset
-    /// here), so repeated predictions share one tape arena.
-    pub fn predict_with(&self, g: &mut Graph, attrs: &[f64]) -> f64 {
-        g.reset();
-        let x = self.attrs_matrix(std::iter::once(attrs));
-        let y = self.forward(g, &self.store, x);
+    /// Reference for the compiled plan's bit-identity tests: the
+    /// training forward on a fresh tape, for one attribute vector.
+    #[cfg(test)]
+    pub(crate) fn forward_one(&self, attrs: &[f64]) -> f64 {
+        let mut g = Graph::new();
+        let y = self.forward(
+            &mut g,
+            &self.store,
+            self.attrs_matrix(std::iter::once(attrs)),
+        );
         g.value(y).item()
     }
 
     /// Freezes the current weights into a tape-free inference plan (see
-    /// [`crate::CompiledEdgeMlp`]); predictions are bit-identical to
-    /// [`Self::predict`]. Later training of `self` does not affect the
+    /// [`crate::CompiledEdgeMlp`]); predictions are bit-identical to the
+    /// training forward. Later training of `self` does not affect the
     /// returned plan.
     pub fn compile(&self) -> crate::CompiledEdgeMlp {
         let mut p = crate::plan::ProgramBuilder::new();
@@ -216,6 +211,7 @@ impl EdgeMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanScratch;
 
     fn linear_dataset(n: usize) -> Vec<EdgeSample> {
         (0..n)
@@ -243,8 +239,10 @@ mod tests {
         };
         let report = net.train(&data, &cfg);
         assert!(report.final_loss() < 0.1, "loss {}", report.final_loss());
+        let plan = net.compile();
+        let mut scratch = PlanScratch::new();
         for s in &data[..10] {
-            assert!((net.predict(&s.attrs) - s.target).abs() < 1.0);
+            assert!((plan.predict(&mut scratch, &s.attrs) - s.target).abs() < 1.0);
         }
     }
 
@@ -256,7 +254,12 @@ mod tests {
         let mut b = EdgeMlp::new(3, 9);
         a.train(&data, &cfg);
         b.train(&data, &cfg);
-        assert_eq!(a.predict(&[1.0, 2.0, 3.0]), b.predict(&[1.0, 2.0, 3.0]));
+        let mut scratch = PlanScratch::new();
+        let x = [1.0, 2.0, 3.0];
+        assert_eq!(
+            a.compile().predict(&mut scratch, &x),
+            b.compile().predict(&mut scratch, &x)
+        );
     }
 
     #[test]
@@ -264,12 +267,5 @@ mod tests {
         let net = EdgeMlp::new(4, 0);
         // w1 16 + b1 4 + w2 16 + b2 4 + readout 4 = 44.
         assert_eq!(net.weight_count(), 44);
-    }
-
-    #[test]
-    #[should_panic(expected = "attribute dimension mismatch")]
-    fn wrong_dim_panics() {
-        let net = EdgeMlp::new(3, 0);
-        let _ = net.predict(&[1.0]);
     }
 }

@@ -35,6 +35,7 @@ struct Layer {
 /// ```
 /// use lisa_gnn::models::ScheduleOrderNet;
 /// use lisa_gnn::dataset::NodeGraphSample;
+/// use lisa_gnn::PlanScratch;
 ///
 /// let net = ScheduleOrderNet::new(3, 0);
 /// let sample = NodeGraphSample {
@@ -42,7 +43,7 @@ struct Layer {
 ///     neighbors: vec![vec![1], vec![0]],
 ///     targets: vec![0.0, 1.0],
 /// };
-/// let preds = net.predict(&sample);
+/// let preds = net.compile().predict(&mut PlanScratch::new(), &sample);
 /// assert_eq!(preds.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -164,28 +165,19 @@ impl ScheduleOrderNet {
         g.matmul(r, h)
     }
 
-    /// Predicts the schedule order of every node.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent samples or mismatched attribute dimension.
-    pub fn predict(&self, sample: &NodeGraphSample) -> Vec<f64> {
-        Graph::with_inference_tape(|g| self.predict_with(g, sample))
-    }
-
-    /// Like [`Self::predict`], but reuses the caller's graph (reset
-    /// here), so repeated predictions share one tape arena.
-    pub fn predict_with(&self, g: &mut Graph, sample: &NodeGraphSample) -> Vec<f64> {
-        g.reset();
+    /// Reference for the compiled plan's bit-identity tests: the
+    /// training forward on a fresh tape.
+    #[cfg(test)]
+    pub(crate) fn forward_one(&self, sample: &NodeGraphSample) -> Vec<f64> {
+        let mut g = Graph::new();
         let adj = CsrAdjacency::from_neighbors(&sample.neighbors);
-        let x = self.sample_matrix(sample);
-        let out = self.forward(g, &self.store, x, &adj);
+        let out = self.forward(&mut g, &self.store, self.sample_matrix(sample), &adj);
         g.value(out).data().to_vec()
     }
 
     /// Freezes the current weights into a tape-free inference plan (see
     /// [`crate::CompiledScheduleOrder`]); predictions are bit-identical
-    /// to [`Self::predict`]. Later training of `self` does not affect
+    /// to the training forward. Later training of `self` does not affect
     /// the returned plan.
     pub fn compile(&self) -> crate::CompiledScheduleOrder {
         let mut p = crate::plan::ProgramBuilder::new();
@@ -260,6 +252,11 @@ impl ScheduleOrderNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanScratch;
+
+    fn predict(net: &ScheduleOrderNet, sample: &NodeGraphSample) -> Vec<f64> {
+        net.compile().predict(&mut PlanScratch::new(), sample)
+    }
 
     /// Chain graphs where the target equals the node's depth, recoverable
     /// from attribute 0 (which we set to the depth).
@@ -289,7 +286,7 @@ mod tests {
     fn output_shape_matches_nodes() {
         let net = ScheduleOrderNet::new(3, 0);
         let s = &chain_samples(1)[0];
-        assert_eq!(net.predict(s).len(), s.len());
+        assert_eq!(predict(&net, s).len(), s.len());
     }
 
     #[test]
@@ -323,7 +320,7 @@ mod tests {
             ..TrainConfig::paper()
         };
         net.train(&samples, &cfg);
-        let preds = net.predict(&samples[0]);
+        let preds = predict(&net, &samples[0]);
         for (i, p) in preds.iter().enumerate() {
             assert!(
                 (p - i as f64).abs() < 1.2,
@@ -340,15 +337,15 @@ mod tests {
             neighbors: vec![vec![]],
             targets: vec![0.0],
         };
-        let preds = net.predict(&s);
+        let preds = predict(&net, &s);
         assert!(preds[0].is_finite());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let s = &chain_samples(1)[0];
-        let a = ScheduleOrderNet::new(3, 11).predict(s);
-        let b = ScheduleOrderNet::new(3, 11).predict(s);
+        let a = predict(&ScheduleOrderNet::new(3, 11), s);
+        let b = predict(&ScheduleOrderNet::new(3, 11), s);
         assert_eq!(a, b);
     }
 }

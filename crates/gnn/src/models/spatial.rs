@@ -31,6 +31,7 @@ const MICRO_BATCH: usize = 8;
 /// ```
 /// use lisa_gnn::models::SpatialNet;
 /// use lisa_gnn::dataset::ContextEdgeSample;
+/// use lisa_gnn::PlanScratch;
 ///
 /// let net = SpatialNet::new(2, 0);
 /// let sample = ContextEdgeSample {
@@ -38,7 +39,7 @@ const MICRO_BATCH: usize = 8;
 ///     neighbor_attrs: vec![vec![1.0, 2.0], vec![0.5, 0.0]],
 ///     target: 1.0,
 /// };
-/// assert!(net.predict(&sample).is_finite());
+/// assert!(net.compile().predict(&mut PlanScratch::new(), &sample).is_finite());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialNet {
@@ -166,26 +167,18 @@ impl SpatialNet {
         g.matmul(r, h2)
     }
 
-    /// Predicts the spatial mapping distance of one edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched attribute dimensions.
-    pub fn predict(&self, sample: &ContextEdgeSample) -> f64 {
-        Graph::with_inference_tape(|g| self.predict_with(g, sample))
-    }
-
-    /// Like [`Self::predict`], but reuses the caller's graph (reset
-    /// here), so repeated predictions share one tape arena.
-    pub fn predict_with(&self, g: &mut Graph, sample: &ContextEdgeSample) -> f64 {
-        g.reset();
-        let y = self.forward(g, &self.store, &[sample]);
+    /// Reference for the compiled plan's bit-identity tests: the
+    /// training forward on a fresh tape, for one edge.
+    #[cfg(test)]
+    pub(crate) fn forward_one(&self, sample: &ContextEdgeSample) -> f64 {
+        let mut g = Graph::new();
+        let y = self.forward(&mut g, &self.store, &[sample]);
         g.value(y).item()
     }
 
     /// Freezes the current weights into a tape-free inference plan (see
-    /// [`crate::CompiledSpatial`]); predictions are bit-identical to
-    /// [`Self::predict`]. Later training of `self` does not affect the
+    /// [`crate::CompiledSpatial`]); predictions are bit-identical to the
+    /// training forward. Later training of `self` does not affect the
     /// returned plan.
     pub fn compile(&self) -> crate::CompiledSpatial {
         let mut p = crate::plan::ProgramBuilder::new();
@@ -244,6 +237,11 @@ impl SpatialNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanScratch;
+
+    fn predict(net: &SpatialNet, sample: &ContextEdgeSample) -> f64 {
+        net.compile().predict(&mut PlanScratch::new(), sample)
+    }
 
     fn synth_samples(n: usize) -> Vec<ContextEdgeSample> {
         (0..n)
@@ -289,14 +287,14 @@ mod tests {
             neighbor_attrs: vec![],
             target: 0.0,
         };
-        assert!(net.predict(&s).is_finite());
+        assert!(predict(&net, &s).is_finite());
     }
 
     #[test]
     fn deterministic_given_seed() {
         let s = &synth_samples(1)[0];
-        let a = SpatialNet::new(2, 4).predict(s);
-        let b = SpatialNet::new(2, 4).predict(s);
+        let a = predict(&SpatialNet::new(2, 4), s);
+        let b = predict(&SpatialNet::new(2, 4), s);
         assert_eq!(a, b);
     }
 
@@ -309,6 +307,6 @@ mod tests {
             neighbor_attrs: vec![],
             target: 0.0,
         };
-        let _ = net.predict(&s);
+        let _ = predict(&net, &s);
     }
 }

@@ -1,23 +1,23 @@
 //! Compiled inference plans: tape-free forward execution of trained
 //! label networks.
 //!
-//! [`crate::Graph`] is a define-by-run tape: every `predict_with` call
-//! re-dispatches through op construction, copies each parameter out of
-//! the [`ParamStore`], and journals shapes it will never differentiate.
-//! Inference-only callers pay that overhead per prediction. A compiled
-//! plan freezes a trained model instead: `compile()` snapshots the
-//! weights into plain [`Tensor`]s and lowers the forward pass to a flat
-//! op sequence over numbered scratch buffers. Executing the plan walks
-//! the sequence with no tape, no dispatch through `Graph`, and no
-//! allocation after the first call on a given [`PlanScratch`] — buffers
-//! are sized once and reused.
+//! [`crate::Graph`] is a define-by-run tape built for training: every
+//! forward re-dispatches through op construction, copies each parameter
+//! out of the [`ParamStore`], and journals ops for backward. Inference
+//! does not need any of that, so a compiled plan freezes a trained model
+//! instead: `compile()` snapshots the weights into plain [`Tensor`]s and
+//! lowers the forward pass to a flat op sequence over numbered scratch
+//! buffers. Executing the plan walks the sequence with no tape, no
+//! dispatch through `Graph`, and no allocation after the first call on a
+//! given [`PlanScratch`] — buffers are sized once and reused.
 //!
 //! Bit-identity contract: every plan op reuses the exact forward
 //! arithmetic of its tape counterpart (`matmul_kernel`, the shared
 //! [`gather_pool_forward`], the [`RECIP_EPS`] reciprocal guard, the
 //! pool fold orders), so a compiled prediction is bit-for-bit equal to
-//! `predict_with` on the same weights. The tests below pin that for all
-//! three network architectures.
+//! the model's training forward on a [`crate::Graph`] with the same
+//! weights. The tests below pin that for all three network
+//! architectures.
 
 use std::cell::RefCell;
 
@@ -431,10 +431,9 @@ impl PlanScratch {
         PlanScratch::default()
     }
 
-    /// Runs `f` with this thread's shared scratch (the compiled-plan
-    /// analogue of [`crate::Graph::with_inference_tape`]): repeated
-    /// calls on one thread reuse one warm arena. Falls back to a fresh
-    /// scratch on re-entrant use.
+    /// Runs `f` with this thread's shared scratch: repeated calls on one
+    /// thread reuse one warm arena. Falls back to a fresh scratch on
+    /// re-entrant use.
     pub fn with<R>(f: impl FnOnce(&mut PlanScratch) -> R) -> R {
         thread_local! {
             static SCRATCH: RefCell<PlanScratch> = RefCell::new(PlanScratch::new());
@@ -465,7 +464,7 @@ impl CompiledEdgeMlp {
     }
 
     /// Predicts the label value for one attribute vector; bit-identical
-    /// to the source model's `predict`.
+    /// to the source model's training forward.
     ///
     /// # Panics
     ///
@@ -507,7 +506,7 @@ impl CompiledSpatial {
     }
 
     /// Predicts the spatial mapping distance of one edge; bit-identical
-    /// to the source model's `predict`.
+    /// to the source model's training forward.
     ///
     /// # Panics
     ///
@@ -592,7 +591,7 @@ impl CompiledScheduleOrder {
     }
 
     /// Predicts the schedule order of every node; bit-identical to the
-    /// source model's `predict`.
+    /// source model's training forward.
     ///
     /// # Panics
     ///
@@ -657,7 +656,7 @@ mod tests {
         let mut scratch = PlanScratch::new();
         for s in 0..8 {
             let a = attrs(s, 5);
-            let tape = net.predict(&a);
+            let tape = net.forward_one(&a);
             let compiled = plan.predict(&mut scratch, &a);
             assert_eq!(tape.to_bits(), compiled.to_bits(), "sample {s}");
         }
@@ -676,7 +675,7 @@ mod tests {
                     .collect(),
                 target: 0.0,
             };
-            let tape = net.predict(&sample);
+            let tape = net.forward_one(&sample);
             let compiled = plan.predict(&mut scratch, &sample);
             assert_eq!(tape.to_bits(), compiled.to_bits(), "sample {s}");
         }
@@ -694,7 +693,7 @@ mod tests {
             target: 0.0,
         };
         let compiled = PlanScratch::with(|s| plan.predict(s, &sample));
-        assert_eq!(net.predict(&sample).to_bits(), compiled.to_bits());
+        assert_eq!(net.forward_one(&sample).to_bits(), compiled.to_bits());
     }
 
     #[test]
@@ -707,7 +706,7 @@ mod tests {
             target: 0.0,
         };
         let compiled = PlanScratch::with(|s| plan.predict(s, &sample));
-        assert_eq!(net.predict(&sample).to_bits(), compiled.to_bits());
+        assert_eq!(net.forward_one(&sample).to_bits(), compiled.to_bits());
     }
 
     #[test]
@@ -721,7 +720,7 @@ mod tests {
             neighbors: vec![vec![1, 2], vec![3], vec![3], vec![0], vec![]],
             targets: vec![0.0; 5],
         };
-        let tape = net.predict(&sample);
+        let tape = net.forward_one(&sample);
         let compiled = plan.predict(&mut scratch, &sample);
         assert_eq!(tape.len(), compiled.len());
         for (i, (t, c)) in tape.iter().zip(&compiled).enumerate() {
@@ -749,7 +748,7 @@ mod tests {
         assert_eq!(large_first.to_bits(), large_again.to_bits());
         assert_eq!(
             small.to_bits(),
-            EdgeMlp::new(2, 1).predict(&attrs(2, 2)).to_bits()
+            EdgeMlp::new(2, 1).forward_one(&attrs(2, 2)).to_bits()
         );
     }
 

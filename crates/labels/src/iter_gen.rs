@@ -133,7 +133,7 @@ pub fn generate_labels_with(
         let search = IiSearch {
             max_ii: config.max_ii,
         };
-        let (outcome, mapping) = search.run_with_mapping_par(&mapper, dfg, acc, config.parallelism);
+        let (outcome, mapping) = search.run(&mapper, dfg, acc, config.parallelism);
         let Some(mapping) = mapping else {
             if sink.is_active() {
                 sink.emit(PipelineEvent::LabelGenRound {

@@ -28,7 +28,8 @@ use lisa_dfg::{Dfg, NodeId};
 use lisa_events::{EventSink, PipelineEvent};
 
 use crate::predictor::{FilterStats, MovementScorer};
-use crate::sa::candidate_slots;
+use crate::sa::{candidate_slots, place_and_route};
+use crate::schedule::IiMapper;
 use crate::strategy::SearchStrategy;
 use crate::Mapping;
 
@@ -38,11 +39,12 @@ use crate::Mapping;
 /// at a small constant multiple of one pass.
 const REPAIR_PASSES: usize = 2;
 
-/// Height-based list order shared with the greedy mapper: long downward
-/// paths first, ties broken by ASAP level then node id. Height is folded
-/// in decreasing-ASAP order — every data successor sits at a strictly
-/// higher ASAP level than its predecessor, so this is a valid reverse
-/// topological sweep without materializing a topological order.
+/// Height-based list order, the classic modulo-scheduling priority:
+/// within each ASAP level, long downward paths first, then node id.
+/// Height is folded in decreasing-ASAP order — every data successor sits
+/// at a strictly higher ASAP level than its predecessor, so this is a
+/// valid reverse topological sweep without materializing a topological
+/// order.
 fn priority_order(m: &Mapping<'_>) -> Vec<NodeId> {
     let dfg = m.dfg();
     let mut by_asap: Vec<NodeId> = dfg.node_ids().collect();
@@ -62,9 +64,10 @@ fn priority_order(m: &Mapping<'_>) -> Vec<NodeId> {
 /// routes its edges to already-placed neighbours as it goes: cheapest
 /// feasible slot first (earliest time, then summed spatial distance to
 /// placed data neighbours, then PE id). A slot whose incident edges
-/// don't route is undone and the next candidate tried, so a placement
-/// never strands an unroutable edge silently. Every `route_edge` call —
-/// success or failure — counts as one router invocation.
+/// don't route is undone and the next candidate tried (see
+/// [`place_and_route`]), so a placement never strands an unroutable edge
+/// silently. Every `route_edge` call — success or failure — counts as
+/// one router invocation.
 fn place_pass(m: &mut Mapping<'_>, nodes: &[NodeId], stats: &mut FilterStats) {
     for &node in nodes {
         if m.placement(node).is_some() {
@@ -81,36 +84,10 @@ fn place_pass(m: &mut Mapping<'_>, nodes: &[NodeId], stats: &mut FilterStats) {
             }
             (t, dist, pe.index())
         });
-        'candidates: for (pe, t) in candidates {
-            if m.place(node, pe, t).is_err() {
-                continue;
+        for (pe, t) in candidates {
+            if place_and_route(m, node, pe, t, &mut stats.router_invocations) {
+                break;
             }
-            let incident: Vec<_> = dfg
-                .in_edges(node)
-                .iter()
-                .chain(dfg.out_edges(node))
-                .copied()
-                .collect();
-            let mut routed = Vec::new();
-            for e in incident {
-                if m.route(e).is_some() {
-                    continue;
-                }
-                let edge = dfg.edge(e);
-                if m.placement(edge.src).is_none() || m.placement(edge.dst).is_none() {
-                    continue;
-                }
-                stats.router_invocations += 1;
-                if m.route_edge(e).is_err() {
-                    for r in routed {
-                        m.unroute_edge(r);
-                    }
-                    m.unplace(node);
-                    continue 'candidates;
-                }
-                routed.push(e);
-            }
-            break;
         }
     }
 }
@@ -215,11 +192,28 @@ impl SearchStrategy for ConstructiveStrategy {
     }
 }
 
+/// The lane as a stand-alone mapper for the II search driver: one
+/// construction per target II, no events, no filter.
+impl IiMapper for ConstructiveStrategy {
+    fn name(&self) -> &str {
+        "Constructive"
+    }
+
+    fn map_at_ii<'a>(
+        &mut self,
+        dfg: &'a Dfg,
+        acc: &'a Accelerator,
+        ii: u32,
+    ) -> Option<Mapping<'a>> {
+        self.run(dfg, acc, ii, 0, 0, &EventSink::null(), None).0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lisa_dfg::polybench;
-    use lisa_events::EventSink;
+    use crate::schedule::IiSearch;
+    use lisa_dfg::{analysis, polybench};
 
     #[test]
     fn construct_is_deterministic_and_verifies_when_complete() {
@@ -273,5 +267,52 @@ mod tests {
         let tiny = Accelerator::cgra("1x1", 1, 1);
         let (none, _) = lane.run(&dfg, &tiny, 1, 0, 0, &sink, None);
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn priority_order_is_topological_within_levels() {
+        let dfg = polybench::kernel("gemm").unwrap();
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let m = Mapping::new(&dfg, &acc, 4).unwrap();
+        let order = priority_order(&m);
+        let asap = analysis::asap(&dfg);
+        for w in order.windows(2) {
+            assert!(asap[w[0].index()] <= asap[w[1].index()]);
+        }
+    }
+
+    #[test]
+    fn ii_search_reaches_the_pinned_list_schedule_iis() {
+        // The II the list scheduler reaches for every PolyBench kernel on
+        // the 4x4, and for doitgen on two fabrics big enough to use the
+        // landmark distance oracle.
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let expected = [
+            ("atax", 4),
+            ("bicg", 4),
+            ("gemm", 4),
+            ("gesummv", 5),
+            ("mvt", 5),
+            ("symm", 8),
+            ("syrk", 4),
+            ("syr2k", 10),
+            ("trmm", 7),
+            ("doitgen", 3),
+            ("2mm", 7),
+            ("3mm", 5),
+        ];
+        let lane = ConstructiveStrategy::new();
+        for (kernel, ii) in expected {
+            let dfg = polybench::kernel(kernel).unwrap();
+            let (outcome, mapping) = IiSearch { max_ii: Some(16) }.run(&lane, &dfg, &acc, 1);
+            assert_eq!(outcome.ii, Some(ii), "{kernel}");
+            mapping.unwrap().verify().unwrap();
+        }
+        let doitgen = polybench::kernel("doitgen").unwrap();
+        for side in [16, 32] {
+            let big = Accelerator::cgra(format!("{side}x{side}"), side, side);
+            let outcome = IiSearch { max_ii: Some(8) }.run(&lane, &doitgen, &big, 1).0;
+            assert_eq!(outcome.ii, Some(3), "doitgen on {side}x{side}");
+        }
     }
 }

@@ -16,9 +16,9 @@
 use std::time::{Duration, Instant};
 
 use lisa_arch::Accelerator;
-use lisa_dfg::{Dfg, EdgeId, NodeId};
+use lisa_dfg::{Dfg, NodeId};
 
-use crate::sa::candidate_slots;
+use crate::sa::{candidate_slots, place_and_route};
 use crate::schedule::IiMapper;
 use crate::Mapping;
 
@@ -115,41 +115,11 @@ impl Search<'_, '_> {
         candidates.sort_by_key(|&(pe, t)| (t, pe.index()));
         for (pe, t) in candidates {
             self.states_left = self.states_left.saturating_sub(1);
-            if self.mapping.place(node, pe, t).is_err() {
+            if !place_and_route(self.mapping, node, pe, t, &mut 0) {
                 continue;
             }
-            let mut routed: Vec<EdgeId> = Vec::new();
-            let mut ok = true;
-            let dfg = self.mapping.dfg();
-            let incident: Vec<EdgeId> = dfg
-                .in_edges(node)
-                .iter()
-                .chain(dfg.out_edges(node))
-                .copied()
-                .collect();
-            for e in incident {
-                if self.mapping.route(e).is_some() {
-                    continue; // self-loop already handled via in+out dup
-                }
-                let edge = dfg.edge(e);
-                if self.mapping.placement(edge.src).is_none()
-                    || self.mapping.placement(edge.dst).is_none()
-                {
-                    continue;
-                }
-                match self.mapping.route_edge(e) {
-                    Ok(_) => routed.push(e),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && self.dfs(depth + 1) {
+            if self.dfs(depth + 1) {
                 return true;
-            }
-            for e in routed {
-                self.mapping.unroute_edge(e);
             }
             self.mapping.unplace(node);
             if self.timed_out {
@@ -226,8 +196,8 @@ mod tests {
             g.add_data_edge(n0, n).ok();
         }
         let acc = Accelerator::cgra("1x2", 1, 2);
-        let mut ilp = ExactMapper::new(ExactParams::fast());
-        let outcome = IiSearch::default().run(&mut ilp, &g, &acc);
+        let ilp = ExactMapper::new(ExactParams::fast());
+        let outcome = IiSearch::default().run(&ilp, &g, &acc, 1).0;
         assert_eq!(outcome.ii, Some(3));
     }
 

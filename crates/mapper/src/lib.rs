@@ -8,14 +8,14 @@
 //!   plus the routing-priority-only ablation of Fig. 12;
 //! * [`exact`] — an exhaustive branch-and-bound mapper standing in for the
 //!   ILP baseline (see DESIGN.md "Substitutions");
-//! * [`greedy`] — a deterministic list-scheduling mapper (the classic
-//!   non-stochastic heuristic class the paper contrasts against);
 //! * [`strategy`] — the [`SearchStrategy`] lane contract and the
 //!   heterogeneous portfolio race ([`StrategySpec`] selects the mix);
 //! * [`evolutionary`] — a deterministic population mapper with
 //!   journal-transaction crossover;
-//! * [`constructive`] — a LOCAL-style low-complexity one-pass mapper
-//!   that fast-paths easy kernels;
+//! * [`constructive`] — a LOCAL-style low-complexity one-pass list
+//!   scheduler that fast-paths easy kernels and doubles as the
+//!   deterministic list-scheduling baseline (the classic non-stochastic
+//!   heuristic class the paper contrasts against);
 //! * [`display`] — time-extended grid rendering of mappings (Fig. 5
 //!   style);
 //! * [`schedule`] — the II search driver shared by all mappers (start at
@@ -35,8 +35,8 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dfg = polybench::kernel("doitgen")?;
 //! let acc = Accelerator::cgra("4x4", 4, 4);
-//! let mut mapper = SaMapper::new(SaParams::fast(), 7);
-//! let outcome = IiSearch::default().run(&mut mapper, &dfg, &acc);
+//! let mapper = SaMapper::new(SaParams::fast(), 7);
+//! let (outcome, _mapping) = IiSearch::default().run(&mapper, &dfg, &acc, 1);
 //! assert!(outcome.ii.is_some(), "doitgen maps on a 4x4 CGRA");
 //! # Ok(())
 //! # }
@@ -47,7 +47,6 @@ pub mod display;
 mod error;
 pub mod evolutionary;
 pub mod exact;
-pub mod greedy;
 pub mod label_sa;
 mod mapping;
 pub mod portfolio;

@@ -9,8 +9,8 @@
 //! `parallelism = 1` is byte-identical to `parallelism = N`.
 //!
 //! The same result-invariant work distributor ([`par_map`]) backs the
-//! parallel II search ([`crate::schedule::IiSearch::run_with_mapping_par`])
-//! and the training-data generator's fan-out across DFGs.
+//! parallel II search ([`crate::schedule::IiSearch::run`]) and the
+//! training-data generator's fan-out across DFGs.
 //!
 //! Threads come from `std::thread::scope` — the workspace is hermetic, so
 //! no rayon.

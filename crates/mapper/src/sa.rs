@@ -228,6 +228,41 @@ fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)
     }
 }
 
+/// Places `node` at `(pe, t)` and routes each incident edge whose
+/// endpoints are both placed. On the first routing failure the node is
+/// unplaced, which also rips up the edges routed so far, so a failed
+/// attempt leaves the mapping as it found it. Returns whether the node
+/// stayed placed; undo a success with [`Mapping::unplace`]. Every
+/// `route_edge` call, success or failure, adds one to `router_calls`.
+pub(crate) fn place_and_route(
+    m: &mut Mapping<'_>,
+    node: NodeId,
+    pe: PeId,
+    t: u32,
+    router_calls: &mut u64,
+) -> bool {
+    if m.place(node, pe, t).is_err() {
+        return false;
+    }
+    let dfg = m.dfg();
+    for &e in dfg.in_edges(node).iter().chain(dfg.out_edges(node)) {
+        // A self-loop is listed twice; the first visit routes it.
+        if m.route(e).is_some() {
+            continue;
+        }
+        let edge = dfg.edge(e);
+        if m.placement(edge.src).is_none() || m.placement(edge.dst).is_none() {
+            continue;
+        }
+        *router_calls += 1;
+        if m.route_edge(e).is_err() {
+            m.unplace(node);
+            return false;
+        }
+    }
+    true
+}
+
 /// Reusable per-anneal scratch for the movement loop. Every movement
 /// needs a handful of short-lived lists (problematic nodes, victims, the
 /// remap set, the unrouted-edge worklist, candidate slots); owning them
@@ -601,36 +636,6 @@ pub(crate) fn route_all<P: SaPolicy>(
     invocations
 }
 
-/// The pre-PR vanilla policy: same ordering as [`VanillaPolicy`], but
-/// recomputes the ASAP analysis on every `order_nodes` call — exactly what
-/// the annealer paid per movement before `Mapping` cached the analysis.
-/// Only the movement-throughput bench uses it (identical sort keys, so
-/// trajectories stay byte-identical to [`VanillaPolicy`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct UncachedVanillaPolicy;
-
-impl SaPolicy for UncachedVanillaPolicy {
-    fn order_nodes(&self, mapping: &Mapping<'_>, nodes: &mut [NodeId]) {
-        let asap = lisa_dfg::analysis::asap(mapping.dfg());
-        nodes.sort_by_key(|n| (asap[n.index()], n.index()));
-    }
-
-    fn choose_candidate(
-        &self,
-        mapping: &Mapping<'_>,
-        node: NodeId,
-        candidates: &[(PeId, u32)],
-        stats: MoveStats,
-        rng: &mut Rng,
-    ) -> usize {
-        VanillaPolicy.choose_candidate(mapping, node, candidates, stats, rng)
-    }
-
-    fn order_edges(&self, mapping: &Mapping<'_>, edges: &mut [EdgeId]) {
-        VanillaPolicy.order_edges(mapping, edges);
-    }
-}
-
 /// Rejected-movement restoration strategy driven by
 /// [`movement_throughput`]: the historical per-movement deep clone, or the
 /// transaction journal the annealer uses today.
@@ -671,9 +676,7 @@ pub fn movement_throughput(
     let mut improved = 0;
     match engine {
         MovementEngine::SnapshotClone => {
-            // Pre-PR per-movement bill: deep clone, ASAP recompute in the
-            // ordering policy, full cost rescan.
-            let policy = UncachedVanillaPolicy;
+            // Pre-journal per-movement bill: deep clone, full cost rescan.
             let mut cost = mapping_cost_scan(&mapping);
             for _ in 0..moves {
                 stats.attempted += 1;

@@ -2,8 +2,8 @@
 //!
 //! Per the paper (§VI): "The compiler starts with target II equal to MII
 //! and increments by one if it cannot map, until the target II exceeds the
-//! maximum II." All three mappers (SA, LISA, exact) plug into the same
-//! [`IiSearch`] driver through the [`IiMapper`] trait, so compilation-time
+//! maximum II." Every mapper (SA, LISA, exact, constructive) plugs into
+//! the same [`IiSearch`] driver through the [`IiMapper`] trait, so compilation-time
 //! comparisons (Fig. 11) measure identical machinery around the algorithm
 //! under test.
 
@@ -88,88 +88,19 @@ pub struct IiSearch {
 }
 
 impl IiSearch {
-    /// Runs the search and returns the outcome, discarding the mapping.
-    pub fn run(&self, mapper: &mut dyn IiMapper, dfg: &Dfg, acc: &Accelerator) -> MappingOutcome {
-        self.run_with_mapping(mapper, dfg, acc).0
-    }
-
-    /// Runs the search and also returns the successful mapping (used by
-    /// the label extractor).
-    pub fn run_with_mapping<'a>(
-        &self,
-        mapper: &mut dyn IiMapper,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-    ) -> (MappingOutcome, Option<Mapping<'a>>) {
-        let start = Instant::now();
-        let lo = mii(dfg, acc);
-        let hi = self.max_ii.unwrap_or(acc.max_ii()).min(acc.max_ii());
-        let mut attempts = 0;
-        for ii in lo..=hi.max(lo) {
-            if ii > hi {
-                break;
-            }
-            attempts += 1;
-            if let Some(m) = mapper.map_at_ii(dfg, acc, ii) {
-                debug_assert!(m.is_complete());
-                debug_assert_eq!(m.verify(), Ok(()));
-                let outcome = MappingOutcome {
-                    mapper: mapper.name().to_string(),
-                    dfg: dfg.name().to_string(),
-                    accelerator: acc.name().to_string(),
-                    ii: Some(ii),
-                    compile_time: start.elapsed(),
-                    routing_cells: m.routing_cells(),
-                    activity: m.activity(),
-                    ops: dfg.op_count(),
-                    attempts,
-                };
-                return (outcome, Some(m));
-            }
-        }
-        (
-            MappingOutcome {
-                mapper: mapper.name().to_string(),
-                dfg: dfg.name().to_string(),
-                accelerator: acc.name().to_string(),
-                ii: None,
-                compile_time: start.elapsed(),
-                routing_cells: 0,
-                activity: Activity::default(),
-                ops: dfg.op_count(),
-                attempts,
-            },
-            None,
-        )
-    }
-
-    /// Parallel variant of [`run`](Self::run); see
-    /// [`run_with_mapping_par`](Self::run_with_mapping_par).
-    pub fn run_par<M>(
-        &self,
-        mapper: &M,
-        dfg: &Dfg,
-        acc: &Accelerator,
-        parallelism: usize,
-    ) -> MappingOutcome
-    where
-        M: IiMapper + Clone + Send + Sync,
-    {
-        self.run_with_mapping_par(mapper, dfg, acc, parallelism).0
-    }
-
-    /// Speculative parallel II search. IIs are attempted in waves of
-    /// `parallelism`; every wave is fully joined before judging, and the
-    /// smallest successful II wins, so the outcome — including the
-    /// `attempts` count, which bills exactly the IIs the sequential search
-    /// would have tried — is byte-identical to
-    /// [`run_with_mapping`](Self::run_with_mapping) for any thread count.
-    /// Only `compile_time` (wall clock) differs.
+    /// Runs the search and returns the outcome with the successful
+    /// mapping. IIs are attempted in waves of `parallelism`; every wave
+    /// is fully joined before judging, and the smallest successful II
+    /// wins, so the outcome — including the `attempts` count, which bills
+    /// exactly the IIs a one-at-a-time search would have tried — is
+    /// byte-identical for any thread count. Only `compile_time` (wall
+    /// clock) differs. `parallelism = 1` attempts one II at a time on the
+    /// calling thread.
     ///
     /// Each attempt runs on a clone of `mapper`, so this requires a mapper
     /// whose `map_at_ii` is a pure function of `(self, dfg, acc, ii)` —
-    /// true for both annealing mappers, whose state is seed + parameters.
-    pub fn run_with_mapping_par<'a, M>(
+    /// true for every mapper in this crate.
+    pub fn run<'a, M>(
         &self,
         mapper: &M,
         dfg: &'a Dfg,
@@ -185,7 +116,8 @@ impl IiSearch {
         let stride = parallelism.max(1) as u32;
         let mut attempts = 0;
         let mut ii = lo;
-        while ii <= hi {
+        let mut found = None;
+        'waves: while ii <= hi {
             let wave_end = hi.min(ii + stride - 1);
             let targets: Vec<u32> = (ii..=wave_end).collect();
             let results = crate::portfolio::par_map(parallelism, targets, |_, target| {
@@ -197,42 +129,34 @@ impl IiSearch {
                 if let Some(m) = result {
                     debug_assert!(m.is_complete());
                     debug_assert_eq!(m.verify(), Ok(()));
-                    let outcome = MappingOutcome {
-                        mapper: mapper.name().to_string(),
-                        dfg: dfg.name().to_string(),
-                        accelerator: acc.name().to_string(),
-                        ii: Some(ii + offset as u32),
-                        compile_time: start.elapsed(),
-                        routing_cells: m.routing_cells(),
-                        activity: m.activity(),
-                        ops: dfg.op_count(),
-                        attempts,
-                    };
-                    return (outcome, Some(m));
+                    found = Some((ii + offset as u32, m));
+                    break 'waves;
                 }
             }
             ii = wave_end + 1;
         }
-        (
-            MappingOutcome {
-                mapper: mapper.name().to_string(),
-                dfg: dfg.name().to_string(),
-                accelerator: acc.name().to_string(),
-                ii: None,
-                compile_time: start.elapsed(),
-                routing_cells: 0,
-                activity: Activity::default(),
-                ops: dfg.op_count(),
-                attempts,
-            },
-            None,
-        )
+        let outcome = MappingOutcome {
+            mapper: mapper.name().to_string(),
+            dfg: dfg.name().to_string(),
+            accelerator: acc.name().to_string(),
+            ii: found.as_ref().map(|(ii, _)| *ii),
+            compile_time: start.elapsed(),
+            routing_cells: found.as_ref().map_or(0, |(_, m)| m.routing_cells()),
+            activity: found
+                .as_ref()
+                .map_or_else(Activity::default, |(_, m)| m.activity()),
+            ops: dfg.op_count(),
+            attempts,
+        };
+        (outcome, found.map(|(_, m)| m))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{ExactMapper, ExactParams};
+    use crate::ConstructiveStrategy;
     use lisa_dfg::OpKind;
 
     #[test]
@@ -295,11 +219,12 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut mapper = FailThenSucceed { succeed_at: 3 };
-        let outcome = IiSearch::default().run(&mut mapper, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 3 };
+        let (outcome, mapping) = IiSearch::default().run(&mapper, &g, &acc, 1);
         assert_eq!(outcome.ii, Some(3));
         assert_eq!(outcome.attempts, 3);
         assert!(outcome.mapped());
+        assert_eq!(mapping.map(|m| m.ii()), Some(3));
     }
 
     #[test]
@@ -307,11 +232,12 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
-        let mut mapper = FailThenSucceed { succeed_at: 99 };
-        let outcome = IiSearch::default().run(&mut mapper, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 99 };
+        let (outcome, mapping) = IiSearch::default().run(&mapper, &g, &acc, 1);
         assert_eq!(outcome.ii, None);
         assert_eq!(outcome.attempts, 4);
         assert!(!outcome.mapped());
+        assert!(mapping.is_none());
     }
 
     #[test]
@@ -319,9 +245,33 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut mapper = FailThenSucceed { succeed_at: 99 };
-        let outcome = IiSearch { max_ii: Some(2) }.run(&mut mapper, &g, &acc);
+        let mapper = FailThenSucceed { succeed_at: 99 };
+        let outcome = IiSearch { max_ii: Some(2) }.run(&mapper, &g, &acc, 1).0;
         assert_eq!(outcome.attempts, 2);
+    }
+
+    /// Runs the search at 1, 2 and 4 threads and asserts identical
+    /// `(ii, attempts, routing_cells)` and mapping bytes.
+    fn assert_thread_count_invariant<M>(mapper: &M, dfg: &Dfg, acc: &Accelerator)
+    where
+        M: IiMapper + Clone + Send + Sync,
+    {
+        let search = IiSearch { max_ii: Some(8) };
+        let runs: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let (o, m) = search.run(mapper, dfg, acc, threads);
+                (o.ii, o.attempts, o.routing_cells, format!("{m:?}"))
+            })
+            .collect();
+        assert!(
+            runs[0].0.is_some(),
+            "{} must map {}",
+            mapper.name(),
+            dfg.name()
+        );
+        assert_eq!(runs[0], runs[1], "{}: 2 threads diverged", mapper.name());
+        assert_eq!(runs[0], runs[2], "{}: 4 threads diverged", mapper.name());
     }
 
     #[test]
@@ -329,14 +279,24 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(6);
-        let sequential = IiSearch::default().run(&mut FailThenSucceed { succeed_at: 3 }, &g, &acc);
         for threads in [1, 2, 4, 8] {
-            let par =
-                IiSearch::default().run_par(&FailThenSucceed { succeed_at: 3 }, &g, &acc, threads);
-            assert_eq!(par.ii, sequential.ii, "threads {threads}");
+            let outcome = IiSearch::default()
+                .run(&FailThenSucceed { succeed_at: 3 }, &g, &acc, threads)
+                .0;
+            assert_eq!(outcome.ii, Some(3), "threads {threads}");
             // Speculative wave attempts beyond the winner are not billed.
-            assert_eq!(par.attempts, sequential.attempts, "threads {threads}");
+            assert_eq!(outcome.attempts, 3, "threads {threads}");
         }
+        // Real mappers. The exact mapper's wall-clock budget is lifted so
+        // only its deterministic state budget can end an attempt.
+        let doitgen = lisa_dfg::polybench::kernel("doitgen").unwrap();
+        let acc4 = Accelerator::cgra("4x4", 4, 4);
+        let exact = ExactMapper::new(ExactParams {
+            time_limit: Duration::from_secs(3600),
+            ..ExactParams::fast()
+        });
+        assert_thread_count_invariant(&exact, &doitgen, &acc4);
+        assert_thread_count_invariant(&ConstructiveStrategy::new(), &doitgen, &acc4);
     }
 
     #[test]
@@ -344,7 +304,9 @@ mod tests {
         let mut g = Dfg::new("one");
         g.add_node(OpKind::Add, "a");
         let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
-        let outcome = IiSearch::default().run_par(&FailThenSucceed { succeed_at: 99 }, &g, &acc, 3);
+        let outcome = IiSearch::default()
+            .run(&FailThenSucceed { succeed_at: 99 }, &g, &acc, 3)
+            .0;
         assert_eq!(outcome.ii, None);
         assert_eq!(outcome.attempts, 4);
     }

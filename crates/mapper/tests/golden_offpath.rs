@@ -5,10 +5,20 @@
 //! stay byte-identical to that binary: same placements, same routes, for
 //! the same `(dfg, accelerator, ii, seed)`. Any drift here means the
 //! gating refactor changed the RNG draw order or the movement logic.
+//!
+//! The deterministic mappers are pinned the same way: the constructive
+//! list scheduler (with its router-invocation count) and the exact
+//! branch-and-bound search, captured before their shared place-and-route
+//! step was factored out.
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, Dfg, OpKind};
-use lisa_mapper::{GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaMapper, SaParams};
+use lisa_events::EventSink;
+use lisa_mapper::exact::{ExactMapper, ExactParams};
+use lisa_mapper::{
+    ConstructiveStrategy, GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaMapper, SaParams,
+    SearchStrategy,
+};
 
 /// FNV-1a over every placement and route step, in id order.
 fn digest(m: &Mapping) -> u64 {
@@ -107,6 +117,43 @@ fn label_sa_trajectories_match_pre_filter_binary() {
     assert_eq!(got, GOLDEN_LABEL_SA, "label-aware SA trajectory drifted");
 }
 
+#[test]
+fn constructive_lane_matches_pinned_list_schedule() {
+    let acc = Accelerator::cgra("4x4", 4, 4);
+    let got: Vec<(u64, u64)> = ["gemm", "doitgen", "atax"]
+        .into_iter()
+        .map(|kernel| {
+            let dfg = polybench::kernel(kernel).unwrap();
+            let (m, stats) =
+                ConstructiveStrategy::new().run(&dfg, &acc, 8, 0, 0, &EventSink::null(), None);
+            let m = m.expect("golden case must map");
+            m.verify().unwrap();
+            (digest(&m), stats.router_invocations)
+        })
+        .collect();
+    assert_eq!(
+        got, GOLDEN_CONSTRUCTIVE,
+        "constructive list schedule drifted"
+    );
+}
+
+#[test]
+fn exact_search_matches_pinned_branch_and_bound() {
+    let acc2 = Accelerator::cgra("2x2", 2, 2);
+    let chain = chain_dfg();
+    let got: Vec<u64> = [1, 2]
+        .into_iter()
+        .map(|ii| {
+            let m = ExactMapper::new(ExactParams::fast())
+                .map_at_ii(&chain, &acc2, ii)
+                .expect("golden case must map");
+            m.verify().unwrap();
+            digest(&m)
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_EXACT, "exact branch-and-bound drifted");
+}
+
 const GOLDEN_SA: [u64; 5] = [
     6022767452455792074,
     6253017857123897318,
@@ -119,3 +166,12 @@ const GOLDEN_LABEL_SA: [u64; 3] = [
     10280484549389806084,
     3047957704053923850,
 ];
+/// `(digest, router_invocations)` of the constructive lane on gemm,
+/// doitgen and atax at II 8 on the 4x4.
+const GOLDEN_CONSTRUCTIVE: [(u64, u64); 3] = [
+    (2049525194344201933, 59),
+    (13450619748932264468, 37),
+    (13359770638350078899, 75),
+];
+/// The exact mapper on `chain4` over the 2x2 at II 1 and II 2.
+const GOLDEN_EXACT: [u64; 2] = [15776762944823591485, 225515969889060149];

@@ -10,7 +10,7 @@
 use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, random, RandomDfgConfig};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
-use lisa_gnn::TrainConfig;
+use lisa_gnn::{PlanScratch, TrainConfig};
 use lisa_labels::attributes::{DUMMY_ATTR_DIM, EDGE_ATTR_DIM, NODE_ATTR_DIM};
 use lisa_labels::{filter, generate_labels, FilterConfig, IterGenConfig, TrainingSet};
 use lisa_mapper::schedule::IiSearch;
@@ -68,8 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ── Stage 3: label-aware mapping of a real kernel (paper §III) ──────
-    // Derive labels for a new DFG with the trained nets and map. (The
-    // `Lisa` facade bundles exactly this; shown inline for transparency.)
+    // Derive labels for a new DFG with the trained nets, frozen into
+    // compiled inference plans, and map. (The `Lisa` facade bundles
+    // exactly this; shown inline for transparency.)
+    let (schedule_plan, same_level_plan) = (schedule_net.compile(), same_level_net.compile());
+    let (spatial_plan, temporal_plan) = (spatial_net.compile(), temporal_net.compile());
+    let mut scratch = PlanScratch::new();
     let dfg = polybench::kernel("mvt")?;
     let attrs = lisa_labels::DfgAttributes::generate(&dfg);
     let node_sample = lisa_gnn::dataset::NodeGraphSample {
@@ -78,12 +82,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         targets: vec![0.0; dfg.node_count()],
     };
     let labels = GuidanceLabels {
-        schedule_order: schedule_net.predict(&node_sample),
+        schedule_order: schedule_plan.predict(&mut scratch, &node_sample),
         same_level: attrs
             .dummy_edges
             .iter()
             .zip(&attrs.dummy)
-            .map(|(d, a)| (d.a, d.b, same_level_net.predict(a).max(0.0)))
+            .map(|(d, a)| (d.a, d.b, same_level_plan.predict(&mut scratch, a).max(0.0)))
             .collect(),
         spatial: dfg
             .edge_ids()
@@ -93,16 +97,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     neighbor_attrs: attrs.edge_neighborhood(&dfg, e),
                     target: 0.0,
                 };
-                spatial_net.predict(&ctx).max(0.0)
+                spatial_plan.predict(&mut scratch, &ctx).max(0.0)
             })
             .collect(),
         temporal: dfg
             .edge_ids()
-            .map(|e| temporal_net.predict(&attrs.edge[e.index()]).max(1.0))
+            .map(|e| {
+                temporal_plan
+                    .predict(&mut scratch, &attrs.edge[e.index()])
+                    .max(1.0)
+            })
             .collect(),
     };
-    let mut mapper = LabelSaMapper::new(labels, SaParams::fast(), 7);
-    let outcome = IiSearch { max_ii: Some(12) }.run(&mut mapper, &dfg, &acc);
+    let mapper = LabelSaMapper::new(labels, SaParams::fast(), 7);
+    let outcome = IiSearch { max_ii: Some(12) }.run(&mapper, &dfg, &acc, 1).0;
     println!(
         "stage 3: {} on {} -> II {:?} in {:.2?}",
         dfg.name(),

@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let body = polybench::kernel(name)?;
         let dfg = unroll(&body, 2);
 
-        let mut sa = SaMapper::new(SaParams::paper(), 1);
-        let sa_outcome = IiSearch { max_ii: Some(16) }.run(&mut sa, &dfg, &acc);
+        let sa = SaMapper::new(SaParams::paper(), 1);
+        let sa_outcome = IiSearch { max_ii: Some(16) }.run(&sa, &dfg, &acc, 1).0;
         let (lisa_outcome, mapping) = lisa.map_capped(&dfg, &acc, 16);
         if let Some(m) = &mapping {
             m.verify().expect("mapping invariants hold");

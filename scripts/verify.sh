@@ -22,6 +22,13 @@ echo "verify: lisa-lint clean"
 cargo build --release --offline
 cargo test -q --offline
 
+# Frozen benchmark API: the benchmark package in lisa-benchmark/ drives
+# the program through its public functions and sits outside this
+# workspace, so a deletion that breaks it must fail here. RUSTFLAGS is
+# cleared because that package is not held to the -D warnings policy.
+RUSTFLAGS= cargo check -q --offline --all-targets --manifest-path lisa-benchmark/Cargo.toml
+echo "verify: lisa-benchmark builds against the public API"
+
 # Bench smoke: run the micro-benches once each (heavy tier is skipped),
 # which writes target/bench/BENCH_<suite>.json; bench_check fails if
 # BENCH_mapping.json, BENCH_gnn.json, BENCH_pipeline.json, or

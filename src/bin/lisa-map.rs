@@ -2,7 +2,7 @@
 //! modelled spatial accelerator, or train the label models offline.
 //!
 //! ```text
-//! lisa-map <kernel> [--arch <key>] [--mapper lisa|sa|greedy|ilp]
+//! lisa-map <kernel> [--arch <key>] [--mapper lisa|sa|ilp]
 //!          [--model <path>] [--unroll <k>] [--max-ii <n>] [--seed <n>]
 //!          [--strategy sa|evolutionary|constructive|mixed|<lane,lane,...>]
 //!          [--predictor <path>|off] [--capture-movements <path>]
@@ -57,7 +57,6 @@ use lisa::labels::movement::{parse_movement_set, write_movement_set, MovementPre
 use lisa::labels::MovementRecorder;
 use lisa::mapper::display::render;
 use lisa::mapper::exact::{ExactMapper, ExactParams};
-use lisa::mapper::greedy::GreedyMapper;
 use lisa::mapper::schedule::IiSearch;
 use lisa::mapper::{FilterStats, SaMapper, SaParams, StrategySpec};
 
@@ -319,7 +318,7 @@ fn parse_train_args() -> Result<TrainOptions, String> {
 fn usage() -> String {
     "usage: lisa-map <kernel|core:<kernel>|rand:<seed>> \
      [--arch 3x3|4x4|4x4-lr|4x4-lm|8x8|systolic|<RxC>] \
-     [--mapper lisa|sa|greedy|ilp] [--model path] [--unroll k] [--max-ii n] [--seed n] \
+     [--mapper lisa|sa|ilp] [--model path] [--unroll k] [--max-ii n] [--seed n] \
      [--strategy sa|evolutionary|constructive|mixed|lane,lane,...] \
      [--predictor path|off] [--capture-movements path] [--verbose] [--show]\n\
      \x20      lisa-map train --help             for offline label training\n\
@@ -589,11 +588,10 @@ fn main() {
     } else {
         EventSink::null()
     };
-    if opts.predictor.is_some() && matches!(opts.mapper.as_str(), "greedy" | "ilp") {
+    if opts.predictor.is_some() && opts.mapper == "ilp" {
         eprintln!("note: --predictor only gates the annealing mappers (lisa, sa); ignored");
     }
-    if opts.strategy != StrategySpec::default() && matches!(opts.mapper.as_str(), "greedy" | "ilp")
-    {
+    if opts.strategy != StrategySpec::default() && opts.mapper == "ilp" {
         eprintln!("note: --strategy only selects portfolio lanes (lisa, sa); ignored");
     }
 
@@ -653,15 +651,11 @@ fn main() {
                     }
                 }
             }
-            search.run_with_mapping(&mut sa, &dfg, &acc)
-        }
-        "greedy" => {
-            let mut greedy = GreedyMapper::default();
-            search.run_with_mapping(&mut greedy, &dfg, &acc)
+            search.run(&sa, &dfg, &acc, 1)
         }
         "ilp" => {
-            let mut ilp = ExactMapper::new(ExactParams::default());
-            search.run_with_mapping(&mut ilp, &dfg, &acc)
+            let ilp = ExactMapper::new(ExactParams::default());
+            search.run(&ilp, &dfg, &acc, 1)
         }
         other => {
             eprintln!("unknown mapper {other}\n{}", usage());

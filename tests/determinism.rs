@@ -35,9 +35,8 @@ fn sa_mapper_runs_are_byte_identical() {
     for seed in [3, 17, 2022] {
         let dfg = generate_random_dfg(&cfg, seed);
         let run = |s: u64| {
-            let mut sa = SaMapper::new(SaParams::fast(), s);
-            let (outcome, mapping) =
-                IiSearch { max_ii: Some(10) }.run_with_mapping(&mut sa, &dfg, &acc);
+            let sa = SaMapper::new(SaParams::fast(), s);
+            let (outcome, mapping) = IiSearch { max_ii: Some(10) }.run(&sa, &dfg, &acc, 1);
             // `compile_time` is wall-clock and legitimately varies between
             // runs; everything else must be byte-identical.
             format!(
@@ -71,7 +70,7 @@ fn portfolio_is_thread_count_invariant() {
     let sa_run = |threads: usize| {
         let mapper = SaMapper::new(SaParams::fast(), 2022)
             .with_portfolio(PortfolioParams::new(4).with_parallelism(threads));
-        let (outcome, mapping) = search.run_with_mapping_par(&mapper, &dfg, &acc, threads);
+        let (outcome, mapping) = search.run(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
     assert_eq!(sa_run(1).as_bytes(), sa_run(4).as_bytes(), "SA diverged");
@@ -79,7 +78,7 @@ fn portfolio_is_thread_count_invariant() {
     let lisa_run = |threads: usize| {
         let mapper = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 2022)
             .with_portfolio(PortfolioParams::new(4).with_parallelism(threads));
-        let (outcome, mapping) = search.run_with_mapping_par(&mapper, &dfg, &acc, threads);
+        let (outcome, mapping) = search.run(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
     assert_eq!(

@@ -40,8 +40,8 @@ fn lisa_matches_or_beats_sa_on_small_kernels() {
     for name in ["doitgen", "gemm", "atax", "trmm"] {
         let dfg = polybench::kernel(name).unwrap();
         let (lisa_outcome, _) = lisa.map_capped(&dfg, &acc, 12);
-        let mut sa = SaMapper::new(SaParams::fast(), 5);
-        let sa_outcome = search.run(&mut sa, &dfg, &acc);
+        let sa = SaMapper::new(SaParams::fast(), 5);
+        let sa_outcome = search.run(&sa, &dfg, &acc, 1).0;
         lisa_total += lisa_outcome.ii.unwrap_or(13);
         sa_total += sa_outcome.ii.unwrap_or(13);
     }

@@ -48,14 +48,14 @@ fn tiny_graphs() -> Vec<Dfg> {
 fn exact_ii_is_a_lower_bound_for_heuristics() {
     let acc = Accelerator::cgra("2x2", 2, 2);
     for dfg in tiny_graphs() {
-        let mut ilp = ExactMapper::new(ExactParams::default());
-        let exact = IiSearch { max_ii: Some(12) }.run(&mut ilp, &dfg, &acc);
+        let ilp = ExactMapper::new(ExactParams::default());
+        let exact = IiSearch { max_ii: Some(12) }.run(&ilp, &dfg, &acc, 1).0;
         let exact_ii = exact
             .ii
             .unwrap_or_else(|| panic!("exact mapper must solve the tiny graph {}", dfg.name()));
 
-        let mut sa = SaMapper::new(SaParams::paper(), 3);
-        let sa_outcome = IiSearch { max_ii: Some(12) }.run(&mut sa, &dfg, &acc);
+        let sa = SaMapper::new(SaParams::paper(), 3);
+        let sa_outcome = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1).0;
         if let Some(sa_ii) = sa_outcome.ii {
             assert!(
                 sa_ii >= exact_ii,
@@ -65,8 +65,8 @@ fn exact_ii_is_a_lower_bound_for_heuristics() {
         }
 
         let labels = GuidanceLabels::initial(&dfg);
-        let mut lisa = LabelSaMapper::new(labels, SaParams::paper(), 3);
-        let lisa_outcome = IiSearch { max_ii: Some(12) }.run(&mut lisa, &dfg, &acc);
+        let lisa = LabelSaMapper::new(labels, SaParams::paper(), 3);
+        let lisa_outcome = IiSearch { max_ii: Some(12) }.run(&lisa, &dfg, &acc, 1).0;
         if let Some(lisa_ii) = lisa_outcome.ii {
             assert!(lisa_ii >= exact_ii, "{}: LISA beat the optimum", dfg.name());
         }
@@ -77,9 +77,8 @@ fn exact_ii_is_a_lower_bound_for_heuristics() {
 fn outcome_metrics_agree_with_mapping_state() {
     let acc = Accelerator::cgra("3x3", 3, 3);
     for dfg in tiny_graphs() {
-        let mut sa = SaMapper::new(SaParams::paper(), 1);
-        let (outcome, mapping) =
-            IiSearch { max_ii: Some(12) }.run_with_mapping(&mut sa, &dfg, &acc);
+        let sa = SaMapper::new(SaParams::paper(), 1);
+        let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
         let m = mapping.expect("tiny graphs map");
         assert_eq!(outcome.ii, Some(m.ii()));
         assert_eq!(outcome.routing_cells, m.routing_cells());
@@ -106,8 +105,8 @@ fn search_starts_at_mii() {
         }
     }
     assert_eq!(mii(&g, &acc), 3);
-    let mut sa = SaMapper::new(SaParams::paper(), 2);
-    let outcome = IiSearch { max_ii: Some(12) }.run(&mut sa, &g, &acc);
+    let sa = SaMapper::new(SaParams::paper(), 2);
+    let outcome = IiSearch { max_ii: Some(12) }.run(&sa, &g, &acc, 1).0;
     if let Some(ii) = outcome.ii {
         assert!(ii >= 3);
     }
@@ -118,8 +117,8 @@ fn memory_constrained_cgra_keeps_loads_on_left_column() {
     let acc =
         Accelerator::cgra("4x4-lm", 4, 4).with_memory(lisa::arch::MemoryConnectivity::LeftColumn);
     let dfg = lisa::dfg::polybench::kernel("doitgen").unwrap();
-    let mut sa = SaMapper::new(SaParams::paper(), 4);
-    let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run_with_mapping(&mut sa, &dfg, &acc);
+    let sa = SaMapper::new(SaParams::paper(), 4);
+    let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
     assert!(outcome.mapped(), "doitgen maps on the left-column CGRA");
     let m = mapping.unwrap();
     m.verify().unwrap();
@@ -145,14 +144,14 @@ fn systolic_maps_only_supported_shapes() {
     let s = g.add_node(OpKind::Store, "s");
     g.add_data_edge(a, d).unwrap();
     g.add_data_edge(d, s).unwrap();
-    let mut sa = SaMapper::new(SaParams::paper(), 0);
-    let outcome = IiSearch::default().run(&mut sa, &g, &acc);
+    let sa = SaMapper::new(SaParams::paper(), 0);
+    let outcome = IiSearch::default().run(&sa, &g, &acc, 1).0;
     assert!(!outcome.mapped());
 
     // The doitgen compute core does map.
     let core = lisa::dfg::polybench::kernel_core("doitgen").unwrap();
-    let mut sa = SaMapper::new(SaParams::paper(), 0);
-    let (outcome, mapping) = IiSearch::default().run_with_mapping(&mut sa, &core, &acc);
+    let sa = SaMapper::new(SaParams::paper(), 0);
+    let (outcome, mapping) = IiSearch::default().run(&sa, &core, &acc, 1);
     assert!(outcome.mapped(), "doitgen-core maps on the systolic array");
     mapping.unwrap().verify().unwrap();
 }
@@ -162,8 +161,8 @@ fn heterogeneous_cgra_places_muls_on_capable_pes() {
     use lisa::arch::Heterogeneity;
     let acc = Accelerator::cgra("4x4-het", 4, 4).with_heterogeneity(Heterogeneity::CheckerboardMul);
     let dfg = lisa::dfg::polybench::kernel("gemm").unwrap();
-    let mut sa = SaMapper::new(SaParams::paper(), 8);
-    let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run_with_mapping(&mut sa, &dfg, &acc);
+    let sa = SaMapper::new(SaParams::paper(), 8);
+    let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
     assert!(outcome.mapped(), "gemm maps on the heterogeneous 4x4");
     let m = mapping.unwrap();
     m.verify().unwrap();
@@ -183,8 +182,8 @@ fn multihop_interconnect_reduces_or_preserves_ii() {
     let hop = Accelerator::cgra("h", 4, 4).with_interconnect(Interconnect::MultiHop { radius: 2 });
     let dfg = lisa::dfg::polybench::kernel("syr2k").unwrap();
     let run = |acc: &Accelerator| {
-        let mut sa = SaMapper::new(SaParams::paper(), 3);
-        IiSearch { max_ii: Some(12) }.run(&mut sa, &dfg, acc)
+        let sa = SaMapper::new(SaParams::paper(), 3);
+        IiSearch { max_ii: Some(12) }.run(&sa, &dfg, acc, 1).0
     };
     let (m, h) = (run(&mesh), run(&hop));
     assert!(m.mapped() && h.mapped());
@@ -197,8 +196,8 @@ fn multihop_interconnect_reduces_or_preserves_ii() {
 fn utilization_reflects_mapping_density() {
     let acc = Accelerator::cgra("4x4", 4, 4);
     let dfg = lisa::dfg::polybench::kernel("syr2k").unwrap();
-    let mut sa = SaMapper::new(SaParams::paper(), 5);
-    let (_, mapping) = IiSearch { max_ii: Some(12) }.run_with_mapping(&mut sa, &dfg, &acc);
+    let sa = SaMapper::new(SaParams::paper(), 5);
+    let (_, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
     let m = mapping.expect("syr2k maps");
     let u = m.utilization();
     let total_fu: usize = u.busy_fu_slots.iter().sum();

@@ -105,9 +105,9 @@ lisa_rng::props! {
     fn sa_mappings_verify_and_labels_are_physical(seed in 0u64..500) {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let mut sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = SaMapper::new(SaParams::fast(), seed);
         let (outcome, mapping) =
-            IiSearch { max_ii: Some(10) }.run_with_mapping(&mut sa, &dfg, &acc);
+            IiSearch { max_ii: Some(10) }.run(&sa, &dfg, &acc, 1);
         if let Some(m) = mapping {
             assert!(m.verify().is_ok(), "verify failed: {:?}", m.verify());
             assert_eq!(outcome.ii, Some(m.ii()));
@@ -132,9 +132,9 @@ lisa_rng::props! {
 
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let mut sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = SaMapper::new(SaParams::fast(), seed);
         let (_, mapping) =
-            IiSearch { max_ii: Some(8) }.run_with_mapping(&mut sa, &dfg, &acc);
+            IiSearch { max_ii: Some(8) }.run(&sa, &dfg, &acc, 1);
         if let Some(mut m) = mapping {
             let mut rng = lisa_rng::Rng::seed_from_u64(op_seed);
             let snapshot = format!("{m:?}");
@@ -188,9 +188,9 @@ lisa_rng::props! {
     fn unplace_restores_empty_state(seed in 0u64..500) {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let mut sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = SaMapper::new(SaParams::fast(), seed);
         let (_, mapping) =
-            IiSearch { max_ii: Some(10) }.run_with_mapping(&mut sa, &dfg, &acc);
+            IiSearch { max_ii: Some(10) }.run(&sa, &dfg, &acc, 1);
         if let Some(mut m) = mapping {
             for v in dfg.node_ids() {
                 m.unplace(v);
@@ -267,9 +267,9 @@ lisa_rng::props! {
 
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let mut sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = SaMapper::new(SaParams::fast(), seed);
         let (_, mapping) =
-            IiSearch { max_ii: Some(8) }.run_with_mapping(&mut sa, &dfg, &acc);
+            IiSearch { max_ii: Some(8) }.run(&sa, &dfg, &acc, 1);
         if let Some(m) = mapping {
             let labels = labels_from_mapping(&m);
             assert!(labels.matches(&dfg));
