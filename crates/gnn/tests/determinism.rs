@@ -1,10 +1,18 @@
-//! Parallel training must be bit-identical to sequential training.
+//! Training numerics are pinned, and parallel training is bit-identical
+//! to sequential training.
 //!
 //! The trainer splits each batch into fixed micro-batch units and
 //! reduces the per-unit gradient sinks in ascending unit order, so the
 //! floating-point summation tree never depends on the worker count.
-//! These tests pin that contract end-to-end for all three models by
-//! comparing the byte-exact serialised weights.
+//! These tests train all three models at parallelism 1 and 4 and compare
+//! the byte-exact serialised weights against a golden FNV-1a digest, so
+//! they pin training across revisions as well as across thread counts.
+//!
+//! The datasets deliberately include the edge cases of the forward and
+//! backward passes: empty neighbourhoods (ν = 1, no gradient into `Wν`),
+//! neighbourhoods whose sum is exactly zero (the guarded reciprocal),
+//! isolated graph nodes (zero pooled columns), and a last batch that ends
+//! in a partial micro-batch.
 
 use lisa_gnn::dataset::{ContextEdgeSample, EdgeSample, NodeGraphSample};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
@@ -20,27 +28,50 @@ fn config(parallelism: usize) -> TrainConfig {
     }
 }
 
+/// FNV-1a 64 over the serialised weights.
+fn digest(weights: &str) -> u64 {
+    weights.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Trains a fresh model at parallelism 1 and 4 and checks both exports
+/// against `golden`.
+fn assert_pinned(golden: u64, train: impl Fn(usize) -> String) {
+    let seq = train(1);
+    let par = train(4);
+    assert_eq!(seq, par, "parallel weights diverged from sequential");
+    assert_eq!(
+        digest(&seq),
+        golden,
+        "trained weights moved: {:#018x}",
+        digest(&seq)
+    );
+}
+
 #[test]
-fn edge_mlp_parallel_weights_are_byte_identical() {
-    let samples: Vec<EdgeSample> = (0..48)
+fn edge_mlp_training_is_pinned_and_thread_count_invariant() {
+    // 53 samples in batches of 16: the last batch is one partial
+    // micro-batch of 5.
+    let samples: Vec<EdgeSample> = (0..53)
         .map(|i| EdgeSample {
             attrs: vec![f64::from(i % 5), f64::from(i % 3), 0.25 * f64::from(i % 7)],
             target: f64::from(i % 4),
         })
         .collect();
-    let mut seq = EdgeMlp::new(3, 2);
-    seq.train(&samples, &config(1));
-    let mut par = EdgeMlp::new(3, 2);
-    par.train(&samples, &config(4));
-    assert_eq!(seq.export_weights(), par.export_weights());
+    assert_pinned(0x2176_18d9_51f1_85c4, |parallelism| {
+        let mut net = EdgeMlp::new(3, 2);
+        net.train(&samples, &config(parallelism));
+        net.export_weights()
+    });
 }
 
 #[test]
-fn schedule_order_parallel_weights_are_byte_identical() {
+fn schedule_order_training_is_pinned_and_thread_count_invariant() {
     let samples: Vec<NodeGraphSample> = (0..24)
         .map(|c| {
             let n = 3 + c % 4;
-            let node_attrs = (0..n)
+            let mut node_attrs: Vec<Vec<f64>> = (0..n)
                 .map(|i| vec![i as f64, 1.0, (n - i) as f64])
                 .collect();
             let mut neighbors = vec![Vec::new(); n];
@@ -48,26 +79,40 @@ fn schedule_order_parallel_weights_are_byte_identical() {
                 neighbors[i].push(i + 1);
                 neighbors[i + 1].push(i);
             }
+            let mut targets: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            // Every third graph gains an isolated node.
+            if c % 3 == 0 {
+                node_attrs.push(vec![0.5, -1.0, 2.0]);
+                neighbors.push(Vec::new());
+                targets.push(0.0);
+            }
             NodeGraphSample {
                 node_attrs,
                 neighbors,
-                targets: (0..n).map(|i| i as f64).collect(),
+                targets,
             }
         })
         .collect();
-    let mut seq = ScheduleOrderNet::new(3, 2);
-    seq.train(&samples, &config(1));
-    let mut par = ScheduleOrderNet::new(3, 2);
-    par.train(&samples, &config(4));
-    assert_eq!(seq.export_weights(), par.export_weights());
+    assert_pinned(0x63f0_2f00_995f_3c88, |parallelism| {
+        let mut net = ScheduleOrderNet::new(3, 2);
+        net.train(&samples, &config(parallelism));
+        net.export_weights()
+    });
 }
 
 #[test]
-fn spatial_parallel_weights_are_byte_identical() {
-    let samples: Vec<ContextEdgeSample> = (0..36)
+fn spatial_training_is_pinned_and_thread_count_invariant() {
+    // Every fourth sample has an empty neighbourhood; the five extra
+    // samples have neighbourhoods summing to exactly zero. 41 samples in
+    // batches of 16 end in a partial micro-batch of 1.
+    let samples: Vec<ContextEdgeSample> = (0..41)
         .map(|i| {
             let a = f64::from((i % 4) as u32) + 0.5;
-            let neighbor_attrs = (0..i % 4).map(|k| vec![a + k as f64, 1.0]).collect();
+            let neighbor_attrs = if i < 36 {
+                (0..i % 4).map(|k| vec![a + k as f64, 1.0]).collect()
+            } else {
+                vec![vec![a, 1.0], vec![-a, -1.0]]
+            };
             ContextEdgeSample {
                 attrs: vec![a, f64::from((i % 3) as u32)],
                 neighbor_attrs,
@@ -75,9 +120,9 @@ fn spatial_parallel_weights_are_byte_identical() {
             }
         })
         .collect();
-    let mut seq = SpatialNet::new(2, 2);
-    seq.train(&samples, &config(1));
-    let mut par = SpatialNet::new(2, 2);
-    par.train(&samples, &config(4));
-    assert_eq!(seq.export_weights(), par.export_weights());
+    assert_pinned(0xe0cc_c508_e552_e776, |parallelism| {
+        let mut net = SpatialNet::new(2, 2);
+        net.train(&samples, &config(parallelism));
+        net.export_weights()
+    });
 }
