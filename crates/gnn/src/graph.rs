@@ -2,11 +2,10 @@
 //!
 //! Each forward pass builds a [`Graph`] (define-by-run, like PyTorch):
 //! every operation appends a node holding its output value and the
-//! information backward needs. [`Graph::backward`] then walks the tape in
-//! reverse, accumulating gradients into intermediate nodes and — for
-//! parameter leaves — into the [`ParamStore`] (or a detached
-//! [`ParamGrads`] sink via [`Graph::backward_into`], which is what the
-//! deterministic parallel trainer uses).
+//! information backward needs. [`Graph::backward_into`] then walks the
+//! tape in reverse, accumulating gradients into intermediate nodes and —
+//! for parameter leaves — into a detached [`ParamGrads`] sink, one per
+//! micro-batch unit in the deterministic trainer.
 //!
 //! **Arena reuse** shapes the tape's throughput: [`Graph::reset`] clears
 //! the tape but keeps every backing buffer in an internal free pool, so a
@@ -14,22 +13,20 @@
 //! epochs instead of reallocating per sample. Backward likewise keeps its
 //! per-node gradient scratch between calls.
 //!
-//! The tape exists for training. Inference runs on compiled plans (each
-//! model's `compile()`, executed on a [`crate::PlanScratch`]), which are
-//! pinned bit-identical to the model's forward on this tape.
+//! The tape exists for training. Each label network writes its forward
+//! once over the crate's op vocabulary (`ops::Ops`); training runs it on
+//! this tape and `compile()` runs it on a plan builder, so inference on a
+//! compiled plan is bit-identical to the training forward.
 //!
-//! The op set is what the paper's four label networks (Eq. 1–7) require:
-//! matrix–vector and batched matrix–matrix products, elementwise
-//! arithmetic (scalar and column-broadcast forms), ReLU, guarded
-//! reciprocals, concatenation, min/max/mean pooling over neighbour sets,
-//! and a fused gather-and-pool over a CSR adjacency that aggregates all
-//! nodes of a layer at once. Batched ops are bit-compatible with their
-//! per-column scalar counterparts: column `j` of `matmul`'s output equals
-//! `matvec` on column `j` exactly, and `gather_pool` reproduces the
-//! historical concat(mean, max, min) column by column.
+//! The op set is exactly what the paper's label networks (Eq. 1–7) use,
+//! all batched with one column per sample or node: the matrix product,
+//! elementwise and bias-column addition, ReLU, column gating, the fused
+//! (mean, max, min) gather-and-pool over a CSR adjacency (Eq. 1), the
+//! spatial net's ν gate (Eq. 5), and the summed squared-error loss.
 
 use std::sync::Arc;
 
+use crate::tensor::matmul_kernel;
 use crate::{ParamGrads, ParamId, ParamStore, Tensor};
 
 /// Handle to a node on the tape.
@@ -57,13 +54,7 @@ impl CsrAdjacency {
     pub fn from_neighbors(neighbors: &[Vec<usize>]) -> Self {
         let mut offsets = Vec::with_capacity(neighbors.len() + 1);
         let mut indices = Vec::with_capacity(neighbors.iter().map(Vec::len).sum());
-        offsets.push(0u32);
-        for ns in neighbors {
-            for &u in ns {
-                indices.push(u32::try_from(u).expect("neighbor index overflows u32"));
-            }
-            offsets.push(u32::try_from(indices.len()).expect("adjacency overflows u32"));
-        }
+        fill_csr(neighbors, &mut offsets, &mut indices);
         CsrAdjacency {
             offsets: offsets.into(),
             indices: indices.into(),
@@ -85,6 +76,26 @@ impl CsrAdjacency {
             offsets: &self.offsets,
             indices: &self.indices,
         }
+    }
+}
+
+/// Refills caller-owned `offsets`/`indices` with the CSR form of a
+/// neighbour-list adjacency. [`CsrAdjacency::from_neighbors`] fills fresh
+/// vectors; compiled plans refill scratch-owned ones, so a warm scratch
+/// builds the adjacency without allocating.
+///
+/// # Panics
+///
+/// Panics if an index exceeds `u32::MAX`.
+pub(crate) fn fill_csr(neighbors: &[Vec<usize>], offsets: &mut Vec<u32>, indices: &mut Vec<u32>) {
+    offsets.clear();
+    indices.clear();
+    offsets.push(0);
+    for ns in neighbors {
+        for &u in ns {
+            indices.push(u32::try_from(u).expect("neighbor index overflows u32"));
+        }
+        offsets.push(u32::try_from(indices.len()).expect("adjacency overflows u32"));
     }
 }
 
@@ -116,35 +127,14 @@ enum Op {
     Input,
     /// Parameter leaf; gradient accumulates into the sink.
     Param(ParamId),
-    /// `W x` where `W` is a matrix var and `x` a column vector.
-    MatVec(VarId, VarId),
-    /// `W X` with `X` a column-stacked batch; column `j` of the result is
-    /// bit-identical to `MatVec` on column `j`.
+    /// `W X` with `X` a column-stacked batch.
     MatMul(VarId, VarId),
     Add(VarId, VarId),
     /// `X + b` broadcasting the column vector `b` over every column.
     AddCols(VarId, VarId),
-    Sub(VarId, VarId),
-    Hadamard(VarId, VarId),
-    /// `s * x` with `s` a 1×1 var broadcast over `x`.
-    Scale(VarId, VarId),
     /// Column-wise gating: column `j` of `x` scaled by `nu[j]`.
     ScaleCols(VarId, VarId),
     Relu(VarId),
-    /// Guarded elementwise reciprocal: `1/x`, or 1 where `|x| < eps`
-    /// (the paper sets the normalisation factor to one on zero
-    /// denominators, §IV-B).
-    Recip(VarId),
-    /// Vertical concatenation of column vectors.
-    Concat(Vec<VarId>),
-    /// Elementwise mean over a set of same-shaped vectors.
-    PoolMean(Vec<VarId>),
-    /// Elementwise max; gradient flows to the argmax element.
-    PoolMax(Vec<VarId>),
-    /// Elementwise min; gradient flows to the argmin element.
-    PoolMin(Vec<VarId>),
-    /// Elementwise sum over a set of same-shaped vectors.
-    PoolSum(Vec<VarId>),
     /// Fused per-consumer (mean, max, min) pooling of source columns
     /// selected through a CSR adjacency; stacks the three poolings
     /// vertically. Consumers without neighbours get a zero column.
@@ -152,8 +142,13 @@ enum Op {
         src: VarId,
         adj: CsrAdjacency,
     },
-    /// Squared error `(x - target)^2` of a 1×1 var against a constant.
-    SquaredError(VarId, f64),
+    /// Eq. 5's gate `nu[j] = w · recips[j]`; `recips` is the constant
+    /// input node holding each sample's reciprocal aggregate as a row
+    /// (a zero row for an empty neighbourhood, whose ν is the constant 1).
+    NuGate {
+        w: VarId,
+        recips: VarId,
+    },
     /// `scale * Σ_j (pred[j] - targets[j])^2` over a 1×n prediction row.
     RowSse {
         pred: VarId,
@@ -162,6 +157,9 @@ enum Op {
     },
 }
 
+/// Below this magnitude a pooled denominator counts as zero and its
+/// reciprocal is replaced by 1 (the paper sets the normalisation factor
+/// to one on zero denominators, §IV-B).
 pub(crate) const RECIP_EPS: f64 = 1e-6;
 
 /// Forward fill of [`Graph::gather_pool`]: for each consumer `j` of
@@ -181,10 +179,9 @@ pub(crate) fn gather_pool_forward(srcv: &Tensor, adj: CsrView<'_>, out: &mut [f6
     debug_assert_eq!(out.len(), 3 * h * n_out);
     // The three poolings write into separate row bands; splitting them up
     // front keeps the inner loops on plain slices with no per-element
-    // shape math. Per output element the fold over the neighbor list is
-    // the historical one — the first neighbor's value seeds sum/max/min,
-    // the rest fold in list order, the mean applies the same `1/len`
-    // reciprocal — so results are bit-identical.
+    // shape math. Per output element the first neighbor's value seeds
+    // sum/max/min, the rest fold in list order, and the mean multiplies
+    // by one `1/len` reciprocal.
     // Validate every neighbour index once up front: the gather loops
     // below re-walk the same list `h` times and rely on this bound for
     // unchecked loads.
@@ -235,27 +232,70 @@ pub(crate) fn gather_pool_forward(srcv: &Tensor, adj: CsrView<'_>, out: &mut [f6
     }
 }
 
+/// Forward fill of [`Graph::nu_gate`] (Eq. 5): for each sample `j`,
+/// pools the neighbour attribute vectors of `hoods[j]` into
+/// `[mean; sum; max; min]`, replaces every element by its guarded
+/// reciprocal (1 where `|v| <` [`RECIP_EPS`]), stores that aggregate as
+/// row `j` of `recips` (`hoods.len() × w_nu.len()`), and writes the gate
+/// `out[j] = w_nu · recips[j]`. An empty neighbourhood gets ν = 1 and a
+/// zero row. Every element of `recips` and `out` is written.
+///
+/// Shared by the tape op and the compiled inference plans so the two
+/// paths stay bit-identical.
+///
+/// # Panics
+///
+/// Panics if a neighbour's dimension is not `w_nu.len() / 4`.
+pub(crate) fn nu_gate_forward(
+    w_nu: &[f64],
+    hoods: &[&[Vec<f64>]],
+    recips: &mut [f64],
+    out: &mut [f64],
+) {
+    let width = w_nu.len();
+    let d = width / 4;
+    debug_assert_eq!(recips.len(), width * hoods.len());
+    debug_assert_eq!(out.len(), hoods.len());
+    for ((hood, row), nu) in hoods.iter().zip(recips.chunks_exact_mut(width)).zip(out) {
+        let Some((first, rest)) = hood.split_first() else {
+            row.fill(0.0);
+            *nu = 1.0;
+            continue;
+        };
+        assert_eq!(first.len(), d, "neighbour dimension mismatch");
+        let (mean, tail) = row.split_at_mut(d);
+        let (sum, tail) = tail.split_at_mut(d);
+        let (max, min) = tail.split_at_mut(d);
+        mean.copy_from_slice(first);
+        sum.copy_from_slice(first);
+        max.copy_from_slice(first);
+        min.copy_from_slice(first);
+        for a in rest {
+            assert_eq!(a.len(), d, "neighbour dimension mismatch");
+            for k in 0..d {
+                let v = a[k];
+                mean[k] += v;
+                sum[k] += v;
+                max[k] = max[k].max(v);
+                min[k] = min[k].min(v);
+            }
+        }
+        let inv = 1.0 / hood.len() as f64;
+        for v in mean {
+            *v *= inv;
+        }
+        for v in row.iter_mut() {
+            *v = if v.abs() < RECIP_EPS { 1.0 } else { 1.0 / *v };
+        }
+        *nu = 0.0;
+        matmul_kernel(w_nu, row, (1, width, 1), std::slice::from_mut(nu));
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     op: Op,
     value: Tensor,
-}
-
-/// Routes parameter gradients either into the store's accumulator (the
-/// sequential path) or a detached sink (one per micro-batch unit in the
-/// deterministic parallel trainer).
-enum GradSink<'a> {
-    Store(&'a mut ParamStore),
-    Grads(&'a mut ParamGrads),
-}
-
-impl GradSink<'_> {
-    fn accumulate(&mut self, id: ParamId, delta: &Tensor) {
-        match self {
-            GradSink::Store(s) => s.accumulate_grad(id, delta),
-            GradSink::Grads(g) => g.accumulate(id, delta),
-        }
-    }
 }
 
 /// A dynamically built computation graph.
@@ -263,19 +303,20 @@ impl GradSink<'_> {
 /// # Example
 ///
 /// ```
-/// use lisa_gnn::{Graph, ParamStore, Tensor};
+/// use lisa_gnn::{Graph, ParamGrads, ParamStore, Tensor};
 ///
 /// let mut store = ParamStore::new(0);
 /// let w = store.alloc_with(Tensor::from_vec(1, 2, vec![2.0, -1.0]));
 /// let mut g = Graph::new();
 /// let wv = g.param(&store, w);
 /// let x = g.input(Tensor::vector(vec![3.0, 4.0]));
-/// let y = g.matvec(wv, x);           // 2*3 - 4 = 2
-/// let loss = g.squared_error(y, 0.0); // 4
+/// let y = g.matmul(wv, x); // 2*3 - 4 = 2
+/// let loss = g.row_squared_error(y, vec![0.0].into(), 1.0); // 4
 /// assert_eq!(g.value(loss).item(), 4.0);
-/// g.backward(loss, &mut store);
+/// let mut grads = ParamGrads::zeros_like(&store);
+/// g.backward_into(loss, &mut grads);
 /// // dL/dW = 2*(y-0) * x^T = [12, 16]
-/// assert_eq!(store.grad(w).data(), &[12.0, 16.0]);
+/// assert_eq!(grads.grad(w).data(), &[12.0, 16.0]);
 /// ```
 #[derive(Debug, Default)]
 pub struct Graph {
@@ -351,29 +392,16 @@ impl Graph {
         self.push(Op::Param(id), t)
     }
 
-    /// Matrix–vector product.
-    pub fn matvec(&mut self, w: VarId, x: VarId) -> VarId {
-        let mut buf = self.take_buf();
-        let wv = &self.nodes[w.0].value;
-        let xv = &self.nodes[x.0].value;
-        assert_eq!(xv.cols(), 1, "matvec rhs must be a column vector");
-        assert_eq!(wv.cols(), xv.rows(), "matvec shape mismatch");
-        buf.resize(wv.rows(), 0.0);
-        crate::tensor::matmul_kernel(wv.data(), xv.data(), (wv.rows(), wv.cols(), 1), &mut buf);
-        let v = Tensor::from_vec(wv.rows(), 1, buf);
-        self.push(Op::MatVec(w, x), v)
-    }
-
     /// Batched matrix product `W X`: every column of `X` is one sample or
-    /// node, and column `j` of the result is bit-identical to
-    /// `matvec(w, column j)`.
+    /// node, and the reduction over the shared dimension runs in
+    /// ascending order per output element.
     pub fn matmul(&mut self, w: VarId, x: VarId) -> VarId {
         let mut buf = self.take_buf();
         let wv = &self.nodes[w.0].value;
         let xv = &self.nodes[x.0].value;
         assert_eq!(wv.cols(), xv.rows(), "matmul shape mismatch");
         buf.resize(wv.rows() * xv.cols(), 0.0);
-        crate::tensor::matmul_kernel(
+        matmul_kernel(
             wv.data(),
             xv.data(),
             (wv.rows(), wv.cols(), xv.cols()),
@@ -383,7 +411,8 @@ impl Graph {
         self.push(Op::MatMul(w, x), v)
     }
 
-    fn zip_op(&mut self, a: VarId, b: VarId, op: Op, f: impl Fn(f64, f64) -> f64) -> VarId {
+    /// Elementwise sum.
+    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
         let mut buf = self.take_buf();
         let av = &self.nodes[a.0].value;
         let bv = &self.nodes[b.0].value;
@@ -392,19 +421,13 @@ impl Graph {
             (bv.rows(), bv.cols()),
             "shape mismatch"
         );
-        buf.extend(av.data().iter().zip(bv.data()).map(|(&x, &y)| f(x, y)));
+        buf.extend(av.data().iter().zip(bv.data()).map(|(&x, &y)| x + y));
         let v = Tensor::from_vec(av.rows(), av.cols(), buf);
-        self.push(op, v)
-    }
-
-    /// Elementwise sum.
-    pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        self.zip_op(a, b, Op::Add(a, b), |x, y| x + y)
+        self.push(Op::Add(a, b), v)
     }
 
     /// Adds a bias column to every column of a batched matrix:
-    /// `out[r, j] = x[r, j] + b[r]`. Column `j` is bit-identical to
-    /// `add(column j, b)`.
+    /// `out[r, j] = x[r, j] + b[r]`.
     pub fn add_cols(&mut self, x: VarId, b: VarId) -> VarId {
         let mut buf = self.take_buf();
         let xv = &self.nodes[x.0].value;
@@ -418,33 +441,8 @@ impl Graph {
         self.push(Op::AddCols(x, b), v)
     }
 
-    /// Elementwise difference.
-    pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        self.zip_op(a, b, Op::Sub(a, b), |x, y| x - y)
-    }
-
-    /// Elementwise product.
-    pub fn hadamard(&mut self, a: VarId, b: VarId) -> VarId {
-        self.zip_op(a, b, Op::Hadamard(a, b), |x, y| x * y)
-    }
-
-    /// Broadcast scalar × vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not 1×1.
-    pub fn scale(&mut self, s: VarId, x: VarId) -> VarId {
-        let mut buf = self.take_buf();
-        let k = self.nodes[s.0].value.item();
-        let xv = &self.nodes[x.0].value;
-        buf.extend(xv.data().iter().map(|&v| v * k));
-        let v = Tensor::from_vec(xv.rows(), xv.cols(), buf);
-        self.push(Op::Scale(s, x), v)
-    }
-
     /// Column-wise gating of a batched matrix: `out[r, j] = x[r, j] *
-    /// nu[j]` with `nu` an n×1 vector of per-column scalars. Column `j`
-    /// is bit-identical to `scale(nu[j], column j)`.
+    /// nu[j]` with `nu` an n×1 vector of per-column scalars.
     pub fn scale_cols(&mut self, nu: VarId, x: VarId) -> VarId {
         let mut buf = self.take_buf();
         let nuv = &self.nodes[nu.0].value;
@@ -467,66 +465,10 @@ impl Graph {
         self.push(Op::Relu(x), v)
     }
 
-    /// Guarded elementwise reciprocal (1 where the input is ~0).
-    pub fn recip(&mut self, x: VarId) -> VarId {
-        let mut buf = self.take_buf();
-        let src = &self.nodes[x.0].value;
-        buf.extend(
-            src.data()
-                .iter()
-                .map(|&v| if v.abs() < RECIP_EPS { 1.0 } else { 1.0 / v }),
-        );
-        let v = Tensor::from_vec(src.rows(), src.cols(), buf);
-        self.push(Op::Recip(x), v)
-    }
-
-    /// Vertical concatenation of column vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or any part is not a column vector.
-    pub fn concat(&mut self, parts: Vec<VarId>) -> VarId {
-        assert!(!parts.is_empty(), "concat needs at least one part");
-        let mut buf = self.take_buf();
-        for &p in &parts {
-            let t = &self.nodes[p.0].value;
-            assert_eq!(t.cols(), 1, "concat parts must be column vectors");
-            buf.extend_from_slice(t.data());
-        }
-        let v = Tensor::vector(buf);
-        self.push(Op::Concat(parts), v)
-    }
-
-    /// Elementwise mean over same-shaped vectors.
-    pub fn pool_mean(&mut self, parts: Vec<VarId>) -> VarId {
-        let v = self.pool_value(&parts, Pool::Mean);
-        self.push(Op::PoolMean(parts), v)
-    }
-
-    /// Elementwise max over same-shaped vectors.
-    pub fn pool_max(&mut self, parts: Vec<VarId>) -> VarId {
-        let v = self.pool_value(&parts, Pool::Max);
-        self.push(Op::PoolMax(parts), v)
-    }
-
-    /// Elementwise min over same-shaped vectors.
-    pub fn pool_min(&mut self, parts: Vec<VarId>) -> VarId {
-        let v = self.pool_value(&parts, Pool::Min);
-        self.push(Op::PoolMin(parts), v)
-    }
-
-    /// Elementwise sum over same-shaped vectors.
-    pub fn pool_sum(&mut self, parts: Vec<VarId>) -> VarId {
-        let v = self.pool_value(&parts, Pool::Sum);
-        self.push(Op::PoolSum(parts), v)
-    }
-
     /// Fused neighbourhood aggregation over a whole layer: for each
     /// consumer `j` of `adj`, pools the source columns named by its
     /// neighbour list and stacks `[mean; max; min]` into a `3h × n`
-    /// output. Consumers without neighbours get a zero column. Column `j`
-    /// is bit-identical to the historical
-    /// `concat(pool_mean, pool_max, pool_min)` over the same columns.
+    /// output. Consumers without neighbours get a zero column.
     ///
     /// # Panics
     ///
@@ -548,21 +490,44 @@ impl Graph {
         )
     }
 
-    /// Squared error of a 1×1 prediction against a constant target.
+    /// The spatial net's Eq. 5 gate over a batch of edges: row `j` of the
+    /// `B × 1` result is `w_nu · recip([mean; sum; max; min])` over the
+    /// attribute vectors of `hoods[j]`, or 1 for an empty neighbourhood.
+    /// Neighbourhoods are constants; gradient flows only into `w_nu`.
     ///
     /// # Panics
     ///
-    /// Panics if `pred` is not 1×1.
-    pub fn squared_error(&mut self, pred: VarId, target: f64) -> VarId {
-        let d = self.nodes[pred.0].value.item() - target;
-        self.push(Op::SquaredError(pred, target), Tensor::scalar(d * d))
+    /// Panics unless `w_nu` is `1 × 4d` with `d > 0` and every neighbour
+    /// has `d` attributes.
+    pub fn nu_gate(&mut self, w_nu: VarId, hoods: &[&[Vec<f64>]]) -> VarId {
+        let (rows, width) = {
+            let wv = &self.nodes[w_nu.0].value;
+            (wv.rows(), wv.cols())
+        };
+        assert!(
+            rows == 1 && width > 0 && width % 4 == 0,
+            "nu_gate weight must be 1×4d"
+        );
+        let mut recips = self.take_buf();
+        recips.resize(hoods.len() * width, 0.0);
+        let mut out = self.take_buf();
+        out.resize(hoods.len(), 0.0);
+        nu_gate_forward(
+            self.nodes[w_nu.0].value.data(),
+            hoods,
+            &mut recips,
+            &mut out,
+        );
+        let recips = self.input(Tensor::from_vec(hoods.len(), width, recips));
+        self.push(
+            Op::NuGate { w: w_nu, recips },
+            Tensor::from_vec(hoods.len(), 1, out),
+        )
     }
 
     /// Summed squared error of a 1×n prediction row against per-column
-    /// targets, times `scale`: `scale * Σ_j (pred[j] - targets[j])²`.
-    /// With ascending-`j` summation this matches the historical
-    /// per-sample `squared_error` + `pool_sum` + `scale` chain bit for
-    /// bit.
+    /// targets, times `scale`: `scale * Σ_j (pred[j] - targets[j])²`,
+    /// summed in ascending `j`.
     ///
     /// # Panics
     ///
@@ -591,56 +556,16 @@ impl Graph {
         )
     }
 
-    fn pool_value(&mut self, parts: &[VarId], pool: Pool) -> Tensor {
-        assert!(!parts.is_empty(), "pooling needs at least one part");
-        let mut buf = self.take_buf();
-        let first = &self.nodes[parts[0].0].value;
-        let (rows, cols) = (first.rows(), first.cols());
-        buf.extend_from_slice(first.data());
-        for &p in &parts[1..] {
-            let t = &self.nodes[p.0].value;
-            assert_eq!((t.rows(), t.cols()), (rows, cols), "pool shape mismatch");
-            for (o, &v) in buf.iter_mut().zip(t.data()) {
-                match pool {
-                    Pool::Mean | Pool::Sum => *o += v,
-                    Pool::Max => *o = o.max(v),
-                    Pool::Min => *o = o.min(v),
-                }
-            }
-        }
-        if pool == Pool::Mean {
-            let k = 1.0 / parts.len() as f64;
-            for o in &mut buf {
-                *o *= k;
-            }
-        }
-        Tensor::from_vec(rows, cols, buf)
-    }
-
     /// Runs the backward pass from `loss` (which must be 1×1), adding
-    /// parameter gradients into `store`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not a 1×1 var.
-    pub fn backward(&mut self, loss: VarId, store: &mut ParamStore) {
-        self.backward_impl(loss, &mut GradSink::Store(store));
-    }
-
-    /// Like [`Self::backward`], but accumulates parameter gradients into
-    /// a detached [`ParamGrads`] sink instead of the store. The parallel
-    /// trainer gives each micro-batch unit its own sink and reduces them
-    /// in ascending unit order, which is what keeps multi-threaded
-    /// training bit-identical to sequential.
+    /// parameter gradients into `sink`. The trainer gives each
+    /// micro-batch unit its own sink and reduces them in ascending unit
+    /// order, which is what keeps multi-threaded training bit-identical
+    /// to sequential.
     ///
     /// # Panics
     ///
     /// Panics if `loss` is not a 1×1 var.
     pub fn backward_into(&mut self, loss: VarId, sink: &mut ParamGrads) {
-        self.backward_impl(loss, &mut GradSink::Grads(sink));
-    }
-
-    fn backward_impl(&mut self, loss: VarId, sink: &mut GradSink<'_>) {
         assert_eq!(self.nodes[loss.0].value.len(), 1, "loss must be scalar");
         let mut grads = std::mem::take(&mut self.grad_scratch);
         if grads.len() < self.nodes.len() {
@@ -661,12 +586,6 @@ impl Graph {
             match &self.nodes[i].op {
                 Op::Input => {}
                 Op::Param(pid) => sink.accumulate(*pid, &g),
-                Op::MatVec(w, x) => {
-                    let wv = &self.nodes[w.0].value;
-                    let xv = &self.nodes[x.0].value;
-                    grads[w.0].add_assign(&g.outer(xv));
-                    grads[x.0].add_assign(&wv.t_matvec(&g));
-                }
                 Op::MatMul(w, x) => {
                     let wv = &self.nodes[w.0].value;
                     let xv = &self.nodes[x.0].value;
@@ -690,30 +609,11 @@ impl Graph {
                         *slot += acc;
                     }
                 }
-                Op::Sub(a, b) => {
-                    grads[a.0].add_assign(&g);
-                    grads[b.0].add_assign(&g.scale(-1.0));
-                }
-                Op::Hadamard(a, b) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
-                    grads[a.0].add_assign(&g.hadamard(&bv));
-                    grads[b.0].add_assign(&g.hadamard(&av));
-                }
-                Op::Scale(s, x) => {
-                    let k = self.nodes[s.0].value.item();
-                    let xv = &self.nodes[x.0].value;
-                    let ds = g.hadamard(xv).sum();
-                    grads[s.0].add_assign(&Tensor::scalar(ds));
-                    grads[x.0].add_assign(&g.scale(k));
-                }
                 Op::ScaleCols(nu, x) => {
                     let nuv = &self.nodes[nu.0].value;
                     let xv = &self.nodes[x.0].value;
                     let cols = xv.cols();
-                    // dnu[j] = Σ_r g[r, j] x[r, j], ascending r — the same
-                    // reduction scale's `g.hadamard(x).sum()` performs on
-                    // one column.
+                    // dnu[j] = Σ_r g[r, j] x[r, j], ascending r.
                     {
                         let dnu = grads[nu.0].data_mut();
                         for (j, slot) in dnu.iter_mut().enumerate() {
@@ -748,51 +648,6 @@ impl Graph {
                     );
                     grads[x.0].add_assign(&masked);
                 }
-                Op::Recip(x) => {
-                    let xv = &self.nodes[x.0].value;
-                    let dx = Tensor::from_vec(
-                        g.rows(),
-                        g.cols(),
-                        g.data()
-                            .iter()
-                            .zip(xv.data())
-                            .map(|(&gv, &v)| {
-                                if v.abs() < RECIP_EPS {
-                                    0.0
-                                } else {
-                                    -gv / (v * v)
-                                }
-                            })
-                            .collect(),
-                    );
-                    grads[x.0].add_assign(&dx);
-                }
-                Op::Concat(parts) => {
-                    let mut offset = 0;
-                    for &p in parts {
-                        let len = self.nodes[p.0].value.len();
-                        let slice = Tensor::vector(g.data()[offset..offset + len].to_vec());
-                        grads[p.0].add_assign(&slice);
-                        offset += len;
-                    }
-                }
-                Op::PoolMean(parts) => {
-                    let share = g.scale(1.0 / parts.len() as f64);
-                    for &p in parts {
-                        grads[p.0].add_assign(&share);
-                    }
-                }
-                Op::PoolSum(parts) => {
-                    for &p in parts {
-                        grads[p.0].add_assign(&g);
-                    }
-                }
-                Op::PoolMax(parts) => {
-                    pool_extreme_backward(&self.nodes, parts, i, &g, &mut grads, true)
-                }
-                Op::PoolMin(parts) => {
-                    pool_extreme_backward(&self.nodes, parts, i, &g, &mut grads, false)
-                }
                 Op::GatherPool { src, adj } => {
                     let srcv = &self.nodes[src.0].value;
                     let out = &self.nodes[i].value;
@@ -801,8 +656,8 @@ impl Graph {
                     let n_out = adj.consumer_count();
                     let dsrc = grads[src.0].data_mut();
                     // Consumers descending, and min → max → mean within a
-                    // consumer: the reverse-tape order of the historical
-                    // per-node pool_mean / pool_max / pool_min ops.
+                    // consumer; max/min route to the first neighbour that
+                    // attains the extremum.
                     for j in (0..n_out).rev() {
                         let neigh = adj.neighbors(j);
                         if neigh.is_empty() {
@@ -834,9 +689,24 @@ impl Graph {
                         }
                     }
                 }
-                Op::SquaredError(x, target) => {
-                    let d = self.nodes[x.0].value.item() - target;
-                    grads[x.0].add_assign(&Tensor::scalar(2.0 * d * g.item()));
+                Op::NuGate { w, recips } => {
+                    // dW = Σ_j g[j] recips[j], samples descending. A sample
+                    // whose gate gradient or per-sample product is zero
+                    // throughout (the whole row for an empty neighbourhood)
+                    // contributes nothing and is skipped, the same test the
+                    // loop above applies to every node.
+                    let rv = &self.nodes[recips.0].value;
+                    let dw = grads[w.0].data_mut();
+                    let zero = |v: f64| v * v == 0.0;
+                    for (j, row) in rv.data().chunks_exact(rv.cols()).enumerate().rev() {
+                        let gj = g.data()[j];
+                        if zero(gj) || row.iter().all(|&r| zero(gj * r)) {
+                            continue;
+                        }
+                        for (o, &r) in dw.iter_mut().zip(row) {
+                            *o += gj * r;
+                        }
+                    }
                 }
                 Op::RowSse {
                     pred,
@@ -858,38 +728,6 @@ impl Graph {
     }
 }
 
-/// Routes max/min-pool gradients to the element that achieved the
-/// extremum (first wins on ties).
-fn pool_extreme_backward(
-    nodes: &[Node],
-    parts: &[VarId],
-    out_idx: usize,
-    g: &Tensor,
-    grads: &mut [Tensor],
-    is_max: bool,
-) {
-    let out = &nodes[out_idx].value;
-    for k in 0..out.len() {
-        let target = out.data()[k];
-        for &p in parts {
-            let v = nodes[p.0].value.data()[k];
-            let hit = if is_max { v >= target } else { v <= target };
-            if hit {
-                grads[p.0].data_mut()[k] += g.data()[k];
-                break;
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pool {
-    Mean,
-    Max,
-    Min,
-    Sum,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,22 +735,21 @@ mod tests {
     /// Finite-difference check of the gradient of `loss_fn` w.r.t. every
     /// weight of every parameter.
     fn check_grads(
-        store: &mut ParamStore,
+        store: &ParamStore,
         params: &[ParamId],
         loss_fn: &dyn Fn(&mut Graph, &ParamStore) -> VarId,
     ) {
         // Analytic gradients.
-        store.zero_grads();
+        let mut sink = ParamGrads::zeros_like(store);
         let mut g = Graph::new();
         let loss = loss_fn(&mut g, store);
-        g.backward(loss, store);
-        let analytic: Vec<Tensor> = params.iter().map(|&p| store.grad(p).clone()).collect();
+        g.backward_into(loss, &mut sink);
 
         let eps = 1e-5;
         for (pi, &p) in params.iter().enumerate() {
             for k in 0..store.value(p).len() {
                 let orig = store.value(p).data()[k];
-                let probe = |store: &ParamStore, w: f64| {
+                let probe = |w: f64| {
                     let mut s = store.clone();
                     let mut t = s.value(p).clone();
                     t.data_mut()[k] = w;
@@ -921,95 +758,14 @@ mod tests {
                     let l = loss_fn(&mut g, &s);
                     g.value(l).item()
                 };
-                let numeric = (probe(store, orig + eps) - probe(store, orig - eps)) / (2.0 * eps);
-                let got = analytic[pi].data()[k];
+                let numeric = (probe(orig + eps) - probe(orig - eps)) / (2.0 * eps);
+                let got = sink.grad(p).data()[k];
                 assert!(
                     (numeric - got).abs() < 1e-4 * (1.0 + numeric.abs()),
                     "param {pi} weight {k}: numeric {numeric} vs analytic {got}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn matvec_and_mse_gradcheck() {
-        let mut store = ParamStore::new(3);
-        let w = store.alloc(2, 3);
-        let r = store.alloc(1, 2);
-        let loss_fn = move |g: &mut Graph, s: &ParamStore| {
-            let wv = g.param(s, w);
-            let rv = g.param(s, r);
-            let x = g.input(Tensor::vector(vec![0.5, -1.0, 2.0]));
-            let h = g.matvec(wv, x);
-            let h = g.relu(h);
-            let y = g.matvec(rv, h);
-            g.squared_error(y, 1.5)
-        };
-        check_grads(&mut store, &[w, r], &loss_fn);
-    }
-
-    #[test]
-    fn pooling_gradcheck() {
-        let mut store = ParamStore::new(5);
-        let w = store.alloc(2, 6);
-        let loss_fn = move |g: &mut Graph, s: &ParamStore| {
-            let wv = g.param(s, w);
-            let a = g.input(Tensor::vector(vec![1.0, 2.0]));
-            let b = g.input(Tensor::vector(vec![-1.0, 4.0]));
-            let c = g.input(Tensor::vector(vec![0.5, -3.0]));
-            let mean = g.pool_mean(vec![a, b, c]);
-            let max = g.pool_max(vec![a, b, c]);
-            let min = g.pool_min(vec![a, b, c]);
-            let cat = g.concat(vec![mean, max, min]);
-            let h = g.matvec(wv, cat);
-            let s2 = g.pool_sum(vec![h]);
-            let first = g.input(Tensor::from_vec(1, 2, vec![1.0, 1.0]));
-            let y = g.matvec(first, s2);
-            g.squared_error(y, 0.3)
-        };
-        check_grads(&mut store, &[w], &loss_fn);
-    }
-
-    #[test]
-    fn recip_scale_hadamard_gradcheck() {
-        let mut store = ParamStore::new(8);
-        let w = store.alloc(1, 2);
-        let loss_fn = move |g: &mut Graph, s: &ParamStore| {
-            let wv = g.param(s, w);
-            let x = g.input(Tensor::vector(vec![2.0, -0.5]));
-            let r = g.recip(x);
-            let sc = g.matvec(wv, r); // scalar
-            let y0 = g.input(Tensor::vector(vec![1.0, 3.0]));
-            let scaled = g.scale(sc, y0);
-            let h = g.hadamard(scaled, y0);
-            let ones = g.input(Tensor::from_vec(1, 2, vec![1.0, 1.0]));
-            let y = g.matvec(ones, h);
-            g.squared_error(y, -0.2)
-        };
-        check_grads(&mut store, &[w], &loss_fn);
-    }
-
-    #[test]
-    fn recip_guard_at_zero() {
-        let mut g = Graph::new();
-        let x = g.input(Tensor::vector(vec![0.0, 2.0]));
-        let r = g.recip(x);
-        assert_eq!(g.value(r).data(), &[1.0, 0.5]);
-    }
-
-    #[test]
-    fn sub_backward() {
-        let mut store = ParamStore::new(2);
-        let w = store.alloc(1, 2);
-        let loss_fn = move |g: &mut Graph, s: &ParamStore| {
-            let wv = g.param(s, w);
-            let a = g.input(Tensor::vector(vec![1.0, 2.0]));
-            let b = g.input(Tensor::vector(vec![3.0, -1.0]));
-            let d = g.sub(a, b);
-            let y = g.matvec(wv, d);
-            g.squared_error(y, 0.0)
-        };
-        check_grads(&mut store, &[w], &loss_fn);
     }
 
     #[test]
@@ -1041,7 +797,7 @@ mod tests {
             let p = g.matmul(rv, h);
             g.row_squared_error(p, targets.clone(), 0.25)
         };
-        check_grads(&mut store, &[w, r], &loss_fn);
+        check_grads(&store, &[w, r], &loss_fn);
     }
 
     #[test]
@@ -1065,7 +821,7 @@ mod tests {
             let p = g.matmul(rv, h);
             g.row_squared_error(p, targets.clone(), 1.0)
         };
-        check_grads(&mut store, &[w, b, nu, r], &loss_fn);
+        check_grads(&store, &[w, b, nu, r], &loss_fn);
     }
 
     #[test]
@@ -1096,14 +852,45 @@ mod tests {
             let p = g.matmul(rv, pooled);
             g.row_squared_error(p, targets.clone(), 0.2)
         };
-        check_grads(&mut store, &[w, r], &loss_fn);
+        check_grads(&store, &[w, r], &loss_fn);
     }
 
-    /// The batched ops must reproduce the scalar per-column ops bit for
-    /// bit — this is the numeric contract that lets the models switch to
-    /// batched forwards "without changing any numeric result".
     #[test]
-    fn batched_ops_match_scalar_ops_bitwise() {
+    fn nu_gate_gradcheck() {
+        let mut store = ParamStore::new(14);
+        let w_nu = store.alloc(1, 8);
+        let r = store.alloc(1, 2);
+        // Multi-neighbour, empty, zero-sum (the reciprocal guard) and
+        // single-neighbour neighbourhoods.
+        let hoods: Vec<Vec<Vec<f64>>> = vec![
+            vec![vec![1.0, 2.0], vec![0.5, -1.0], vec![1.5, 0.25]],
+            vec![],
+            vec![vec![3.0, -1.0], vec![-3.0, 1.0]],
+            vec![vec![0.7, 0.2]],
+        ];
+        let targets: Arc<[f64]> = vec![0.3, -0.2, 1.0, 0.5].into();
+        let loss_fn = move |g: &mut Graph, s: &ParamStore| {
+            let refs: Vec<&[Vec<f64>]> = hoods.iter().map(Vec::as_slice).collect();
+            let wv = g.param(s, w_nu);
+            let rv = g.param(s, r);
+            let nu = g.nu_gate(wv, &refs);
+            let x = g.input(Tensor::from_vec(
+                2,
+                4,
+                vec![0.5, -1.0, 2.0, 0.25, 1.5, 0.75, -0.5, 1.0],
+            ));
+            let h = g.scale_cols(nu, x);
+            let p = g.matmul(rv, h);
+            g.row_squared_error(p, targets.clone(), 0.5)
+        };
+        check_grads(&store, &[w_nu, r], &loss_fn);
+    }
+
+    /// The batched ops must reproduce plain per-column loops bit for bit:
+    /// an ascending-`k` product chain from `+0.0`, then the bias, the
+    /// ReLU clamp, and the gate, one element at a time.
+    #[test]
+    fn batched_ops_match_per_column_loops_bitwise() {
         let mut store = ParamStore::new(21);
         let w = store.alloc(2, 3);
         let b = store.alloc(2, 1);
@@ -1119,24 +906,23 @@ mod tests {
         let h = gb.add_cols(h, bv);
         let h = gb.relu(h);
         let h = gb.scale_cols(nuv, h);
-        let batched = gb.value(h).clone();
+        let batched = gb.value(h);
 
-        for j in 0..x.cols() {
-            let mut gs = Graph::new();
-            let wv = gs.param(&store, w);
-            let bv = gs.param(&store, b);
-            let xj = gs.input(x.column(j));
-            let nuj = gs.input(Tensor::scalar(nu_vals[j]));
-            let h = gs.matvec(wv, xj);
-            let h = gs.add(h, bv);
-            let h = gs.relu(h);
-            let h = gs.scale(nuj, h);
-            assert_eq!(batched.column(j).data(), gs.value(h).data());
+        let (wt, bt) = (store.value(w), store.value(b));
+        for (j, &nu) in nu_vals.iter().enumerate() {
+            for r in 0..2 {
+                let mut acc = 0.0;
+                for k in 0..3 {
+                    acc += wt.get(r, k) * x.get(k, j);
+                }
+                let expected = (acc + bt.get(r, 0)).max(0.0) * nu;
+                assert_eq!(batched.get(r, j).to_bits(), expected.to_bits());
+            }
         }
     }
 
     #[test]
-    fn gather_pool_matches_pool_concat_bitwise() {
+    fn gather_pool_matches_plain_pooling_bitwise() {
         let src = Tensor::from_vec(2, 4, (0..8).map(|i| 0.5 - f64::from(i) * 0.41).collect());
         let neighbors: Vec<Vec<usize>> = vec![vec![1, 3, 0], vec![2], vec![], vec![0, 1]];
         let adj = CsrAdjacency::from_neighbors(&neighbors);
@@ -1144,62 +930,57 @@ mod tests {
         let mut gb = Graph::new();
         let s = gb.input(src.clone());
         let pooled = gb.gather_pool(s, &adj);
-        let batched = gb.value(pooled).clone();
+        let batched = gb.value(pooled);
 
         for (j, ns) in neighbors.iter().enumerate() {
-            let mut gs = Graph::new();
-            let expected = if ns.is_empty() {
-                Tensor::zeros(6, 1)
-            } else {
-                let cols: Vec<VarId> = ns.iter().map(|&u| gs.input(src.column(u))).collect();
-                let mean = gs.pool_mean(cols.clone());
-                let max = gs.pool_max(cols.clone());
-                let min = gs.pool_min(cols);
-                let cat = gs.concat(vec![mean, max, min]);
-                gs.value(cat).clone()
-            };
-            assert_eq!(batched.column(j).data(), expected.data());
+            for k in 0..2 {
+                // Seed with the first neighbour, fold the rest in list
+                // order, scale the mean once; no neighbours pool to 0.
+                let (mut sum, mut max, mut min) = (0.0, 0.0, 0.0);
+                if let Some((&first, rest)) = ns.split_first() {
+                    (sum, max, min) = (src.get(k, first), src.get(k, first), src.get(k, first));
+                    for &u in rest {
+                        sum += src.get(k, u);
+                        max = f64::max(max, src.get(k, u));
+                        min = f64::min(min, src.get(k, u));
+                    }
+                    sum *= 1.0 / ns.len() as f64;
+                }
+                assert_eq!(batched.get(k, j).to_bits(), sum.to_bits());
+                assert_eq!(batched.get(2 + k, j).to_bits(), max.to_bits());
+                assert_eq!(batched.get(4 + k, j).to_bits(), min.to_bits());
+            }
         }
     }
 
     #[test]
-    fn row_sse_matches_sum_of_squared_errors_bitwise() {
-        let preds = Tensor::from_vec(1, 3, vec![0.31, -1.7, 2.9]);
+    fn row_sse_matches_plain_sum_bitwise() {
+        let preds = [0.31, -1.7, 2.9];
         let targets = [0.5, -2.0, 3.0];
 
-        let mut ga = Graph::new();
-        let p = ga.input(preds.clone());
-        let loss = ga.row_squared_error(p, targets.to_vec().into(), 1.0 / 3.0);
+        let mut g = Graph::new();
+        let p = g.input(Tensor::from_vec(1, 3, preds.to_vec()));
+        let loss = g.row_squared_error(p, targets.to_vec().into(), 1.0 / 3.0);
 
-        let mut gb = Graph::new();
-        let errs: Vec<VarId> = (0..3)
-            .map(|j| {
-                let pj = gb.input(Tensor::scalar(preds.get(0, j)));
-                gb.squared_error(pj, targets[j])
-            })
-            .collect();
-        let sum = gb.pool_sum(errs);
-        let k = gb.input(Tensor::scalar(1.0 / 3.0));
-        let scaled = gb.scale(k, sum);
-        assert_eq!(ga.value(loss).item(), gb.value(scaled).item());
+        let sq = |j: usize| (preds[j] - targets[j]) * (preds[j] - targets[j]);
+        let expected = (sq(0) + sq(1) + sq(2)) * (1.0 / 3.0);
+        assert_eq!(g.value(loss).item().to_bits(), expected.to_bits());
     }
 
     #[test]
     fn reset_reuses_tape_and_preserves_results() {
         let mut store = ParamStore::new(4);
-        let w = store.alloc(2, 2);
+        let w = store.alloc(1, 2);
         let mut g = Graph::new();
         let mut runs = Vec::new();
+        let mut sink = ParamGrads::zeros_like(&store);
         for round in 0..3 {
             g.reset();
             assert!(g.is_empty());
-            let wv = g.param(&store, w);
-            let x = g.input(Tensor::vector(vec![1.0 + f64::from(round), -0.5]));
-            let h = g.matvec(wv, x);
-            let loss = g.squared_error_sum(h);
+            let loss = linear_loss(&mut g, &store, w, 1.0 + f64::from(round));
             runs.push(g.value(loss).item());
-            store.zero_grads();
-            g.backward(loss, &mut store);
+            sink.reset_like(&store);
+            g.backward_into(loss, &mut sink);
         }
         // Same weights, different inputs: finite and distinct results.
         assert!(runs.iter().all(|v| v.is_finite()));
@@ -1207,49 +988,15 @@ mod tests {
 
         // Re-running round 0's input after resets reproduces it exactly.
         g.reset();
-        let wv = g.param(&store, w);
-        let x = g.input(Tensor::vector(vec![1.0, -0.5]));
-        let h = g.matvec(wv, x);
-        let loss = g.squared_error_sum(h);
+        let loss = linear_loss(&mut g, &store, w, 1.0);
         assert_eq!(g.value(loss).item(), runs[0]);
     }
 
-    impl Graph {
-        /// Test helper: reduce a column vector to a scalar loss.
-        fn squared_error_sum(&mut self, h: VarId) -> VarId {
-            let n = self.value(h).rows();
-            let ones = self.input(Tensor::from_vec(1, n, vec![1.0; n]));
-            let y = self.matvec(ones, h);
-            self.squared_error(y, 0.0)
-        }
-    }
-
-    #[test]
-    fn backward_into_matches_backward() {
-        let mut store = ParamStore::new(5);
-        let w = store.alloc(2, 3);
-        let r = store.alloc(1, 2);
-        let build = |g: &mut Graph, s: &ParamStore| {
-            let wv = g.param(s, w);
-            let rv = g.param(s, r);
-            let x = g.input(batch_input());
-            let h = g.matmul(wv, x);
-            let p = g.matmul(rv, h);
-            g.row_squared_error(p, vec![0.0; 4].into(), 1.0)
-        };
-
-        store.zero_grads();
-        let mut g1 = Graph::new();
-        let l1 = build(&mut g1, &store);
-        g1.backward(l1, &mut store);
-
-        let mut sink = ParamGrads::zeros_like(&store);
-        let mut g2 = Graph::new();
-        let l2 = build(&mut g2, &store);
-        g2.backward_into(l2, &mut sink);
-
-        for &p in &[w, r] {
-            assert_eq!(store.grad(p).data(), sink.grad(p).data());
-        }
+    /// Test helper: the squared value of `w · [x0, -0.5]`.
+    fn linear_loss(g: &mut Graph, store: &ParamStore, w: ParamId, x0: f64) -> VarId {
+        let wv = g.param(store, w);
+        let x = g.input(Tensor::vector(vec![x0, -0.5]));
+        let y = g.matmul(wv, x);
+        g.row_squared_error(y, vec![0.0].into(), 1.0)
     }
 }

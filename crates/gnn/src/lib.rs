@@ -5,12 +5,16 @@
 //! "Substitutions"):
 //!
 //! * [`Tensor`] — small dense matrices,
-//! * [`Graph`] — define-by-run reverse-mode autodiff with the exact op set
-//!   the paper's Eq. 1–7 need (matrix products, ReLU, guarded reciprocals,
-//!   min/max/mean neighbour pooling, concatenation),
+//! * [`Graph`] — define-by-run reverse-mode autodiff over the batched op
+//!   set the paper's Eq. 1–7 need (matrix product, additions, ReLU,
+//!   column gating, mean/max/min neighbour gather-pooling, the Eq. 5 ν
+//!   gate, squared-error loss),
 //! * [`ParamStore`]/[`Adam`] — parameter storage and the paper's optimiser
 //!   (lr 0.001, weight decay 0.0005),
-//! * [`models`] — the four label networks of §IV-B,
+//! * [`models`] — the four label networks of §IV-B, each with one forward
+//!   definition that training runs on a [`Graph`] and `compile()` lowers
+//!   to a tape-free inference plan ([`CompiledEdgeMlp`],
+//!   [`CompiledScheduleOrder`], [`CompiledSpatial`]),
 //! * [`metrics`] — the paper's accuracy definitions (§VI-B),
 //! * [`dataset`] — architecture-agnostic training-sample containers.
 //!
@@ -45,6 +49,7 @@ mod graph;
 pub mod io;
 pub mod metrics;
 pub mod models;
+mod ops;
 mod params;
 mod plan;
 mod tensor;

@@ -10,9 +10,12 @@ use std::sync::Arc;
 
 use lisa_events::EventSink;
 
+use super::column_stack;
 use crate::dataset::EdgeSample;
+use crate::ops::{Ops, Tape};
+use crate::plan::ProgramBuilder;
 use crate::train::{run_training, TrainConfig, TrainReport};
-use crate::{Graph, ParamId, ParamStore, Tensor, VarId};
+use crate::{ParamId, ParamStore, Tensor};
 
 /// Samples per micro-batch tape. Part of the numeric contract (fixed
 /// per model, never derived from the thread count) so parallel training
@@ -106,52 +109,30 @@ impl EdgeMlp {
         crate::io::load_store_from_text(&mut self.store, text)
     }
 
-    /// Column-stacks attribute vectors into an `attr_dim × B` batch
-    /// matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched attribute dimension.
-    fn attrs_matrix<'a>(&self, columns: impl ExactSizeIterator<Item = &'a [f64]>) -> Tensor {
-        let b = columns.len();
-        let mut data = vec![0.0; self.attr_dim * b];
-        for (j, attrs) in columns.enumerate() {
-            assert_eq!(attrs.len(), self.attr_dim, "attribute dimension mismatch");
-            for (r, &v) in attrs.iter().enumerate() {
-                data[r * b + j] = v;
-            }
-        }
-        Tensor::from_vec(self.attr_dim, b, data)
-    }
-
-    /// Batched forward over `B` column-stacked samples; returns the 1×B
-    /// prediction row. Column `j` is bit-identical to the historical
-    /// per-sample matvec chain for sample `j`.
-    fn forward(&self, g: &mut Graph, store: &ParamStore, x: Tensor) -> VarId {
-        let x = g.input(x);
-        let w1 = g.param(store, self.w1);
-        let b1 = g.param(store, self.b1);
-        let h = g.matmul(w1, x);
-        let h = g.add_cols(h, b1);
-        let h = g.relu(h);
-        let w2 = g.param(store, self.w2);
-        let b2 = g.param(store, self.b2);
-        let h = g.matmul(w2, h);
-        let h = g.add_cols(h, b2);
-        let r = g.param(store, self.readout);
-        g.matmul(r, h)
+    /// The network's one forward definition, over a batch of `B`
+    /// column-stacked samples; returns the 1×B prediction row.
+    fn forward<O: Ops>(&self, o: &mut O) -> O::Var {
+        let x = o.input();
+        let w1 = o.weight(self.w1);
+        let b1 = o.weight(self.b1);
+        let h = o.matmul(w1, x);
+        let h = o.add_cols(h, b1);
+        let h = o.relu(h);
+        let w2 = o.weight(self.w2);
+        let b2 = o.weight(self.b2);
+        let h = o.matmul(w2, h);
+        let h = o.add_cols(h, b2);
+        let r = o.weight(self.readout);
+        o.matmul(r, h)
     }
 
     /// Reference for the compiled plan's bit-identity tests: the
     /// training forward on a fresh tape, for one attribute vector.
     #[cfg(test)]
     pub(crate) fn forward_one(&self, attrs: &[f64]) -> f64 {
-        let mut g = Graph::new();
-        let y = self.forward(
-            &mut g,
-            &self.store,
-            self.attrs_matrix(std::iter::once(attrs)),
-        );
+        let mut g = crate::Graph::new();
+        let x = column_stack(self.attr_dim, std::iter::once(attrs));
+        let y = self.forward(&mut Tape::new(&mut g, &self.store, x));
         g.value(y).item()
     }
 
@@ -160,18 +141,8 @@ impl EdgeMlp {
     /// training forward. Later training of `self` does not affect the
     /// returned plan.
     pub fn compile(&self) -> crate::CompiledEdgeMlp {
-        let mut p = crate::plan::ProgramBuilder::new();
-        let w1 = p.weight(&self.store, self.w1);
-        let b1 = p.weight(&self.store, self.b1);
-        let w2 = p.weight(&self.store, self.w2);
-        let b2 = p.weight(&self.store, self.b2);
-        let readout = p.weight(&self.store, self.readout);
-        let h = p.matmul(w1, crate::plan::ProgramBuilder::INPUT);
-        let h = p.add_cols(h, b1);
-        let h = p.relu(h);
-        let h = p.matmul(w2, h);
-        let h = p.add_cols(h, b2);
-        let y = p.matmul(readout, h);
+        let mut p = ProgramBuilder::new(&self.store);
+        let y = self.forward(&mut p);
         crate::CompiledEdgeMlp::new(p.finish(y), self.attr_dim)
     }
 
@@ -199,9 +170,12 @@ impl EdgeMlp {
             network,
             sink,
             |g, store, unit| {
-                let x = net.attrs_matrix(unit.iter().map(|&i| samples[i].attrs.as_slice()));
+                let x = column_stack(
+                    net.attr_dim,
+                    unit.iter().map(|&i| samples[i].attrs.as_slice()),
+                );
                 let targets: Arc<[f64]> = unit.iter().map(|&i| samples[i].target).collect();
-                let p = net.forward(g, store, x);
+                let p = net.forward(&mut Tape::new(g, store, x));
                 g.row_squared_error(p, targets, 1.0)
             },
         )

@@ -18,3 +18,23 @@ pub mod spatial;
 pub use edge_mlp::EdgeMlp;
 pub use schedule_order::ScheduleOrderNet;
 pub use spatial::SpatialNet;
+
+use crate::Tensor;
+
+/// Column-stacks attribute vectors into a `dim × B` batch matrix, the
+/// input layout of every model's forward.
+///
+/// # Panics
+///
+/// Panics if a vector's length is not `dim`.
+fn column_stack<'a>(dim: usize, columns: impl ExactSizeIterator<Item = &'a [f64]>) -> Tensor {
+    let b = columns.len();
+    let mut data = vec![0.0; dim * b];
+    for (j, attrs) in columns.enumerate() {
+        assert_eq!(attrs.len(), dim, "attribute dimension mismatch");
+        for (r, &v) in attrs.iter().enumerate() {
+            data[r * b + j] = v;
+        }
+    }
+    Tensor::from_vec(dim, b, data)
+}

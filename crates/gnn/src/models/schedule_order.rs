@@ -13,9 +13,12 @@ use std::sync::Arc;
 
 use lisa_events::EventSink;
 
+use super::column_stack;
 use crate::dataset::NodeGraphSample;
+use crate::ops::{Ops, Tape};
+use crate::plan::ProgramBuilder;
 use crate::train::{run_training, TrainConfig, TrainReport};
-use crate::{CsrAdjacency, Graph, ParamId, ParamStore, Tensor, VarId};
+use crate::{CsrAdjacency, ParamId, ParamStore, Tensor};
 
 /// Weights of one message-passing layer.
 #[derive(Debug, Clone, Copy)]
@@ -127,51 +130,43 @@ impl ScheduleOrderNet {
     /// Panics on inconsistent samples or mismatched attribute dimension.
     fn sample_matrix(&self, sample: &NodeGraphSample) -> Tensor {
         assert!(sample.is_consistent(), "inconsistent sample");
-        let n = sample.len();
-        let mut data = vec![0.0; self.attr_dim * n];
-        for (j, attrs) in sample.node_attrs.iter().enumerate() {
-            assert_eq!(attrs.len(), self.attr_dim, "attribute dimension mismatch");
-            for (r, &v) in attrs.iter().enumerate() {
-                data[r * n + j] = v;
-            }
-        }
-        Tensor::from_vec(self.attr_dim, n, data)
+        column_stack(self.attr_dim, sample.node_attrs.iter().map(Vec::as_slice))
     }
 
-    /// Builds the batched forward pass over all nodes at once; returns
-    /// the 1×n prediction row. Column `j` is bit-identical to the
-    /// historical per-node matvec/pool chain for node `j`.
-    fn forward(&self, g: &mut Graph, store: &ParamStore, x: Tensor, adj: &CsrAdjacency) -> VarId {
-        let w0 = g.param(store, self.w0);
-        let embed = g.param(store, self.embed);
-        let x = g.input(x);
-        let mut h = g.matmul(embed, x);
-        let mut m = g.matmul(w0, x);
+    /// The network's one forward definition, over all nodes of a graph
+    /// at once; returns the 1×n prediction row.
+    fn forward<O: Ops>(&self, o: &mut O) -> O::Var {
+        let w0 = o.weight(self.w0);
+        let embed = o.weight(self.embed);
+        let x = o.input();
+        let mut h = o.matmul(embed, x);
+        let mut m = o.matmul(w0, x);
         for layer in &self.layers {
-            let w1 = g.param(store, layer.w1);
-            let w2 = g.param(store, layer.w2);
-            let w3 = g.param(store, layer.w3);
+            let w1 = o.weight(layer.w1);
+            let w2 = o.weight(layer.w2);
+            let w3 = o.weight(layer.w3);
             // Eq. 1: aggregate neighbour messages with the fused
             // (mean, max, min) gather; isolated nodes get zero columns.
-            let pooled = g.gather_pool(m, adj);
-            let mv = g.matmul(w1, pooled);
+            let pooled = o.gather_pool(m);
+            let mv = o.matmul(w1, pooled);
             // Eq. 2: h' = W2 (W3 h + m').
-            let w3h = g.matmul(w3, h);
-            let inner = g.add(w3h, mv);
-            h = g.matmul(w2, inner);
+            let w3h = o.matmul(w3, h);
+            let inner = o.add(w3h, mv);
+            h = o.matmul(w2, inner);
             m = mv;
         }
-        let r = g.param(store, self.readout);
-        g.matmul(r, h)
+        let r = o.weight(self.readout);
+        o.matmul(r, h)
     }
 
     /// Reference for the compiled plan's bit-identity tests: the
     /// training forward on a fresh tape.
     #[cfg(test)]
     pub(crate) fn forward_one(&self, sample: &NodeGraphSample) -> Vec<f64> {
-        let mut g = Graph::new();
+        let mut g = crate::Graph::new();
         let adj = CsrAdjacency::from_neighbors(&sample.neighbors);
-        let out = self.forward(&mut g, &self.store, self.sample_matrix(sample), &adj);
+        let tape = Tape::new(&mut g, &self.store, self.sample_matrix(sample));
+        let out = self.forward(&mut tape.with_adjacency(&adj));
         g.value(out).data().to_vec()
     }
 
@@ -180,25 +175,8 @@ impl ScheduleOrderNet {
     /// to the training forward. Later training of `self` does not affect
     /// the returned plan.
     pub fn compile(&self) -> crate::CompiledScheduleOrder {
-        let mut p = crate::plan::ProgramBuilder::new();
-        let w0 = p.weight(&self.store, self.w0);
-        let embed = p.weight(&self.store, self.embed);
-        let x = crate::plan::ProgramBuilder::INPUT;
-        let mut h = p.matmul(embed, x);
-        let mut m = p.matmul(w0, x);
-        for layer in &self.layers {
-            let w1 = p.weight(&self.store, layer.w1);
-            let w2 = p.weight(&self.store, layer.w2);
-            let w3 = p.weight(&self.store, layer.w3);
-            let pooled = p.gather_pool(m);
-            let mv = p.matmul(w1, pooled);
-            let w3h = p.matmul(w3, h);
-            let inner = p.add(w3h, mv);
-            h = p.matmul(w2, inner);
-            m = mv;
-        }
-        let readout = p.weight(&self.store, self.readout);
-        let y = p.matmul(readout, h);
+        let mut p = ProgramBuilder::new(&self.store);
+        let y = self.forward(&mut p);
         crate::CompiledScheduleOrder::new(p.finish(y), self.attr_dim)
     }
 
@@ -242,7 +220,7 @@ impl ScheduleOrderNet {
             sink,
             |g, store, unit| {
                 let (x, adj, targets, inv_n) = &prepared[unit[0]];
-                let p = net.forward(g, store, x.clone(), adj);
+                let p = net.forward(&mut Tape::new(g, store, x.clone()).with_adjacency(adj));
                 g.row_squared_error(p, targets.clone(), *inv_n)
             },
         )

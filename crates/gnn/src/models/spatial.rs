@@ -15,9 +15,12 @@ use std::sync::Arc;
 
 use lisa_events::EventSink;
 
+use super::column_stack;
 use crate::dataset::ContextEdgeSample;
+use crate::ops::{Ops, Tape};
+use crate::plan::ProgramBuilder;
 use crate::train::{run_training, TrainConfig, TrainReport};
-use crate::{Graph, ParamId, ParamStore, Tensor, VarId};
+use crate::{ParamId, ParamStore};
 
 /// Samples per micro-batch tape. Part of the numeric contract (fixed
 /// per model, never derived from the thread count) so parallel training
@@ -103,76 +106,36 @@ impl SpatialNet {
         crate::io::load_store_from_text(&mut self.store, text)
     }
 
-    /// Eq. 5 for one sample: the learnt scalar gate over the reciprocal
-    /// neighbourhood aggregates (1 for an empty neighbourhood).
-    fn nu_scalar(&self, g: &mut Graph, store: &ParamStore, sample: &ContextEdgeSample) -> VarId {
-        if sample.neighbor_attrs.is_empty() {
-            return g.input(Tensor::scalar(1.0));
-        }
-        let vars: Vec<VarId> = sample
-            .neighbor_attrs
-            .iter()
-            .map(|a| {
-                assert_eq!(a.len(), self.attr_dim, "neighbour dimension mismatch");
-                g.input(Tensor::vector(a.clone()))
-            })
-            .collect();
-        let mean = g.pool_mean(vars.clone());
-        let sum = g.pool_sum(vars.clone());
-        let max = g.pool_max(vars.clone());
-        let min = g.pool_min(vars);
-        let rm = g.recip(mean);
-        let rs = g.recip(sum);
-        let rx = g.recip(max);
-        let rn = g.recip(min);
-        let cat = g.concat(vec![rm, rs, rx, rn]);
-        let w_nu = g.param(store, self.w_nu);
-        g.matvec(w_nu, cat)
-    }
-
-    /// Batched forward over `B` samples; returns the 1×B prediction row.
-    /// Column `j` is bit-identical to the historical per-sample
-    /// matvec/scale chain for sample `j` — the ν gates are still built
-    /// per sample (neighbourhoods are ragged) and gathered into one
-    /// column vector that gates `W3 H¹` via `scale_cols`.
-    fn forward(&self, g: &mut Graph, store: &ParamStore, samples: &[&ContextEdgeSample]) -> VarId {
-        // Eq. 4, batched.
-        let mut data = vec![0.0; self.attr_dim * samples.len()];
-        for (j, s) in samples.iter().enumerate() {
-            assert_eq!(s.attrs.len(), self.attr_dim, "attribute dimension mismatch");
-            for (r, &v) in s.attrs.iter().enumerate() {
-                data[r * samples.len() + j] = v;
-            }
-        }
-        let x = g.input(Tensor::from_vec(self.attr_dim, samples.len(), data));
-        let w1 = g.param(store, self.w1);
-        let h1 = g.matmul(w1, x);
-
-        // Eq. 5: one scalar gate per sample, stacked into a B×1 column.
-        let nus: Vec<VarId> = samples
-            .iter()
-            .map(|s| self.nu_scalar(g, store, s))
-            .collect();
-        let nu = g.concat(nus);
-
+    /// The network's one forward definition, over a batch of `B`
+    /// column-stacked edges and their neighbourhoods; returns the 1×B
+    /// prediction row.
+    fn forward<O: Ops>(&self, o: &mut O) -> O::Var {
+        // Eq. 4: h¹ = W1 · attrs.
+        let x = o.input();
+        let w1 = o.weight(self.w1);
+        let h1 = o.matmul(w1, x);
+        // Eq. 5: one scalar gate per edge.
+        let w_nu = o.weight(self.w_nu);
+        let nu = o.nu_gate(w_nu);
         // Eq. 6: h² = W2 h¹ + ν · (W3 h¹).
-        let w2 = g.param(store, self.w2);
-        let w3 = g.param(store, self.w3);
-        let a = g.matmul(w2, h1);
-        let b = g.matmul(w3, h1);
-        let gated = g.scale_cols(nu, b);
-        let h2 = g.add(a, gated);
-
-        let r = g.param(store, self.readout);
-        g.matmul(r, h2)
+        let w2 = o.weight(self.w2);
+        let w3 = o.weight(self.w3);
+        let a = o.matmul(w2, h1);
+        let b = o.matmul(w3, h1);
+        let gated = o.scale_cols(nu, b);
+        let h2 = o.add(a, gated);
+        let r = o.weight(self.readout);
+        o.matmul(r, h2)
     }
 
     /// Reference for the compiled plan's bit-identity tests: the
     /// training forward on a fresh tape, for one edge.
     #[cfg(test)]
     pub(crate) fn forward_one(&self, sample: &ContextEdgeSample) -> f64 {
-        let mut g = Graph::new();
-        let y = self.forward(&mut g, &self.store, &[sample]);
+        let mut g = crate::Graph::new();
+        let x = column_stack(self.attr_dim, std::iter::once(sample.attrs.as_slice()));
+        let hoods = [sample.neighbor_attrs.as_slice()];
+        let y = self.forward(&mut Tape::new(&mut g, &self.store, x).with_neighborhoods(&hoods));
         g.value(y).item()
     }
 
@@ -181,24 +144,9 @@ impl SpatialNet {
     /// training forward. Later training of `self` does not affect the
     /// returned plan.
     pub fn compile(&self) -> crate::CompiledSpatial {
-        let mut p = crate::plan::ProgramBuilder::new();
-        let w1 = p.weight(&self.store, self.w1);
-        let w2 = p.weight(&self.store, self.w2);
-        let w3 = p.weight(&self.store, self.w3);
-        let readout = p.weight(&self.store, self.readout);
-        // Eq. 4 then Eq. 6; the ν gate itself runs outside the op
-        // sequence (ragged per-sample input) and feeds ScaleColsNu.
-        let h1 = p.matmul(w1, crate::plan::ProgramBuilder::INPUT);
-        let a = p.matmul(w2, h1);
-        let b = p.matmul(w3, h1);
-        let gated = p.scale_cols_nu(b);
-        let h2 = p.add(a, gated);
-        let y = p.matmul(readout, h2);
-        crate::CompiledSpatial::new(
-            p.finish(y),
-            self.store.value(self.w_nu).clone(),
-            self.attr_dim,
-        )
+        let mut p = ProgramBuilder::new(&self.store);
+        let y = self.forward(&mut p);
+        crate::CompiledSpatial::new(p.finish(y), self.attr_dim)
     }
 
     /// Trains on the samples with MSE loss.
@@ -224,10 +172,16 @@ impl SpatialNet {
             network,
             sink,
             |g, store, unit| {
-                let unit_samples: Vec<&ContextEdgeSample> =
-                    unit.iter().map(|&i| &samples[i]).collect();
+                let x = column_stack(
+                    net.attr_dim,
+                    unit.iter().map(|&i| samples[i].attrs.as_slice()),
+                );
+                let hoods: Vec<&[Vec<f64>]> = unit
+                    .iter()
+                    .map(|&i| samples[i].neighbor_attrs.as_slice())
+                    .collect();
                 let targets: Arc<[f64]> = unit.iter().map(|&i| samples[i].target).collect();
-                let p = net.forward(g, store, &unit_samples);
+                let p = net.forward(&mut Tape::new(g, store, x).with_neighborhoods(&hoods));
                 g.row_squared_error(p, targets, 1.0)
             },
         )
@@ -237,7 +191,8 @@ impl SpatialNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PlanScratch;
+    use crate::graph::RECIP_EPS;
+    use crate::{Graph, PlanScratch, Tensor};
 
     fn predict(net: &SpatialNet, sample: &ContextEdgeSample) -> f64 {
         net.compile().predict(&mut PlanScratch::new(), sample)
@@ -277,6 +232,87 @@ mod tests {
             "no improvement: {:?}",
             (report.epoch_losses[0], report.final_loss())
         );
+    }
+
+    /// Plain-loop Eq. 5, written independently of the shared forward
+    /// routine: each pooling folds the neighbours in list order from the
+    /// first one, the mean scales the sum by `1/len`, each aggregate gets
+    /// the guarded reciprocal, and `Wν` contracts them from `+0.0` in
+    /// ascending order.
+    fn reference_nu(w_nu: &[f64], hood: &[Vec<f64>]) -> f64 {
+        let Some((first, rest)) = hood.split_first() else {
+            return 1.0;
+        };
+        let fold = |f: fn(f64, f64) -> f64| -> Vec<f64> {
+            (0..first.len())
+                .map(|k| rest.iter().fold(first[k], |acc, a| f(acc, a[k])))
+                .collect()
+        };
+        let sum = fold(|a, b| a + b);
+        let mean: Vec<f64> = sum.iter().map(|v| v * (1.0 / hood.len() as f64)).collect();
+        let aggregates = [mean, sum, fold(f64::max), fold(f64::min)].concat();
+        let mut acc = 0.0;
+        for (w, v) in w_nu.iter().zip(aggregates) {
+            acc += w * if v.abs() < RECIP_EPS { 1.0 } else { 1.0 / v };
+        }
+        acc
+    }
+
+    /// Plain-loop Eq. 4–6 prediction around [`reference_nu`].
+    fn reference_predict(net: &SpatialNet, s: &ContextEdgeSample) -> f64 {
+        let matvec = |id: ParamId, x: &[f64]| -> Vec<f64> {
+            let w: &Tensor = net.store.value(id);
+            (0..w.rows())
+                .map(|r| {
+                    let mut acc = 0.0;
+                    for (k, &v) in x.iter().enumerate() {
+                        acc += w.get(r, k) * v;
+                    }
+                    acc
+                })
+                .collect()
+        };
+        let h1 = matvec(net.w1, &s.attrs);
+        let nu = reference_nu(net.store.value(net.w_nu).data(), &s.neighbor_attrs);
+        let a = matvec(net.w2, &h1);
+        let b = matvec(net.w3, &h1);
+        let h2: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y * nu).collect();
+        matvec(net.readout, &h2)[0]
+    }
+
+    #[test]
+    fn nu_gate_and_plan_match_plain_loop_reference_bitwise() {
+        let net = SpatialNet::new(2, 31);
+        let edge = |neighbor_attrs: Vec<Vec<f64>>| ContextEdgeSample {
+            attrs: vec![0.5, -1.5],
+            neighbor_attrs,
+            target: 0.0,
+        };
+        let samples = [
+            edge(vec![]),
+            // Mean and sum are exactly zero: the reciprocal guard.
+            edge(vec![vec![3.0, -1.0], vec![-3.0, 1.0]]),
+            edge(vec![vec![1.0, 2.0], vec![0.5, -1.0], vec![1.5, 0.25]]),
+            edge(vec![vec![0.7, 0.2]]),
+        ];
+        let hoods: Vec<&[Vec<f64>]> = samples
+            .iter()
+            .map(|s| s.neighbor_attrs.as_slice())
+            .collect();
+        let mut g = Graph::new();
+        let w_nu = g.param(&net.store, net.w_nu);
+        let nu = g.nu_gate(w_nu, &hoods);
+        let plan = net.compile();
+        let mut scratch = PlanScratch::new();
+        for (j, s) in samples.iter().enumerate() {
+            let expected = reference_nu(net.store.value(net.w_nu).data(), &s.neighbor_attrs);
+            assert_eq!(g.value(nu).get(j, 0).to_bits(), expected.to_bits(), "ν {j}");
+            assert_eq!(
+                plan.predict(&mut scratch, s).to_bits(),
+                reference_predict(&net, s).to_bits(),
+                "prediction {j}"
+            );
+        }
     }
 
     #[test]

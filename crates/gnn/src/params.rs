@@ -123,12 +123,6 @@ impl ParamStore {
         &self.grads[id.0]
     }
 
-    /// Adds to a parameter's gradient (called by the autodiff backward
-    /// pass).
-    pub fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) {
-        self.grads[id.0].add_assign(delta);
-    }
-
     /// Overwrites a parameter's value, preserving its shape. Used by tests
     /// (finite-difference checks) and model import.
     ///
@@ -280,9 +274,12 @@ mod tests {
         let mut s = ParamStore::new(1);
         let id = s.alloc_with(Tensor::scalar(0.0));
         let mut adam = Adam::new(0.1, 0.0);
+        let mut grads = ParamGrads::zeros_like(&s);
         for _ in 0..500 {
             let w = s.value(id).item();
-            s.accumulate_grad(id, &Tensor::scalar(2.0 * (w - 3.0)));
+            grads.reset_like(&s);
+            grads.accumulate(id, &Tensor::scalar(2.0 * (w - 3.0)));
+            s.add_grads(&grads);
             adam.step(&mut s);
         }
         assert!((s.value(id).item() - 3.0).abs() < 1e-3);
@@ -304,7 +301,9 @@ mod tests {
     fn zero_grads_resets() {
         let mut s = ParamStore::new(0);
         let id = s.alloc_with(Tensor::scalar(1.0));
-        s.accumulate_grad(id, &Tensor::scalar(2.0));
+        let mut grads = ParamGrads::zeros_like(&s);
+        grads.accumulate(id, &Tensor::scalar(2.0));
+        s.add_grads(&grads);
         assert_eq!(s.grad(id).item(), 2.0);
         s.zero_grads();
         assert_eq!(s.grad(id).item(), 0.0);

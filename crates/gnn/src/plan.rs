@@ -11,19 +11,23 @@
 //! dispatch through `Graph`, and no allocation after the first call on a
 //! given [`PlanScratch`] — buffers are sized once and reused.
 //!
+//! A model does not describe its plan separately: `compile()` runs the
+//! model's one forward definition (see [`crate::ops`]) on a
+//! [`ProgramBuilder`], which records each op instead of executing it.
+//!
 //! Bit-identity contract: every plan op reuses the exact forward
-//! arithmetic of its tape counterpart (`matmul_kernel`, the shared
-//! [`gather_pool_forward`], the [`RECIP_EPS`] reciprocal guard, the
-//! pool fold orders), so a compiled prediction is bit-for-bit equal to
-//! the model's training forward on a [`crate::Graph`] with the same
-//! weights. The tests below pin that for all three network
-//! architectures.
+//! arithmetic of its tape counterpart (the matmul kernels, the shared
+//! [`gather_pool_forward`] and [`nu_gate_forward`]), so a compiled
+//! prediction is bit-for-bit equal to the model's training forward on a
+//! [`crate::Graph`] with the same weights. The tests below pin that for
+//! all three network architectures.
 
 use std::cell::RefCell;
 
 use crate::dataset::{ContextEdgeSample, NodeGraphSample};
-use crate::graph::{gather_pool_forward, CsrView, RECIP_EPS};
-use crate::tensor::{matmul_add, matmul_affine, matmul_kernel, matmul_overwrite};
+use crate::graph::{fill_csr, gather_pool_forward, nu_gate_forward, CsrView};
+use crate::ops::Ops;
+use crate::tensor::{matmul_add, matmul_affine, matmul_overwrite};
 use crate::{ParamId, ParamStore, Tensor};
 
 /// One step of a compiled plan. `w` indexes the plan's frozen weights;
@@ -40,12 +44,15 @@ enum PlanOp {
     Relu { src: usize, dst: usize },
     /// `bufs[dst] = bufs[a] + bufs[b]` elementwise.
     Add { a: usize, b: usize, dst: usize },
-    /// `bufs[dst][r, j] = bufs[src][r, j] * nu[j]` with `nu` supplied at
-    /// run time (the spatial net's per-sample gate).
-    ScaleColsNu { src: usize, dst: usize },
+    /// `bufs[dst][r, j] = bufs[src][r, j] * bufs[nu][j]`.
+    ScaleCols { nu: usize, src: usize, dst: usize },
     /// `bufs[dst] = gather_pool(bufs[src], adj)` with the adjacency
     /// supplied at run time (per-DFG, not frozen into the plan).
     GatherPool { src: usize, dst: usize },
+    /// `bufs[dst] = nu_gate(weights[w], hoods)` with the neighbourhoods
+    /// supplied at run time; `bufs[recips]` receives the reciprocal
+    /// aggregates the gate projects.
+    NuGate { w: usize, recips: usize, dst: usize },
     /// Fused `MatMul` → `AddCols` → optional `Relu` chain (built by the
     /// peephole pass in [`ProgramBuilder::finish`], never emitted
     /// directly): the bias-plus-activation epilogue runs in place over
@@ -79,10 +86,11 @@ fn reads(op: &PlanOp, buf: usize) -> bool {
         PlanOp::MatMul { src, .. }
         | PlanOp::AddCols { src, .. }
         | PlanOp::Relu { src, .. }
-        | PlanOp::ScaleColsNu { src, .. }
         | PlanOp::GatherPool { src, .. }
         | PlanOp::Affine { src, .. } => src == buf,
         PlanOp::Add { a, b, .. } => a == buf || b == buf,
+        PlanOp::ScaleCols { nu, src, .. } => nu == buf || src == buf,
+        PlanOp::NuGate { .. } => false,
         PlanOp::Fma { src, addend, .. } => src == buf || addend == buf,
     }
 }
@@ -108,10 +116,10 @@ impl Program {
         &mut bufs[0]
     }
 
-    /// Executes the op sequence. `adj`/`nu` carry the per-call inputs
+    /// Executes the op sequence. `adj`/`hoods` carry the per-call inputs
     /// that are not frozen into the plan (only the ops that name them
     /// read them).
-    fn run(&self, bufs: &mut [Tensor], adj: Option<CsrView<'_>>, nu: &[f64]) {
+    fn run(&self, bufs: &mut [Tensor], adj: Option<CsrView<'_>>, hoods: &[&[Vec<f64>]]) {
         for &op in &self.ops {
             match op {
                 PlanOp::MatMul { w, src, dst } => {
@@ -166,9 +174,11 @@ impl Program {
                         *o = x + y;
                     }
                 }
-                PlanOp::ScaleColsNu { src, dst } => {
-                    let (src, dst) = src_dst(bufs, src, dst);
-                    debug_assert_eq!(nu.len(), src.cols(), "scale_cols gate length mismatch");
+                PlanOp::ScaleCols { nu, src, dst } => {
+                    debug_assert!(nu < dst && src < dst, "plan is not in SSA form");
+                    let (lo, hi) = bufs.split_at_mut(dst);
+                    let (nu, src, dst) = (lo[nu].data(), &lo[src], &mut hi[0]);
+                    assert_eq!(nu.len(), src.cols(), "scale_cols shape mismatch");
                     dst.reset_zeroed(src.rows(), src.cols());
                     let width = src.cols().max(1);
                     for (orow, srow) in dst
@@ -180,6 +190,17 @@ impl Program {
                             *o = v * k;
                         }
                     }
+                }
+                PlanOp::NuGate { w, recips, dst } => {
+                    debug_assert!(recips < dst, "plan is not in SSA form");
+                    let wt = &self.weights[w];
+                    let (lo, hi) = bufs.split_at_mut(dst);
+                    let (recips, dst) = (&mut lo[recips], &mut hi[0]);
+                    // The forward fill writes every element of both
+                    // buffers, so neither needs clearing.
+                    recips.reset_for_overwrite(hoods.len(), wt.len());
+                    dst.reset_for_overwrite(hoods.len(), 1);
+                    nu_gate_forward(wt.data(), hoods, recips.data_mut(), dst.data_mut());
                 }
                 PlanOp::GatherPool { src, dst } => {
                     let adj = adj.expect("plan op needs an adjacency");
@@ -260,32 +281,26 @@ fn src_dst(bufs: &mut [Tensor], src: usize, dst: usize) -> (&Tensor, &mut Tensor
     (&lo[src], &mut hi[0])
 }
 
-/// Builds a [`Program`] while a model's `compile()` walks its forward
-/// pass. Buffer 0 ([`ProgramBuilder::INPUT`]) is the caller-filled
-/// input; every op allocates the next buffer index for its result.
+/// Builds a [`Program`] while a model's `compile()` runs its forward
+/// over the [`Ops`] vocabulary. Buffer 0 is the caller-filled input;
+/// every op allocates the next buffer index for its result.
 #[derive(Debug)]
-pub(crate) struct ProgramBuilder {
+pub(crate) struct ProgramBuilder<'a> {
+    store: &'a ParamStore,
     weights: Vec<Tensor>,
     ops: Vec<PlanOp>,
     next: usize,
 }
 
-impl ProgramBuilder {
-    /// The input buffer's index.
-    pub(crate) const INPUT: usize = 0;
-
-    pub(crate) fn new() -> Self {
+impl<'a> ProgramBuilder<'a> {
+    /// A builder that freezes weights from `store`.
+    pub(crate) fn new(store: &'a ParamStore) -> Self {
         ProgramBuilder {
+            store,
             weights: Vec::new(),
             ops: Vec::new(),
             next: 1,
         }
-    }
-
-    /// Freezes one parameter's current value into the plan.
-    pub(crate) fn weight(&mut self, store: &ParamStore, id: ParamId) -> usize {
-        self.weights.push(store.value(id).clone());
-        self.weights.len() - 1
     }
 
     fn alloc(&mut self) -> usize {
@@ -294,39 +309,10 @@ impl ProgramBuilder {
         b
     }
 
-    pub(crate) fn matmul(&mut self, w: usize, src: usize) -> usize {
+    /// Appends the op `make(dst)` writing a fresh buffer `dst`.
+    fn emit(&mut self, make: impl FnOnce(usize) -> PlanOp) -> usize {
         let dst = self.alloc();
-        self.ops.push(PlanOp::MatMul { w, src, dst });
-        dst
-    }
-
-    pub(crate) fn add_cols(&mut self, src: usize, w: usize) -> usize {
-        let dst = self.alloc();
-        self.ops.push(PlanOp::AddCols { w, src, dst });
-        dst
-    }
-
-    pub(crate) fn relu(&mut self, src: usize) -> usize {
-        let dst = self.alloc();
-        self.ops.push(PlanOp::Relu { src, dst });
-        dst
-    }
-
-    pub(crate) fn add(&mut self, a: usize, b: usize) -> usize {
-        let dst = self.alloc();
-        self.ops.push(PlanOp::Add { a, b, dst });
-        dst
-    }
-
-    pub(crate) fn scale_cols_nu(&mut self, src: usize) -> usize {
-        let dst = self.alloc();
-        self.ops.push(PlanOp::ScaleColsNu { src, dst });
-        dst
-    }
-
-    pub(crate) fn gather_pool(&mut self, src: usize) -> usize {
-        let dst = self.alloc();
-        self.ops.push(PlanOp::GatherPool { src, dst });
+        self.ops.push(make(dst));
         dst
     }
 
@@ -337,6 +323,52 @@ impl ProgramBuilder {
             buffers: self.next,
             out,
         }
+    }
+}
+
+impl Ops for ProgramBuilder<'_> {
+    /// A scratch buffer index.
+    type Var = usize;
+    /// An index into the plan's frozen weights.
+    type Weight = usize;
+
+    fn input(&mut self) -> usize {
+        0
+    }
+
+    /// Freezes the parameter's current value into the plan.
+    fn weight(&mut self, id: ParamId) -> usize {
+        self.weights.push(self.store.value(id).clone());
+        self.weights.len() - 1
+    }
+
+    fn matmul(&mut self, w: usize, src: usize) -> usize {
+        self.emit(|dst| PlanOp::MatMul { w, src, dst })
+    }
+
+    fn add(&mut self, a: usize, b: usize) -> usize {
+        self.emit(|dst| PlanOp::Add { a, b, dst })
+    }
+
+    fn add_cols(&mut self, src: usize, w: usize) -> usize {
+        self.emit(|dst| PlanOp::AddCols { w, src, dst })
+    }
+
+    fn relu(&mut self, src: usize) -> usize {
+        self.emit(|dst| PlanOp::Relu { src, dst })
+    }
+
+    fn scale_cols(&mut self, nu: usize, src: usize) -> usize {
+        self.emit(|dst| PlanOp::ScaleCols { nu, src, dst })
+    }
+
+    fn gather_pool(&mut self, src: usize) -> usize {
+        self.emit(|dst| PlanOp::GatherPool { src, dst })
+    }
+
+    fn nu_gate(&mut self, w: usize) -> usize {
+        let recips = self.alloc();
+        self.emit(|dst| PlanOp::NuGate { w, recips, dst })
     }
 }
 
@@ -417,8 +449,6 @@ fn fuse(ops: Vec<PlanOp>, out: usize) -> Vec<PlanOp> {
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     bufs: Vec<Tensor>,
-    /// Spatial-net ν staging: the `[mean; sum; max; min]` aggregate.
-    aux: Vec<f64>,
     /// CSR adjacency staging (offsets then indices): refilled per
     /// graph-shaped prediction so a warm scratch builds the adjacency
     /// with zero allocations.
@@ -480,24 +510,17 @@ impl CompiledEdgeMlp {
     }
 }
 
-/// Compiled [`crate::models::SpatialNet`]: the Eq. 4–6 chain with the
-/// per-sample ν gate evaluated tape-free.
+/// Compiled [`crate::models::SpatialNet`]: the Eq. 4–6 chain, its ν
+/// gate pooling the sample's neighbourhood at run time.
 #[derive(Debug, Clone)]
 pub struct CompiledSpatial {
     prog: Program,
-    /// Frozen ν projection, applied outside the op sequence because the
-    /// gate input (the neighbourhood aggregate) is ragged per sample.
-    w_nu: Tensor,
     attr_dim: usize,
 }
 
 impl CompiledSpatial {
-    pub(crate) fn new(prog: Program, w_nu: Tensor, attr_dim: usize) -> Self {
-        CompiledSpatial {
-            prog,
-            w_nu,
-            attr_dim,
-        }
+    pub(crate) fn new(prog: Program, attr_dim: usize) -> Self {
+        CompiledSpatial { prog, attr_dim }
     }
 
     /// The expected attribute dimension.
@@ -517,58 +540,13 @@ impl CompiledSpatial {
             self.attr_dim,
             "attribute dimension mismatch"
         );
-        let nu = self.nu_gate(&mut scratch.aux, sample);
         let bufs = &mut scratch.bufs;
         let x = self.prog.input_buf(bufs);
         x.reset_zeroed(self.attr_dim, 1);
         x.data_mut().copy_from_slice(&sample.attrs);
-        self.prog.run(bufs, None, &[nu]);
+        self.prog
+            .run(bufs, None, &[sample.neighbor_attrs.as_slice()]);
         self.prog.output(bufs).item()
-    }
-
-    /// Eq. 5 without the tape: pools the neighbourhood into
-    /// `[mean; sum; max; min]`, applies the guarded reciprocal, and
-    /// projects with the frozen `Wν`. Accumulation order matches the
-    /// tape's `pool_*` ops (ascending neighbours; mean scaled once at
-    /// the end), so the gate is bit-identical.
-    fn nu_gate(&self, cat: &mut Vec<f64>, sample: &ContextEdgeSample) -> f64 {
-        let Some((first, rest)) = sample.neighbor_attrs.split_first() else {
-            // Empty neighbourhood: the paper's ν = 1 (§IV-B).
-            return 1.0;
-        };
-        let d = self.attr_dim;
-        assert_eq!(first.len(), d, "neighbour dimension mismatch");
-        cat.clear();
-        cat.resize(4 * d, 0.0);
-        {
-            let (mean, tail) = cat.split_at_mut(d);
-            let (sum, tail) = tail.split_at_mut(d);
-            let (max, min) = tail.split_at_mut(d);
-            mean.copy_from_slice(first);
-            sum.copy_from_slice(first);
-            max.copy_from_slice(first);
-            min.copy_from_slice(first);
-            for a in rest {
-                assert_eq!(a.len(), d, "neighbour dimension mismatch");
-                for k in 0..d {
-                    let v = a[k];
-                    mean[k] += v;
-                    sum[k] += v;
-                    max[k] = max[k].max(v);
-                    min[k] = min[k].min(v);
-                }
-            }
-            let inv = 1.0 / sample.neighbor_attrs.len() as f64;
-            for v in mean {
-                *v *= inv;
-            }
-        }
-        for v in cat.iter_mut() {
-            *v = if v.abs() < RECIP_EPS { 1.0 } else { 1.0 / *v };
-        }
-        let mut out = [0.0];
-        matmul_kernel(self.w_nu.data(), cat, (1, 4 * d, 1), &mut out);
-        out[0]
     }
 }
 
@@ -604,22 +582,9 @@ impl CompiledScheduleOrder {
             bufs,
             csr_offsets,
             csr_indices,
-            ..
         } = scratch;
-        // Refill the scratch-owned CSR arrays (same layout and fill order
-        // as `CsrAdjacency::from_neighbors`) — a warm scratch rebuilds
-        // the adjacency without allocating. Index validation rides along
-        // in this walk rather than in a separate `is_consistent` pass.
-        csr_offsets.clear();
-        csr_indices.clear();
-        csr_offsets.push(0);
-        for ns in &sample.neighbors {
-            for &u in ns {
-                assert!(u < n, "neighbor index out of range");
-                csr_indices.push(u32::try_from(u).expect("neighbor index overflows u32"));
-            }
-            csr_offsets.push(u32::try_from(csr_indices.len()).expect("adjacency overflows u32"));
-        }
+        // Out-of-range neighbour indices are rejected by the gather op.
+        fill_csr(&sample.neighbors, csr_offsets, csr_indices);
         let x = self.prog.input_buf(bufs);
         x.reset_zeroed(self.attr_dim, n);
         let data = x.data_mut();

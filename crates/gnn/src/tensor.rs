@@ -282,16 +282,6 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
-    /// Elementwise difference. Panics on shape mismatch.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a - b)
-    }
-
-    /// Elementwise product. Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// In-place accumulation `self += other`. Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(
@@ -373,11 +363,6 @@ impl Tensor {
             .copied()
             .collect();
         Tensor::vector(data)
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
     }
 
     /// Frobenius norm.
@@ -927,8 +912,6 @@ mod tests {
         let a = Tensor::vector(vec![1.0, -2.0]);
         let b = Tensor::vector(vec![3.0, 4.0]);
         assert_eq!(a.add(&b).data(), &[4.0, 2.0]);
-        assert_eq!(a.sub(&b).data(), &[-2.0, -6.0]);
-        assert_eq!(a.hadamard(&b).data(), &[3.0, -8.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, -4.0]);
     }
 
@@ -954,9 +937,8 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_norm() {
+    fn norm_is_frobenius() {
         let a = Tensor::vector(vec![3.0, 4.0]);
-        assert_eq!(a.sum(), 7.0);
         assert!((a.norm() - 5.0).abs() < 1e-12);
     }
 

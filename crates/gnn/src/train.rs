@@ -219,8 +219,8 @@ mod tests {
                 let i = unit[0];
                 let wv = g.param(s, w);
                 let x = g.input(Tensor::vector(data[i].0.clone()));
-                let y = g.matvec(wv, x);
-                g.squared_error(y, data[i].1)
+                let y = g.matmul(wv, x);
+                g.row_squared_error(y, vec![data[i].1].into(), 1.0)
             },
         );
         (store, report)
