@@ -1,9 +1,9 @@
 //! Benches for the three mappers — the kernel behind the compilation-time
 //! comparison of Fig. 11 — plus the annealer's inner-loop microbenches:
-//! movement throughput (the undo-journal engine) and the
-//! deterministic portfolio. Mapper runs take seconds, so they register as
+//! movement throughput (the undo-journal engine) and races of one and
+//! four annealing lanes. Mapper runs take seconds, so they register as
 //! heavy benches: fewer samples, skipped in `cargo test` smoke mode. The
-//! movement and portfolio entries are cheap and run (once) even in smoke
+//! movement and race entries are cheap and run (once) even in smoke
 //! mode, so `scripts/verify.sh` can check the suite's JSON end to end.
 
 use std::sync::Arc;
@@ -19,8 +19,8 @@ use lisa_mapper::exact::{ExactMapper, ExactParams};
 use lisa_mapper::sa::{movement_throughput, MovementEngine};
 use lisa_mapper::schedule::{IiMapper, IiSearch};
 use lisa_mapper::{
-    anneal_chain, ConstructiveStrategy, GuidanceLabels, LabelSaMapper, PortfolioParams, SaMapper,
-    SaParams, SearchStrategy, StrategySpec,
+    anneal_chain, ConstructiveStrategy, FilterStats, GuidanceLabels, LabelSaMapper, SaMapper,
+    SaParams, StrategySpec,
 };
 
 /// The paper's Fig. 4 DFG (A..J, dense region around B) — the running
@@ -170,21 +170,22 @@ fn main() {
         ));
     });
 
-    // Portfolio: one full map_at_ii on Fig. 4 per iteration. chains=1 is
-    // the historical single-chain annealer; chains=4 runs four seeds and
-    // keeps the best — same result for any worker count, so the bench
-    // fixes parallelism at the machine default.
-    for chains in [1usize, 4] {
-        let portfolio = PortfolioParams::new(chains);
+    // Annealing races: one II search on Fig. 4 per iteration. chains1 is
+    // the single-chain annealer (`sa`); chains4 races four seeds
+    // (`sa,sa,sa,sa`) one after another and keeps the best.
+    let one_lane = StrategySpec::default();
+    let four_lanes = StrategySpec::parse("sa,sa,sa,sa").expect("four SA lanes");
+    let two_lanes = StrategySpec::parse("sa,sa").expect("two SA lanes");
+    for (chains, spec) in [(1, &one_lane), (4, &four_lanes)] {
         suite.bench(&format!("portfolio/fig4_3x3/chains{chains}"), || {
-            let sa = SaMapper::new(SaParams::fast(), 42).with_portfolio(portfolio);
+            let sa = SaMapper::new(SaParams::fast(), 42).with_strategy(spec.clone());
             std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&sa, &fig4, &acc3, 1).0);
         });
     }
 
-    // Strategy portfolio A/B (same shape as the filter A/B above): arm A
-    // is the homogeneous SA portfolio, arm B the mixed heterogeneous one
-    // (constructive + SA + evolutionary lanes). The sweep interleaves the
+    // Strategy A/B (same shape as the filter A/B above): arm A races two
+    // SA lanes (`sa,sa`), arm B the mixed heterogeneous lanes
+    // (constructive + SA + evolutionary). The sweep interleaves the
     // arms per kernel across the fig9 4x4 suite at II 8, so machine drift
     // lands on both arms equally, and counts which lane wins each kernel
     // in arm B from the StrategyLaneWon events. Win counts, mapped
@@ -202,10 +203,9 @@ fn main() {
     let (mut mapped_sa, mut mapped_mixed) = (0u64, 0u64);
     let (mut wins_constructive, mut wins_sa, mut wins_evolutionary) = (0u64, 0u64, 0u64);
     for dfg in &fig9 {
-        let mut a = SaMapper::new(SaParams::fast(), 7).with_portfolio(PortfolioParams::new(2));
+        let mut a = SaMapper::new(SaParams::fast(), 7).with_strategy(two_lanes.clone());
         mapped_sa += u64::from(a.map_at_ii(dfg, &acc, 8).is_some());
         let mut b = SaMapper::new(SaParams::fast(), 7)
-            .with_portfolio(PortfolioParams::new(2))
             .with_strategy(mixed_spec.clone())
             .with_observer(sink.clone());
         mapped_mixed += u64::from(b.map_at_ii(dfg, &acc, 8).is_some());
@@ -241,8 +241,8 @@ fn main() {
     // single annealing chain (at the production `paper` schedule) both
     // map doitgen at II 3 on the 4x4; the lane does it in about one
     // router call per edge.
-    let lane = ConstructiveStrategy::new();
-    let (built, cstats) = lane.run(&doitgen, &acc, 3, 0, 0, &EventSink::null(), None);
+    let mut cstats = FilterStats::default();
+    let built = ConstructiveStrategy::new().run(&doitgen, &acc, 3, &mut cstats);
     assert!(
         built.is_some(),
         "constructive lane completes doitgen at II 3"
@@ -260,24 +260,17 @@ fn main() {
         "calls",
     );
 
-    for (tag, spec) in [
-        ("sa", StrategySpec::default()),
-        ("mixed", mixed_spec.clone()),
-    ] {
+    for (tag, spec) in [("sa", &two_lanes), ("mixed", &mixed_spec)] {
         suite.bench(&format!("strategy/doitgen_4x4/{tag}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 7)
-                .with_portfolio(PortfolioParams::new(2))
-                .with_strategy(spec.clone());
+            let mut sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
             std::hint::black_box(sa.map_at_ii(&doitgen, &acc, 3));
         });
     }
-    for (tag, spec) in [("sa", StrategySpec::default()), ("mixed", mixed_spec)] {
+    for (tag, spec) in [("sa", &two_lanes), ("mixed", &mixed_spec)] {
         let fig9 = &fig9;
         suite.bench_heavy(&format!("strategy/fig9_4x4/{tag}"), || {
             for dfg in fig9 {
-                let sa = SaMapper::new(SaParams::fast(), 7)
-                    .with_portfolio(PortfolioParams::new(2))
-                    .with_strategy(spec.clone());
+                let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
                 std::hint::black_box(search.run(&sa, dfg, &acc, 1).0);
             }
         });
@@ -300,13 +293,12 @@ fn main() {
         });
     }
 
-    // Portfolio speedup at realistic scale: 4-chain portfolio vs. the
-    // single chain on a polybench kernel (heavy tier).
+    // The same races at realistic scale: four SA lanes vs. the single
+    // chain on a polybench kernel (heavy tier).
     let doitgen = polybench::kernel("doitgen").unwrap();
-    for chains in [1usize, 4] {
-        let portfolio = PortfolioParams::new(chains);
+    for (chains, spec) in [(1, &one_lane), (4, &four_lanes)] {
         suite.bench_heavy(&format!("portfolio/doitgen_4x4/chains{chains}"), || {
-            let sa = SaMapper::new(SaParams::fast(), 7).with_portfolio(portfolio);
+            let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
             std::hint::black_box(search.run(&sa, &doitgen, &acc, 1).0);
         });
     }

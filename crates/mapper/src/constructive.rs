@@ -4,12 +4,11 @@
 //! (PAPERS.md) observes that a large share of real kernels need no
 //! search at all: a single greedy placement sweep in a good priority
 //! order, followed by one routing pass, already lands a valid mapping.
-//! This lane implements that regime check for the portfolio. It is the
+//! This lane implements that regime check for the lane race. It is the
 //! cheapest lane by orders of magnitude — it invokes the router about
 //! once per edge, where one annealing chain invokes it thousands of
-//! times — so [`crate::strategy::race_lanes`] runs it inline before any
-//! stochastic lane spawns, and a complete constructive mapping wins the
-//! race outright.
+//! times — so [`crate::strategy`]'s race runs it before any stochastic
+//! lane, and a complete constructive mapping wins the race outright.
 //!
 //! When the one-pass mapping is *incomplete*, the partial result is not
 //! wasted: [`crate::evolutionary::EvolutionaryStrategy`] seeds its first
@@ -17,20 +16,17 @@
 //! bound that a random initial placement rarely matches.
 //!
 //! The lane is fully deterministic — no RNG is drawn anywhere — so one
-//! lane instance is all a portfolio ever needs
-//! ([`crate::StrategySpec::expand`] collapses homogeneous constructive
-//! specs to a single lane).
+//! lane is all a race ever needs ([`crate::StrategySpec::expand`]
+//! collapses homogeneous constructive specs to a single lane).
 
 use std::cmp::Reverse;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{Dfg, NodeId};
-use lisa_events::{EventSink, PipelineEvent};
 
-use crate::predictor::{FilterStats, MovementScorer};
+use crate::predictor::FilterStats;
 use crate::sa::{candidate_slots, place_and_route};
 use crate::schedule::IiMapper;
-use crate::strategy::SearchStrategy;
 use crate::Mapping;
 
 /// Bounded repair sweeps after the first full pass. Each sweep rips up
@@ -95,17 +91,17 @@ fn place_pass(m: &mut Mapping<'_>, nodes: &[NodeId], stats: &mut FilterStats) {
 /// The one-pass construction: place every node in priority order with
 /// route-as-you-place, then run up to [`REPAIR_PASSES`] rip-up-and-retry
 /// sweeps over the problematic set. Returns the (possibly partial)
-/// mapping with the router-work counters; `None` only if `ii` is
-/// infeasible for the fabric. Deterministic for fixed inputs.
+/// mapping, or `None` only if `ii` is infeasible for the fabric; router
+/// work accumulates into `stats`. Deterministic for fixed inputs.
 pub(crate) fn construct<'a>(
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,
-) -> Option<(Mapping<'a>, FilterStats)> {
+    stats: &mut FilterStats,
+) -> Option<Mapping<'a>> {
     let mut mapping = Mapping::new(dfg, acc, ii).ok()?;
-    let mut stats = FilterStats::default();
     let order = priority_order(&mapping);
-    place_pass(&mut mapping, &order, &mut stats);
+    place_pass(&mut mapping, &order, stats);
     stats.proposals += 1;
     stats.admitted += 1;
     for _ in 0..REPAIR_PASSES {
@@ -128,16 +124,14 @@ pub(crate) fn construct<'a>(
         for &n in &problematic {
             mapping.unplace(n);
         }
-        place_pass(&mut mapping, &order, &mut stats);
+        place_pass(&mut mapping, &order, stats);
         stats.proposals += 1;
         stats.admitted += 1;
     }
-    Some((mapping, stats))
+    Some(mapping)
 }
 
-/// The constructive lane. See the module docs; [`SearchStrategy::run`]
-/// returns `Some` only when the one-pass construction (plus bounded
-/// repair) lands a complete mapping.
+/// The constructive lane. See the module docs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstructiveStrategy;
 
@@ -146,49 +140,18 @@ impl ConstructiveStrategy {
     pub fn new() -> Self {
         ConstructiveStrategy
     }
-}
 
-impl SearchStrategy for ConstructiveStrategy {
-    fn name(&self) -> &'static str {
-        "constructive"
-    }
-
-    fn is_constructive(&self) -> bool {
-        true
-    }
-
-    fn run<'a>(
+    /// Runs the lane at `ii`: `Some` only when the one-pass construction
+    /// (plus bounded repair) lands a complete mapping. Router work
+    /// accumulates into `stats`.
+    pub fn run<'a>(
         &self,
         dfg: &'a Dfg,
         acc: &'a Accelerator,
         ii: u32,
-        lane: usize,
-        _seed: u64,
-        sink: &EventSink,
-        _filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats) {
-        let (mapping, stats) = match construct(dfg, acc, ii) {
-            Some((m, s)) => (m, s),
-            None => return (None, FilterStats::default()),
-        };
-        if sink.is_active() {
-            sink.emit(PipelineEvent::SaFilterSummary {
-                chain: lane,
-                ii,
-                proposals: stats.proposals,
-                admitted: stats.admitted,
-                rejected: stats.rejected,
-                audited: stats.audited,
-                false_rejects: stats.false_rejects,
-                router_invocations: stats.router_invocations,
-                audit_router_invocations: stats.audit_router_invocations,
-            });
-        }
-        if mapping.is_complete() {
-            (Some(mapping), stats)
-        } else {
-            (None, stats)
-        }
+        stats: &mut FilterStats,
+    ) -> Option<Mapping<'a>> {
+        construct(dfg, acc, ii, stats).filter(Mapping::is_complete)
     }
 }
 
@@ -205,7 +168,7 @@ impl IiMapper for ConstructiveStrategy {
         acc: &'a Accelerator,
         ii: u32,
     ) -> Option<Mapping<'a>> {
-        self.run(dfg, acc, ii, 0, 0, &EventSink::null(), None).0
+        self.run(dfg, acc, ii, &mut FilterStats::default())
     }
 }
 
@@ -220,8 +183,9 @@ mod tests {
         let acc = Accelerator::cgra("4x4", 4, 4);
         for kernel in ["gemm", "doitgen", "atax"] {
             let dfg = polybench::kernel(kernel).unwrap();
-            let (a, sa) = construct(&dfg, &acc, 8).unwrap();
-            let (b, sb) = construct(&dfg, &acc, 8).unwrap();
+            let (mut sa, mut sb) = (FilterStats::default(), FilterStats::default());
+            let a = construct(&dfg, &acc, 8, &mut sa).unwrap();
+            let b = construct(&dfg, &acc, 8, &mut sb).unwrap();
             assert_eq!(
                 format!("{a:?}"),
                 format!("{b:?}"),
@@ -240,7 +204,8 @@ mod tests {
         // small multiple of the edge count, not the annealer's thousands.
         let acc = Accelerator::cgra("4x4", 4, 4);
         let dfg = polybench::kernel("gemm").unwrap();
-        let (_, stats) = construct(&dfg, &acc, 8).unwrap();
+        let mut stats = FilterStats::default();
+        construct(&dfg, &acc, 8, &mut stats).unwrap();
         let edges = dfg.edge_ids().count() as u64;
         // Route-as-you-place retries failed slots, so the bound is a
         // small constant multiple of the edge count per sweep.
@@ -256,17 +221,15 @@ mod tests {
         let acc = Accelerator::cgra("4x4", 4, 4);
         let dfg = polybench::kernel("gemm").unwrap();
         let lane = ConstructiveStrategy::new();
-        let sink = EventSink::null();
-        let (mapping, stats) = lane.run(&dfg, &acc, 8, 0, 0, &sink, None);
-        if let Some(m) = mapping {
+        let mut stats = FilterStats::default();
+        if let Some(m) = lane.run(&dfg, &acc, 8, &mut stats) {
             assert!(m.is_complete());
             m.verify().unwrap();
         }
         assert!(stats.proposals >= 1);
         // An impossible fabric/II yields None, not a panic.
         let tiny = Accelerator::cgra("1x1", 1, 1);
-        let (none, _) = lane.run(&dfg, &tiny, 1, 0, 0, &sink, None);
-        assert!(none.is_none());
+        assert!(lane.run(&dfg, &tiny, 1, &mut stats).is_none());
     }
 
     #[test]

@@ -28,7 +28,6 @@ use std::time::Instant;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::Dfg;
-use lisa_events::{EventSink, PipelineEvent};
 use lisa_rng::Rng;
 
 use crate::constructive::construct;
@@ -37,7 +36,6 @@ use crate::sa::{
     mapping_cost, movement, place_nodes, route_all, MoveBuffers, MoveStats, MovementVerdict,
     SaParams, VanillaPolicy,
 };
-use crate::strategy::SearchStrategy;
 use crate::Mapping;
 
 /// Population shape of the evolutionary lane.
@@ -120,8 +118,10 @@ impl EvolutionaryStrategy {
         best.map(|(_, m)| m.clone())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner<'a>(
+    /// Runs the lane at `ii` from the lane seed `seed`, gating mutations
+    /// through `filter`. Returns the best complete individual, if any;
+    /// router work accumulates into `fstats`.
+    pub fn run<'a>(
         &self,
         dfg: &'a Dfg,
         acc: &'a Accelerator,
@@ -142,8 +142,7 @@ impl EvolutionaryStrategy {
         // Individual 0: the constructive lane's one-pass mapping — the
         // incumbent bound. (Also proves `ii` is feasible for the fabric.)
         let mut individuals: Vec<(f64, Mapping<'a>)> = Vec::with_capacity(pop);
-        let (seeded, cstats) = construct(dfg, acc, ii)?;
-        fstats.merge(&cstats);
+        let seeded = construct(dfg, acc, ii, fstats)?;
         individuals.push((mapping_cost(&seeded), seeded));
         // The rest start from random greedy placements, each consuming
         // the lane RNG in index order.
@@ -266,40 +265,6 @@ impl EvolutionaryStrategy {
     }
 }
 
-impl SearchStrategy for EvolutionaryStrategy {
-    fn name(&self) -> &'static str {
-        "evolutionary"
-    }
-
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        seed: u64,
-        sink: &EventSink,
-        filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats) {
-        let mut fstats = FilterStats::default();
-        let result = self.run_inner(dfg, acc, ii, seed, filter, &mut fstats);
-        if sink.is_active() {
-            sink.emit(PipelineEvent::SaFilterSummary {
-                chain: lane,
-                ii,
-                proposals: fstats.proposals,
-                admitted: fstats.admitted,
-                rejected: fstats.rejected,
-                audited: fstats.audited,
-                false_rejects: fstats.false_rejects,
-                router_invocations: fstats.router_invocations,
-                audit_router_invocations: fstats.audit_router_invocations,
-            });
-        }
-        (result, fstats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,9 +284,9 @@ mod tests {
         let acc = Accelerator::cgra("4x4", 4, 4);
         let dfg = polybench::kernel("gemm").unwrap();
         let lane = EvolutionaryStrategy::new(SaParams::fast());
-        let sink = EventSink::null();
-        let (a, sa) = lane.run(&dfg, &acc, 8, 1, 11, &sink, None);
-        let (b, sb) = lane.run(&dfg, &acc, 8, 1, 11, &sink, None);
+        let (mut sa, mut sb) = (FilterStats::default(), FilterStats::default());
+        let a = lane.run(&dfg, &acc, 8, 11, None, &mut sa);
+        let b = lane.run(&dfg, &acc, 8, 11, None, &mut sb);
         assert_eq!(
             a.as_ref().map(|m| format!("{m:?}")),
             b.as_ref().map(|m| format!("{m:?}"))
@@ -341,9 +306,9 @@ mod tests {
         let acc = Accelerator::cgra("4x4", 4, 4);
         let dfg = polybench::kernel("gemm").unwrap();
         let lane = EvolutionaryStrategy::new(SaParams::fast());
-        let sink = EventSink::null();
-        let (_, s1) = lane.run(&dfg, &acc, 3, 0, 3, &sink, None);
-        let (_, s2) = lane.run(&dfg, &acc, 3, 0, 4, &sink, None);
+        let (mut s1, mut s2) = (FilterStats::default(), FilterStats::default());
+        lane.run(&dfg, &acc, 3, 3, None, &mut s1);
+        lane.run(&dfg, &acc, 3, 4, None, &mut s2);
         // Not a strict requirement of the contract, but with the fast
         // budget the two seeds should not do literally identical work.
         assert!(

@@ -22,7 +22,6 @@ use lisa_arch::{Accelerator, PeId};
 use lisa_dfg::{analysis, same_level, Dfg, EdgeId, NodeId};
 use lisa_events::EventSink;
 
-use crate::portfolio::PortfolioParams;
 use crate::sa::{MoveStats, SaParams, SaPolicy, VanillaPolicy};
 use crate::schedule::IiMapper;
 use crate::Mapping;
@@ -318,7 +317,6 @@ pub struct LabelSaMapper {
     config: LabelSaConfig,
     seed: u64,
     name: String,
-    portfolio: PortfolioParams,
     strategy: crate::strategy::StrategySpec,
     sink: EventSink,
     filter: Option<std::sync::Arc<dyn crate::predictor::MovementScorer>>,
@@ -333,7 +331,6 @@ impl LabelSaMapper {
             config: LabelSaConfig::default(),
             seed,
             name: "LISA".to_string(),
-            portfolio: PortfolioParams::sequential(),
             strategy: crate::strategy::StrategySpec::default(),
             sink: EventSink::null(),
             filter: None,
@@ -351,7 +348,6 @@ impl LabelSaMapper {
             },
             seed,
             name: "SA+RP".to_string(),
-            portfolio: PortfolioParams::sequential(),
             strategy: crate::strategy::StrategySpec::default(),
             sink: EventSink::null(),
             filter: None,
@@ -370,24 +366,16 @@ impl LabelSaMapper {
             },
             seed,
             name: "LISA-partial".to_string(),
-            portfolio: PortfolioParams::sequential(),
             strategy: crate::strategy::StrategySpec::default(),
             sink: EventSink::null(),
             filter: None,
         }
     }
 
-    /// Runs a portfolio of independently-seeded chains per II and keeps
-    /// the deterministic winner (chain 0 reproduces the single-chain
-    /// mapper, so `chains = 1` is byte-identical to the constructors).
-    pub fn with_portfolio(mut self, portfolio: PortfolioParams) -> Self {
-        self.portfolio = portfolio;
-        self
-    }
-
-    /// Selects the portfolio's lane mix (see [`crate::StrategySpec`]).
-    /// The default, `Homogeneous(Sa)`, is byte-identical to the
-    /// pre-strategy mapper for every configuration.
+    /// Selects the lanes raced per II (see [`crate::StrategySpec`]).
+    /// The default, `sa`, is one label-aware annealing chain;
+    /// `sa,sa,sa,sa` races four independently seeded chains and keeps
+    /// the deterministic winner, whose lane 0 is the one-chain mapper.
     pub fn with_strategy(mut self, strategy: crate::strategy::StrategySpec) -> Self {
         self.strategy = strategy;
         self
@@ -401,8 +389,8 @@ impl LabelSaMapper {
     }
 
     /// Attaches a predict-then-verify movement filter (see
-    /// [`crate::SaMapper::with_movement_filter`]); all portfolio chains
-    /// share the one immutable scorer.
+    /// [`crate::SaMapper::with_movement_filter`]); all lanes share the
+    /// one immutable scorer.
     pub fn with_movement_filter(
         mut self,
         filter: std::sync::Arc<dyn crate::predictor::MovementScorer>,
@@ -442,13 +430,12 @@ impl IiMapper for LabelSaMapper {
             self.labels.matches(dfg),
             "labels do not match the DFG shape"
         );
-        // Each chain gets a fresh policy: `LabelPolicy` carries the
-        // InitialOnly transition flag, which must not leak across chains.
-        crate::strategy::run_spec(
+        // Each lane gets a fresh policy: `LabelPolicy` carries the
+        // InitialOnly transition flag, which must not leak across lanes.
+        crate::strategy::race_lanes(
             &self.strategy,
-            |_chain| LabelPolicy::new(&self.labels, self.config, dfg),
+            || LabelPolicy::new(&self.labels, self.config, dfg),
             &self.params,
-            &self.portfolio,
             dfg,
             acc,
             ii,

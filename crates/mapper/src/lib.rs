@@ -8,8 +8,8 @@
 //!   plus the routing-priority-only ablation of Fig. 12;
 //! * [`exact`] — an exhaustive branch-and-bound mapper standing in for the
 //!   ILP baseline (see DESIGN.md "Substitutions");
-//! * [`strategy`] — the [`SearchStrategy`] lane contract and the
-//!   heterogeneous portfolio race ([`StrategySpec`] selects the mix);
+//! * [`strategy`] — the lane race: [`StrategySpec`] lists the lanes
+//!   (annealing, evolutionary, constructive) raced for each II;
 //! * [`evolutionary`] — a deterministic population mapper with
 //!   journal-transaction crossover;
 //! * [`constructive`] — a LOCAL-style low-complexity one-pass list
@@ -19,7 +19,8 @@
 //! * [`display`] — time-extended grid rendering of mappings (Fig. 5
 //!   style);
 //! * [`schedule`] — the II search driver shared by all mappers (start at
-//!   the minimum II, increment on failure, paper §VI).
+//!   the minimum II, increment on failure, paper §VI), which attempts
+//!   IIs in waves on [`portfolio::par_map`].
 //!
 //! All mappers operate on a shared [`Mapping`] state (placement + routing
 //! over the modulo routing resource graph) and a common Dijkstra
@@ -61,9 +62,8 @@ pub use error::MapperError;
 pub use evolutionary::{EvoParams, EvolutionaryStrategy};
 pub use label_sa::{GuidanceLabels, LabelMode, LabelSaMapper};
 pub use mapping::{Mapping, Placement, RouteStep};
-pub use portfolio::PortfolioParams;
-pub use predictor::{FilterStats, MovementScorer, MOVEMENT_FEATURE_DIM};
+pub use predictor::{FilterStats, FilterTotals, MovementScorer, MOVEMENT_FEATURE_DIM};
 pub use router::RouterScratch;
 pub use sa::{anneal_chain, SaMapper, SaParams};
 pub use schedule::{IiMapper, IiSearch, MappingOutcome};
-pub use strategy::{LaneKind, ParseStrategyError, SearchStrategy, StrategySpec};
+pub use strategy::{LaneKind, ParseStrategyError, StrategySpec};

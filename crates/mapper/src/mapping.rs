@@ -553,10 +553,9 @@ impl<'a> Mapping<'a> {
         self.route_cells
     }
 
-    /// Routing-cell count recomputed by scanning the occupancy grid.
-    /// Used by `verify` and by the movement-throughput bench's
-    /// "snapshot-clone era" engine, which must price the cost function
-    /// the way the pre-journal annealer did.
+    /// Routing-cell count recomputed by scanning the occupancy grid: the
+    /// independent reference `verify` checks the running counter
+    /// against, and part of [`crate::sa::mapping_cost_scan`].
     pub fn routing_cells_scan(&self) -> usize {
         self.cells
             .iter()

@@ -1,16 +1,12 @@
-//! Deterministic parallel mapping portfolio.
+//! Deterministic work distribution and lane seeding.
 //!
-//! Runs N independently-seeded annealing chains for the same `(DFG,
-//! accelerator, II)` problem and keeps a winner chosen by
-//! `(success, cost, chain index)`. Every chain's result is joined before
-//! the winner is picked, so the outcome depends only on the seeds — never
-//! on thread count or scheduling. That is the portfolio's determinism
-//! contract: `parallelism` is purely a wall-clock knob, and
-//! `parallelism = 1` is byte-identical to `parallelism = N`.
-//!
-//! The same result-invariant work distributor ([`par_map`]) backs the
-//! parallel II search ([`crate::schedule::IiSearch::run`]) and the
-//! training-data generator's fan-out across DFGs.
+//! [`par_map`] applies a function to a list of items on scoped threads
+//! and returns the results in item order, so its output never depends on
+//! thread count or scheduling. It backs the wave-parallel II search
+//! ([`crate::schedule::IiSearch::run`]) and the training pipeline's
+//! fan-out across DFGs; a lane race itself runs on the calling thread
+//! ([`crate::strategy`]). [`chain_seed`] derives each lane's RNG seed
+//! from its index, so a race's outcome is a pure function of its seed.
 //!
 //! Threads come from `std::thread::scope` — the workspace is hermetic, so
 //! no rayon.
@@ -18,51 +14,6 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Portfolio shape: how many chains compete and how many worker threads
-/// execute them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortfolioParams {
-    /// Number of independently-seeded annealing chains per II. Chain 0
-    /// uses the mapper's own seed derivation, so `chains = 1` reproduces
-    /// the single-chain mapper exactly.
-    pub chains: usize,
-    /// Worker threads used to execute chains (and, at the framework
-    /// level, IIs / training DFGs). Affects wall-clock only, never the
-    /// result.
-    pub parallelism: usize,
-}
-
-impl PortfolioParams {
-    /// One chain on one thread: today's sequential behaviour, exactly.
-    pub fn sequential() -> Self {
-        PortfolioParams {
-            chains: 1,
-            parallelism: 1,
-        }
-    }
-
-    /// `chains` chains on all available cores.
-    pub fn new(chains: usize) -> Self {
-        PortfolioParams {
-            chains,
-            parallelism: available_parallelism(),
-        }
-    }
-
-    /// Same chain set on a specific thread count (used by the
-    /// determinism tests to prove thread-count invariance).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-}
-
-impl Default for PortfolioParams {
-    fn default() -> Self {
-        PortfolioParams::sequential()
-    }
-}
 
 /// Number of hardware threads, with a safe floor of 1.
 pub fn available_parallelism() -> usize {
@@ -150,9 +101,9 @@ where
         .collect()
 }
 
-/// Derives the RNG seed of chain `chain` for target `ii`. Chain 0 keeps
+/// Derives the RNG seed of lane `chain` for target `ii`. Lane 0 keeps
 /// the historical single-chain derivation (`seed ^ (ii << 32)`); later
-/// chains decorrelate through a splitmix64-style finalizer.
+/// lanes decorrelate through a splitmix64-style finalizer.
 pub(crate) fn chain_seed(seed: u64, chain: u64, ii: u32) -> u64 {
     let base = if chain == 0 {
         seed
@@ -168,10 +119,6 @@ pub(crate) fn chain_seed(seed: u64, chain: u64, ii: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sa::{SaMapper, SaParams};
-    use crate::schedule::IiMapper;
-    use lisa_arch::Accelerator;
-    use lisa_dfg::{Dfg, OpKind};
 
     #[test]
     fn par_map_preserves_item_order() {
@@ -235,50 +182,5 @@ mod tests {
         // Later chains must decorrelate from chain 0 and each other.
         assert_ne!(chain_seed(42, 1, 3), chain_seed(42, 0, 3));
         assert_ne!(chain_seed(42, 1, 3), chain_seed(42, 2, 3));
-    }
-
-    fn diamond() -> Dfg {
-        let mut g = Dfg::new("diamond");
-        let a = g.add_node(OpKind::Load, "a");
-        let b = g.add_node(OpKind::Add, "b");
-        let c = g.add_node(OpKind::Mul, "c");
-        let d = g.add_node(OpKind::Store, "d");
-        g.add_data_edge(a, b).unwrap();
-        g.add_data_edge(a, c).unwrap();
-        g.add_data_edge(b, d).unwrap();
-        g.add_data_edge(c, d).unwrap();
-        g
-    }
-
-    #[test]
-    fn single_chain_portfolio_matches_plain_mapper() {
-        let dfg = diamond();
-        let acc = Accelerator::cgra("2x2", 2, 2);
-        let plain = SaMapper::new(SaParams::fast(), 5).map_at_ii(&dfg, &acc, 2);
-        let single = SaMapper::new(SaParams::fast(), 5)
-            .with_portfolio(PortfolioParams::sequential())
-            .map_at_ii(&dfg, &acc, 2);
-        assert_eq!(
-            plain.map(|m| format!("{m:?}")),
-            single.map(|m| format!("{m:?}"))
-        );
-    }
-
-    #[test]
-    fn portfolio_result_is_thread_count_invariant() {
-        let dfg = diamond();
-        let acc = Accelerator::cgra("2x2", 2, 2);
-        let runs: Vec<Option<String>> = [1, 2, 4]
-            .into_iter()
-            .map(|threads| {
-                SaMapper::new(SaParams::fast(), 5)
-                    .with_portfolio(PortfolioParams::new(4).with_parallelism(threads))
-                    .map_at_ii(&dfg, &acc, 2)
-                    .map(|m| format!("{m:?}"))
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-        assert!(runs[0].is_some(), "diamond maps at II 2 on a 2x2");
     }
 }

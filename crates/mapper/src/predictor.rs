@@ -14,10 +14,15 @@
 //! the learning stack: the [`MovementScorer`] trait (implemented by
 //! `lisa-labels`' trained predictor), the [movement feature
 //! vector](MOVEMENT_FEATURE_DIM), and the [`FilterStats`] counters that
-//! make router work measurable. The gating itself lives in `sa.rs`.
+//! make router work measurable, with their [`PipelineEvent::SaFilterSummary`]
+//! form and the [`FilterTotals`] observer that sums them back up. The
+//! gating itself lives in `sa.rs`.
+
+use std::sync::{Mutex, PoisonError};
 
 use lisa_arch::PeId;
 use lisa_dfg::NodeId;
+use lisa_events::{Observer, PipelineEvent};
 
 use crate::mapping::Placement;
 use crate::Mapping;
@@ -29,9 +34,9 @@ pub const MOVEMENT_FEATURE_DIM: usize = 14;
 /// Scores a proposed movement from its feature vector, before routing.
 ///
 /// Implementations must be deterministic pure functions of the feature
-/// vector and temperature: the portfolio shares one immutable scorer
-/// across all chains, and thread-count invariance of predictor-on runs
-/// depends on it.
+/// vector and temperature: every lane of a race, and every II attempt of
+/// a parallel II search, shares one immutable scorer, and the
+/// determinism of predictor-on runs depends on it.
 pub trait MovementScorer: Send + Sync + std::fmt::Debug {
     /// `true` admits the movement to routing; `false` rejects it without
     /// invoking the router (the annealer rolls the placement back).
@@ -44,8 +49,8 @@ pub trait MovementScorer: Send + Sync + std::fmt::Debug {
     fn admit(&self, features: &[f64], temp: f64) -> bool;
 }
 
-/// Router-work counters for one annealing chain (or a whole portfolio,
-/// after [`FilterStats::merge`]). Maintained with or without a filter
+/// Router-work counters for one search lane (or a whole run, after
+/// [`FilterStats::merge`]). Maintained with or without a filter
 /// attached, so predictor-off baselines report comparable numbers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FilterStats {
@@ -70,7 +75,7 @@ pub struct FilterStats {
 }
 
 impl FilterStats {
-    /// Accumulates another chain's counters (portfolio aggregation).
+    /// Accumulates another lane's counters.
     pub fn merge(&mut self, other: &FilterStats) {
         self.proposals += other.proposals;
         self.admitted += other.admitted;
@@ -79,6 +84,70 @@ impl FilterStats {
         self.false_rejects += other.false_rejects;
         self.router_invocations += other.router_invocations;
         self.audit_router_invocations += other.audit_router_invocations;
+    }
+
+    /// The counters as the [`PipelineEvent::SaFilterSummary`] of lane
+    /// `lane` at target `ii`.
+    pub fn to_event(&self, lane: usize, ii: u32) -> PipelineEvent {
+        PipelineEvent::SaFilterSummary {
+            chain: lane,
+            ii,
+            proposals: self.proposals,
+            admitted: self.admitted,
+            rejected: self.rejected,
+            audited: self.audited,
+            false_rejects: self.false_rejects,
+            router_invocations: self.router_invocations,
+            audit_router_invocations: self.audit_router_invocations,
+        }
+    }
+
+    /// The counters a [`PipelineEvent::SaFilterSummary`] carries, or
+    /// `None` for any other event.
+    pub fn from_event(event: &PipelineEvent) -> Option<FilterStats> {
+        match *event {
+            PipelineEvent::SaFilterSummary {
+                proposals,
+                admitted,
+                rejected,
+                audited,
+                false_rejects,
+                router_invocations,
+                audit_router_invocations,
+                ..
+            } => Some(FilterStats {
+                proposals,
+                admitted,
+                rejected,
+                audited,
+                false_rejects,
+                router_invocations,
+                audit_router_invocations,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// An observer summing every [`PipelineEvent::SaFilterSummary`] it sees
+/// (all IIs, all lanes) — the aggregate router work of a run.
+#[derive(Debug, Default)]
+pub struct FilterTotals(Mutex<FilterStats>);
+
+impl FilterTotals {
+    /// The totals so far, resetting them to zero.
+    pub fn take(&self) -> FilterStats {
+        let mut totals = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *totals)
+    }
+}
+
+impl Observer for FilterTotals {
+    fn event(&self, event: &PipelineEvent) {
+        if let Some(stats) = FilterStats::from_event(event) {
+            let mut totals = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            totals.merge(&stats);
+        }
     }
 }
 
@@ -275,6 +344,45 @@ mod tests {
         assert_eq!(out.len(), MOVEMENT_FEATURE_DIM);
         assert!(out.iter().all(|v| v.is_finite()));
         assert_eq!(out[0], 0.0);
+    }
+
+    #[test]
+    fn event_round_trip_and_totals_sum_summaries() {
+        let stats = FilterStats {
+            proposals: 1,
+            admitted: 2,
+            rejected: 3,
+            audited: 4,
+            false_rejects: 5,
+            router_invocations: 6,
+            audit_router_invocations: 7,
+        };
+        let event = stats.to_event(2, 5);
+        assert!(matches!(
+            event,
+            PipelineEvent::SaFilterSummary {
+                chain: 2,
+                ii: 5,
+                ..
+            }
+        ));
+        assert_eq!(FilterStats::from_event(&event), Some(stats));
+        let other = PipelineEvent::StrategyLaneWon {
+            ii: 5,
+            lane: 2,
+            strategy: "sa",
+            cost: 0.0,
+        };
+        assert_eq!(FilterStats::from_event(&other), None);
+
+        let totals = FilterTotals::default();
+        totals.event(&event);
+        totals.event(&other);
+        totals.event(&event);
+        let mut twice = stats;
+        twice.merge(&stats);
+        assert_eq!(totals.take(), twice);
+        assert_eq!(totals.take(), FilterStats::default());
     }
 
     #[test]

@@ -155,8 +155,10 @@ pub(crate) fn mapping_cost(m: &Mapping<'_>) -> f64 {
 
 /// The pre-journal cost function: identical value to [`mapping_cost`] but
 /// recomputed by scanning placements, routes, and the occupancy grid —
-/// exactly what every movement paid before the incremental counters. Kept
-/// for the movement-throughput bench's before/after comparison.
+/// exactly what every movement paid before the incremental counters. It
+/// prices the [`MovementEngine::SnapshotClone`] reference engine, whose
+/// trajectory the journal engine must reproduce exactly (pinned by a
+/// unit test).
 pub fn mapping_cost_scan(m: &Mapping<'_>) -> f64 {
     let lateness: u64 = m
         .dfg()
@@ -312,68 +314,28 @@ const STALL_BURST: u32 = 32;
 const STALL_PERIOD: u32 = 4;
 
 /// The annealing core shared by [`SaMapper`] and
-/// [`crate::LabelSaMapper`]. `chain` tags the emitted
-/// [`PipelineEvent::SaSnapshot`]s with the portfolio chain index; the
-/// null sink makes the instrumentation free. With `filter` attached,
-/// proposals are scored after placement and low scorers are rolled back
-/// without invoking the router (predict-then-verify); with `filter`
-/// absent the trajectory — every RNG draw — is identical to the
-/// pre-filter annealer. Returns the per-chain [`FilterStats`] alongside
-/// the mapping; a [`PipelineEvent::SaFilterSummary`] mirrors them into
-/// the sink.
+/// [`crate::LabelSaMapper`]: one lane of a race, seeded with `seed`.
+/// `lane` tags the emitted [`PipelineEvent::SaSnapshot`]s and
+/// [`PipelineEvent::SaMovementSample`]s; the null sink makes the
+/// instrumentation free. With `filter` attached, proposals are scored
+/// after placement and low scorers are rolled back without invoking the
+/// router (predict-then-verify); with `filter` absent the trajectory —
+/// every RNG draw — is identical to the pre-filter annealer. Router work
+/// accumulates into `fstats`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn anneal<'a, P: SaPolicy>(
     policy: &P,
     params: &SaParams,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,
-    rng: &mut Rng,
-    chain: usize,
-    sink: &EventSink,
-    filter: Option<&dyn MovementScorer>,
-) -> (Option<Mapping<'a>>, FilterStats) {
-    let mut fstats = FilterStats::default();
-    let result = anneal_inner(
-        policy,
-        params,
-        dfg,
-        acc,
-        ii,
-        rng,
-        chain,
-        sink,
-        filter,
-        &mut fstats,
-    );
-    if sink.is_active() {
-        sink.emit(PipelineEvent::SaFilterSummary {
-            chain,
-            ii,
-            proposals: fstats.proposals,
-            admitted: fstats.admitted,
-            rejected: fstats.rejected,
-            audited: fstats.audited,
-            false_rejects: fstats.false_rejects,
-            router_invocations: fstats.router_invocations,
-            audit_router_invocations: fstats.audit_router_invocations,
-        });
-    }
-    (result, fstats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn anneal_inner<'a, P: SaPolicy>(
-    policy: &P,
-    params: &SaParams,
-    dfg: &'a Dfg,
-    acc: &'a Accelerator,
-    ii: u32,
-    rng: &mut Rng,
-    chain: usize,
+    seed: u64,
+    lane: usize,
     sink: &EventSink,
     filter: Option<&dyn MovementScorer>,
     fstats: &mut FilterStats,
 ) -> Option<Mapping<'a>> {
+    let mut rng = Rng::seed_from_u64(seed);
     let start = Instant::now();
     let mut mapping = Mapping::new(dfg, acc, ii).ok()?;
     let mut stats = MoveStats::default();
@@ -386,7 +348,7 @@ fn anneal_inner<'a, P: SaPolicy>(
     // iteration). Construction is never gated: with nothing placed there
     // is no movement to score.
     bufs.nodes.extend(dfg.node_ids());
-    place_nodes(policy, &mut mapping, &mut bufs, stats, rng);
+    place_nodes(policy, &mut mapping, &mut bufs, stats, &mut rng);
     fstats.router_invocations += route_all(policy, &mut mapping, &mut bufs);
     let mut cost = mapping_cost(&mapping);
     if mapping.is_complete() {
@@ -417,7 +379,7 @@ fn anneal_inner<'a, P: SaPolicy>(
                 params,
                 &mut bufs,
                 stats,
-                rng,
+                &mut rng,
                 temp,
                 gate,
                 fstats,
@@ -443,7 +405,7 @@ fn anneal_inner<'a, P: SaPolicy>(
             let new_cost = mapping_cost(&mapping);
             if want_features && sink.is_active() {
                 sink.emit(PipelineEvent::SaMovementSample {
-                    chain,
+                    chain: lane,
                     ii,
                     features: bufs.features.clone(),
                     delta_cost: new_cost - cost,
@@ -482,7 +444,7 @@ fn anneal_inner<'a, P: SaPolicy>(
         }
         if sink.is_active() {
             sink.emit(PipelineEvent::SaSnapshot {
-                chain,
+                chain: lane,
                 ii,
                 temp,
                 cost,
@@ -652,8 +614,8 @@ pub enum MovementEngine {
 /// Runs `moves` SA movements at a fixed temperature and returns the number
 /// of strict improvements accepted. Both engines consume the RNG
 /// identically and price movements to the same values, so for a given seed
-/// they follow byte-identical trajectories — the bench compares pure
-/// engine overhead, and a unit test pins the equivalence.
+/// they follow byte-identical trajectories — a unit test pins the
+/// equivalence, and the movement benches time the journal engine.
 pub fn movement_throughput(
     dfg: &Dfg,
     acc: &Accelerator,
@@ -769,7 +731,6 @@ pub struct SaMapper {
     params: SaParams,
     seed: u64,
     name: String,
-    portfolio: crate::portfolio::PortfolioParams,
     strategy: crate::strategy::StrategySpec,
     sink: EventSink,
     filter: Option<std::sync::Arc<dyn MovementScorer>>,
@@ -777,7 +738,7 @@ pub struct SaMapper {
 
 impl SaMapper {
     /// Creates a mapper with the given parameters and RNG seed. Runs a
-    /// single annealing chain; see [`with_portfolio`](Self::with_portfolio).
+    /// single annealing chain; see [`with_strategy`](Self::with_strategy).
     pub fn new(params: SaParams, seed: u64) -> Self {
         let name = if params.moves_per_temp >= 10 * SaParams::paper().moves_per_temp {
             "SA-M".to_string()
@@ -788,26 +749,18 @@ impl SaMapper {
             params,
             seed,
             name,
-            portfolio: crate::portfolio::PortfolioParams::sequential(),
             strategy: crate::strategy::StrategySpec::default(),
             sink: EventSink::null(),
             filter: None,
         }
     }
 
-    /// Selects the portfolio's lane mix (see [`crate::StrategySpec`]).
-    /// The default, `Homogeneous(Sa)`, is byte-identical to the
-    /// pre-strategy mapper for every configuration.
+    /// Selects the lanes raced per II (see [`crate::StrategySpec`]).
+    /// The default, `sa`, is one annealing chain; `sa,sa,sa,sa` races
+    /// four independently seeded chains and keeps the deterministic
+    /// winner, whose lane 0 is the one-chain mapper.
     pub fn with_strategy(mut self, strategy: crate::strategy::StrategySpec) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Runs a portfolio of independently-seeded chains per II and keeps the
-    /// deterministic winner. Chain 0 reproduces the single-chain mapper
-    /// exactly, so `chains = 1` is byte-identical to [`new`](Self::new).
-    pub fn with_portfolio(mut self, portfolio: crate::portfolio::PortfolioParams) -> Self {
-        self.portfolio = portfolio;
         self
     }
 
@@ -820,7 +773,7 @@ impl SaMapper {
     }
 
     /// Attaches a predict-then-verify movement filter. One immutable
-    /// scorer is shared by every portfolio chain; detach by rebuilding
+    /// scorer is shared by every lane; detach by rebuilding
     /// the mapper. The filter-off mapper is byte-identical to the
     /// pre-filter annealer.
     pub fn with_movement_filter(mut self, filter: std::sync::Arc<dyn MovementScorer>) -> Self {
@@ -845,11 +798,10 @@ impl IiMapper for SaMapper {
         acc: &'a Accelerator,
         ii: u32,
     ) -> Option<Mapping<'a>> {
-        crate::strategy::run_spec(
+        crate::strategy::race_lanes(
             &self.strategy,
-            |_chain| VanillaPolicy,
+            || VanillaPolicy,
             &self.params,
-            &self.portfolio,
             dfg,
             acc,
             ii,
@@ -862,8 +814,8 @@ impl IiMapper for SaMapper {
 
 /// Runs one vanilla-policy annealing chain with an optional movement
 /// filter and returns the mapping (if any) together with the router-work
-/// counters. Seeded exactly like chain 0 of [`SaMapper::new`] with the
-/// same `seed`, so `anneal_chain(..., None)` reproduces the sequential
+/// counters. Seeded exactly like lane 0 of [`SaMapper::new`] with the
+/// same `seed`, so `anneal_chain(..., None)` reproduces the one-lane
 /// mapper byte-for-byte. This is the measurement entry point for the
 /// predictor A/B bench and the quality-invariance tests; production
 /// paths read the same counters from [`PipelineEvent::SaFilterSummary`].
@@ -875,18 +827,20 @@ pub fn anneal_chain<'a>(
     seed: u64,
     filter: Option<&dyn MovementScorer>,
 ) -> (Option<Mapping<'a>>, FilterStats) {
-    let mut rng = Rng::seed_from_u64(crate::portfolio::chain_seed(seed, 0, ii));
-    anneal(
+    let mut stats = FilterStats::default();
+    let mapping = anneal(
         &VanillaPolicy,
         params,
         dfg,
         acc,
         ii,
-        &mut rng,
+        crate::portfolio::chain_seed(seed, 0, ii),
         0,
         &EventSink::null(),
         filter,
-    )
+        &mut stats,
+    );
+    (mapping, stats)
 }
 
 #[cfg(test)]

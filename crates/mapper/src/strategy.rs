@@ -1,51 +1,57 @@
-//! The [`SearchStrategy`] contract: heterogeneous mapper lanes raced by
-//! one deterministic portfolio.
+//! The lane race: heterogeneous search algorithms raced for one II.
 //!
-//! The portfolio historically raced N seeds of the same annealer. This
-//! module generalizes it: a *lane* is any search algorithm implementing
-//! [`SearchStrategy`] over the shared substrate — [`Mapping`] (placement
-//! + routing with the transaction journal), the Dijkstra router, the
-//! `lisa-events` sink, and the optional movement filter. Three lanes
-//! exist today:
+//! A [`StrategySpec`] is the one description of a race: its lane list
+//! says which algorithm runs in each lane (`sa,sa,sa,sa` is four
+//! independently seeded annealers; `mixed` is one lane of each kind).
+//! Every lane runs over the shared substrate — [`Mapping`] (placement +
+//! routing with the transaction journal), the Dijkstra router, the
+//! `lisa-events` sink, and the optional movement filter. Three lane
+//! kinds exist:
 //!
-//! * [`SaStrategy`] — the existing annealer, byte-identical to the
-//!   pre-refactor portfolio for the default configuration;
-//! * [`crate::evolutionary::EvolutionaryStrategy`] — a deterministic
+//! * [`LaneKind::Sa`] — the annealer ([`crate::sa`]); a one-lane `sa`
+//!   race is the paper's single annealing chain;
+//! * [`LaneKind::Evolutionary`] —
+//!   [`crate::evolutionary::EvolutionaryStrategy`], a deterministic
 //!   population mapper whose crossover exchanges placement regions via
 //!   the transaction journal and whose mutation reuses the annealer's
 //!   movement generator;
-//! * [`crate::constructive::ConstructiveStrategy`] — a LOCAL-style
+//! * [`LaneKind::Constructive`] —
+//!   [`crate::constructive::ConstructiveStrategy`], a LOCAL-style
 //!   low-complexity one-pass mapper that often finishes easy kernels
 //!   outright at a tiny fraction of the router work.
 //!
-//! **Winner rule.** Constructive lanes run first, inline, in lane-index
-//! order: they are deterministic and orders of magnitude cheaper than a
-//! stochastic lane, so a complete constructive mapping wins outright
-//! before any thread spawns. The remaining (stochastic) lanes are then
-//! raced under [`par_map`]; every lane is joined before judging and the
-//! winner is the lowest-cost complete mapping, ties broken by lane
-//! index. Lane seeds derive from the lane *index* (not the thread), so
-//! the outcome is invariant to thread count and scheduling — the same
-//! determinism contract the homogeneous portfolio always had.
+//! **Winner rule.** Lanes run one after another on the calling thread.
+//! Constructive lanes run first, in lane-index order: they are
+//! deterministic and orders of magnitude cheaper than a stochastic lane,
+//! so a complete constructive mapping wins outright. The remaining lanes
+//! then run in lane-index order, and the winner is the lowest-cost
+//! complete mapping, ties broken by lane index. Lane seeds derive from
+//! the lane *index* via [`chain_seed`], so the outcome is a pure
+//! function of the spec, the seed and the problem. The only thread
+//! fan-out inside a request is the wave of II attempts in
+//! [`crate::schedule::IiSearch::run`].
+//!
+//! After each lane returns, the race emits the lane's router-work
+//! counters as one [`PipelineEvent::SaFilterSummary`], so A/B
+//! measurements read every lane from the same stream.
 
 use std::fmt;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::Dfg;
 use lisa_events::{EventSink, PipelineEvent};
-use lisa_rng::Rng;
 
 use crate::constructive::ConstructiveStrategy;
 use crate::evolutionary::EvolutionaryStrategy;
-use crate::portfolio::{chain_seed, par_map, PortfolioParams};
+use crate::portfolio::chain_seed;
 use crate::predictor::{FilterStats, MovementScorer};
 use crate::sa::{anneal, mapping_cost, SaParams, SaPolicy};
 use crate::Mapping;
 
-/// Which search algorithm runs in one portfolio lane.
+/// Which search algorithm runs in one lane of a race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneKind {
-    /// Simulated annealing (the historical portfolio lane).
+    /// Simulated annealing.
     Sa,
     /// Deterministic population search with journal crossover.
     Evolutionary,
@@ -78,7 +84,7 @@ impl LaneKind {
 pub const MIXED_LANES: [LaneKind; 3] =
     [LaneKind::Constructive, LaneKind::Sa, LaneKind::Evolutionary];
 
-/// How the portfolio's lanes are populated for each II attempt.
+/// Which lanes race for each II attempt.
 ///
 /// Parsed from `lisa-map --strategy`, the `strategy` field of a
 /// `lisa-request v1` document, and [`Display`](fmt::Display)ed back in
@@ -86,12 +92,11 @@ pub const MIXED_LANES: [LaneKind; 3] =
 /// specs, which is what the serve cache key relies on).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrategySpec {
-    /// Every portfolio chain runs the same lane kind. This is the
-    /// historical shape; `Homogeneous(Sa)` is the default and maps
-    /// byte-identically to the pre-strategy mapper.
+    /// One lane of one kind. `Homogeneous(Sa)`, the default, is the
+    /// paper's single annealing chain.
     Homogeneous(LaneKind),
-    /// An explicit lane list, raced in index order. The lane count
-    /// overrides the portfolio's chain count.
+    /// An explicit lane list, raced in index order; `sa,sa,sa,sa` races
+    /// four independently seeded annealers.
     Lanes(Vec<LaneKind>),
 }
 
@@ -170,11 +175,12 @@ impl StrategySpec {
         })
     }
 
-    /// The concrete lane list for a portfolio of `chains` chains.
-    /// Homogeneous specs replicate their kind across every chain —
-    /// except `Homogeneous(Constructive)`, which yields one lane: the
-    /// constructive mapper is deterministic, so duplicate lanes would be
-    /// identical work. Explicit lane lists are returned as written.
+    /// The concrete lane list, with a homogeneous kind replicated
+    /// `chains` times — except `Homogeneous(Constructive)`, which yields
+    /// one lane: the constructive mapper is deterministic, so duplicate
+    /// lanes would be identical work. Explicit lane lists are returned
+    /// as written. The mappers race `expand(1)`; N annealers are the
+    /// lane list `sa,…,sa`, not a larger `chains`.
     pub fn expand(&self, chains: usize) -> Vec<LaneKind> {
         match self {
             StrategySpec::Homogeneous(LaneKind::Constructive) => vec![LaneKind::Constructive],
@@ -184,116 +190,15 @@ impl StrategySpec {
     }
 }
 
-/// One portfolio lane: a search algorithm over the shared mapping
-/// substrate.
-///
-/// Lanes **share** the problem statement (`dfg`, `acc`, `ii`), the
-/// [`Mapping`] state machine (placement + routing + transaction
-/// journal), the router, the event sink, and the optional movement
-/// filter. Lanes **own** their search trajectory: how the lane-derived
-/// seed drives it, what intermediate states it visits, and when it
-/// gives up. A lane must return `Some` only for *complete* mappings,
-/// must be a pure function of its arguments (determinism contract), and
-/// must emit a [`PipelineEvent::SaFilterSummary`] for its router-work
-/// counters when the sink is active so A/B measurements read every lane
-/// from the same stream.
-pub trait SearchStrategy: Sync {
-    /// The stable lane name (matches [`LaneKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// Whether the lane is a deterministic, cheap constructive pass.
-    /// Constructive lanes run inline before the stochastic race and win
-    /// outright when complete (see the module docs' winner rule).
-    fn is_constructive(&self) -> bool {
-        false
-    }
-
-    /// Runs the lane to completion. `lane` is the lane index (tags
-    /// emitted events, like the portfolio chain index it generalizes);
-    /// `seed` is the lane-derived RNG seed — deterministic lanes ignore
-    /// it. Returns a complete mapping or `None`, plus the lane's
-    /// router-work counters.
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        seed: u64,
-        sink: &EventSink,
-        filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats);
-}
-
-/// The annealer as a portfolio lane. Carries the policy factory (fresh
-/// policy per lane — policies may hold per-run state) and runs exactly
-/// the code the homogeneous portfolio always ran, so an all-SA lane set
-/// is byte-identical to the pre-strategy mapper.
-pub struct SaStrategy<F> {
-    make_policy: F,
-    params: SaParams,
-}
-
-impl<F, P> SaStrategy<F>
-where
-    F: Fn(usize) -> P + Sync,
-    P: SaPolicy,
-{
-    /// A lane running the annealer with `params`, constructing its
-    /// policy through `make_policy(lane)`.
-    pub fn new(make_policy: F, params: SaParams) -> Self {
-        SaStrategy {
-            make_policy,
-            params,
-        }
-    }
-}
-
-impl<F, P> SearchStrategy for SaStrategy<F>
-where
-    F: Fn(usize) -> P + Sync,
-    P: SaPolicy,
-{
-    fn name(&self) -> &'static str {
-        "sa"
-    }
-
-    fn run<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-        lane: usize,
-        seed: u64,
-        sink: &EventSink,
-        filter: Option<&dyn MovementScorer>,
-    ) -> (Option<Mapping<'a>>, FilterStats) {
-        let policy = (self.make_policy)(lane);
-        let mut rng = Rng::seed_from_u64(seed);
-        anneal(
-            &policy,
-            &self.params,
-            dfg,
-            acc,
-            ii,
-            &mut rng,
-            lane,
-            sink,
-            filter,
-        )
-    }
-}
-
-/// Races a heterogeneous lane set for one II and returns the winning
-/// mapping under the deterministic winner rule (module docs): complete
-/// constructive lanes win outright in lane order; otherwise the
-/// stochastic lanes are joined and judged by
-/// `(lowest cost, lowest lane index)`. Lane seeds derive from the lane
-/// index via [`chain_seed`], so `parallelism` is wall-clock-only.
+/// Races the lanes of `spec` for one II under the winner rule of the
+/// module docs and returns the winning mapping. Each annealing lane
+/// gets a fresh policy from `make_policy` (policies may hold per-run
+/// state); lane `i` is seeded with `chain_seed(seed, i, ii)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn race_lanes<'a>(
-    lanes: &[&dyn SearchStrategy],
-    parallelism: usize,
+pub(crate) fn race_lanes<'a, P: SaPolicy>(
+    spec: &StrategySpec,
+    make_policy: impl Fn() -> P,
+    params: &SaParams,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,
@@ -301,45 +206,47 @@ pub(crate) fn race_lanes<'a>(
     sink: &EventSink,
     filter: Option<&dyn MovementScorer>,
 ) -> Option<Mapping<'a>> {
-    // Phase A: constructive lanes, inline, in lane order. First complete
-    // result short-circuits the whole race.
-    for (lane, strategy) in lanes.iter().enumerate() {
-        if !strategy.is_constructive() {
-            continue;
-        }
+    let lanes = spec.expand(1);
+    let run_lane = |lane: usize| {
         let lane_seed = chain_seed(seed, lane as u64, ii);
-        let (mapping, _stats) = strategy.run(dfg, acc, ii, lane, lane_seed, sink, filter);
-        if let Some(m) = mapping {
-            if sink.is_active() {
-                sink.emit(PipelineEvent::StrategyLaneWon {
-                    ii,
-                    lane,
-                    strategy: strategy.name(),
-                    cost: mapping_cost(&m),
-                });
-            }
-            return Some(m);
+        let mut stats = FilterStats::default();
+        let mapping = match lanes[lane] {
+            LaneKind::Sa => anneal(
+                &make_policy(),
+                params,
+                dfg,
+                acc,
+                ii,
+                lane_seed,
+                lane,
+                sink,
+                filter,
+                &mut stats,
+            ),
+            LaneKind::Evolutionary => EvolutionaryStrategy::new(params.clone())
+                .run(dfg, acc, ii, lane_seed, filter, &mut stats),
+            LaneKind::Constructive => ConstructiveStrategy.run(dfg, acc, ii, &mut stats),
+        };
+        if sink.is_active() {
+            sink.emit(stats.to_event(lane, ii));
         }
-    }
-
-    // Phase B: stochastic lanes race on the shared work distributor.
-    let stochastic: Vec<usize> = (0..lanes.len())
-        .filter(|&lane| !lanes[lane].is_constructive())
-        .collect();
-    let results = par_map(parallelism, stochastic, |_, lane| {
-        let lane_seed = chain_seed(seed, lane as u64, ii);
-        let (mapping, _stats) = lanes[lane].run(dfg, acc, ii, lane, lane_seed, sink, filter);
         mapping.map(|m| (mapping_cost(&m), lane, m))
-    });
-    let mut best: Option<(f64, usize, Mapping<'a>)> = None;
-    for candidate in results.into_iter().flatten() {
-        match &best {
-            // Strict improvement only: earlier lanes win ties.
-            Some((cost, _, _)) if candidate.0 >= *cost => {}
-            _ => best = Some(candidate),
-        }
-    }
-    best.map(|(cost, lane, m)| {
+    };
+    let is_constructive = |lane: &usize| lanes[*lane] == LaneKind::Constructive;
+
+    // A complete constructive lane wins outright; otherwise every other
+    // lane runs and the cheapest complete mapping wins.
+    let winner = (0..lanes.len())
+        .filter(is_constructive)
+        .find_map(&run_lane)
+        .or_else(|| {
+            (0..lanes.len())
+                .filter(|lane| !is_constructive(lane))
+                .filter_map(&run_lane)
+                // Strict improvement only: earlier lanes win ties.
+                .reduce(|best, next| if next.0 < best.0 { next } else { best })
+        });
+    winner.map(|(cost, lane, m)| {
         if sink.is_active() {
             sink.emit(PipelineEvent::StrategyLaneWon {
                 ii,
@@ -352,54 +259,37 @@ pub(crate) fn race_lanes<'a>(
     })
 }
 
-/// Expands `spec` against the portfolio's chain count, instantiates one
-/// strategy per lane kind, and races them. This is the single entry
-/// point both mappers call; `Homogeneous(Sa)` reproduces the historical
-/// homogeneous annealing portfolio byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec<'a, P, F>(
-    spec: &StrategySpec,
-    make_policy: F,
-    params: &SaParams,
-    portfolio: &PortfolioParams,
-    dfg: &'a Dfg,
-    acc: &'a Accelerator,
-    ii: u32,
-    seed: u64,
-    sink: &EventSink,
-    filter: Option<&dyn MovementScorer>,
-) -> Option<Mapping<'a>>
-where
-    P: SaPolicy,
-    F: Fn(usize) -> P + Sync,
-{
-    let kinds = spec.expand(portfolio.chains.max(1));
-    let sa = SaStrategy::new(make_policy, params.clone());
-    let evolutionary = EvolutionaryStrategy::new(params.clone());
-    let constructive = ConstructiveStrategy::new();
-    let lanes: Vec<&dyn SearchStrategy> = kinds
-        .iter()
-        .map(|kind| match kind {
-            LaneKind::Sa => &sa as &dyn SearchStrategy,
-            LaneKind::Evolutionary => &evolutionary as &dyn SearchStrategy,
-            LaneKind::Constructive => &constructive as &dyn SearchStrategy,
-        })
-        .collect();
-    race_lanes(
-        &lanes,
-        portfolio.parallelism,
-        dfg,
-        acc,
-        ii,
-        seed,
-        sink,
-        filter,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sa::VanillaPolicy;
+    use lisa_events::RecordingObserver;
+    use std::sync::Arc;
+
+    #[test]
+    fn every_lane_reports_its_counters_even_at_an_ii_the_fabric_rejects() {
+        // II 5 is above the fabric's maximum, so no lane can build a
+        // mapping; each still reports a (zero) summary, and nobody wins.
+        let dfg = lisa_dfg::polybench::kernel("doitgen").unwrap();
+        let acc = Accelerator::cgra("2x2", 2, 2).with_max_ii(4);
+        let recorder = Arc::new(RecordingObserver::default());
+        let mapping = race_lanes(
+            &StrategySpec::parse("mixed").unwrap(),
+            || VanillaPolicy,
+            &SaParams::fast(),
+            &dfg,
+            &acc,
+            5,
+            7,
+            &EventSink::new(recorder.clone()),
+            None,
+        );
+        assert!(mapping.is_none());
+        let zero: Vec<PipelineEvent> = (0..MIXED_LANES.len())
+            .map(|lane| FilterStats::default().to_event(lane, 5))
+            .collect();
+        assert_eq!(recorder.take(), zero);
+    }
 
     #[test]
     fn parse_accepts_every_lane_and_the_aliases() {

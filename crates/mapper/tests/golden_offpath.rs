@@ -13,11 +13,10 @@
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, Dfg, OpKind};
-use lisa_events::EventSink;
 use lisa_mapper::exact::{ExactMapper, ExactParams};
 use lisa_mapper::{
-    ConstructiveStrategy, GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaMapper, SaParams,
-    SearchStrategy,
+    ConstructiveStrategy, FilterStats, GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaMapper,
+    SaParams,
 };
 
 /// FNV-1a over every placement and route step, in id order.
@@ -124,9 +123,10 @@ fn constructive_lane_matches_pinned_list_schedule() {
         .into_iter()
         .map(|kernel| {
             let dfg = polybench::kernel(kernel).unwrap();
-            let (m, stats) =
-                ConstructiveStrategy::new().run(&dfg, &acc, 8, 0, 0, &EventSink::null(), None);
-            let m = m.expect("golden case must map");
+            let mut stats = FilterStats::default();
+            let m = ConstructiveStrategy::new()
+                .run(&dfg, &acc, 8, &mut stats)
+                .expect("golden case must map");
             m.verify().unwrap();
             (digest(&m), stats.router_invocations)
         })

@@ -6,7 +6,7 @@
 use lisa::arch::Accelerator;
 use lisa::dfg::{generate_random_dfg, polybench, RandomDfgConfig};
 use lisa::mapper::schedule::{IiMapper, IiSearch};
-use lisa::mapper::{GuidanceLabels, LabelSaMapper, PortfolioParams, SaMapper, SaParams};
+use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaMapper, SaParams, StrategySpec};
 
 /// Two generator runs with the same seed produce byte-identical DFGs
 /// (compared through their full debug rendering, which covers nodes,
@@ -50,16 +50,23 @@ fn sa_mapper_runs_are_byte_identical() {
     }
 }
 
-/// The deterministic portfolio's contract: a 4-chain portfolio produces a
-/// byte-identical mapping whether the chains (and the speculative II
-/// search around them) run on 1 worker or 4. Covered for both annealing
-/// mappers on a polybench kernel, so the whole parallel path — `par_map`,
-/// wave-based II search, chain seeding, winner selection — is pinned.
+/// The deterministic race's contract: four annealing lanes
+/// (`sa,sa,sa,sa`) produce a byte-identical mapping whether the
+/// speculative II search around them runs on 1 worker or 4. Covered for
+/// both annealing mappers on a polybench kernel, so the whole parallel
+/// path — `par_map`, wave-based II search, lane seeding, winner
+/// selection — is pinned. The wall-clock budget is lifted so only the
+/// deterministic schedule can end a lane.
 #[test]
 fn portfolio_is_thread_count_invariant() {
     let dfg = polybench::kernel("doitgen").unwrap();
     let acc = Accelerator::cgra("4x4", 4, 4);
     let search = IiSearch { max_ii: Some(8) };
+    let params = SaParams {
+        time_limit: std::time::Duration::from_secs(3600),
+        ..SaParams::fast()
+    };
+    let four_lanes = StrategySpec::parse("sa,sa,sa,sa").unwrap();
     let render = |outcome: &lisa::mapper::MappingOutcome,
                   mapping: &Option<lisa::mapper::Mapping>| {
         format!(
@@ -68,16 +75,15 @@ fn portfolio_is_thread_count_invariant() {
         )
     };
     let sa_run = |threads: usize| {
-        let mapper = SaMapper::new(SaParams::fast(), 2022)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(threads));
+        let mapper = SaMapper::new(params.clone(), 2022).with_strategy(four_lanes.clone());
         let (outcome, mapping) = search.run(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
     assert_eq!(sa_run(1).as_bytes(), sa_run(4).as_bytes(), "SA diverged");
 
     let lisa_run = |threads: usize| {
-        let mapper = LabelSaMapper::new(GuidanceLabels::initial(&dfg), SaParams::fast(), 2022)
-            .with_portfolio(PortfolioParams::new(4).with_parallelism(threads));
+        let mapper = LabelSaMapper::new(GuidanceLabels::initial(&dfg), params.clone(), 2022)
+            .with_strategy(four_lanes.clone());
         let (outcome, mapping) = search.run(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
