@@ -26,60 +26,16 @@
 //! rejected proposals, desynchronising the RNG stream), not from
 //! mispriced mappings.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lisa_bench::Harness;
 use lisa_dfg::polybench;
-use lisa_events::{EventSink, Observer, PipelineEvent};
+use lisa_events::{EventSink, Observer};
 use lisa_gnn::TrainConfig;
 use lisa_labels::movement::{MovementPredictor, MovementRecorder, MovementSet};
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::{FilterStats, MovementScorer, SaMapper};
-
-/// Sums every `SaFilterSummary` across one run (all IIs, all chains).
-#[derive(Debug, Default)]
-struct Totals(Mutex<FilterStats>);
-
-impl Totals {
-    fn take(&self) -> FilterStats {
-        let mut guard = match self.0.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        std::mem::take(&mut *guard)
-    }
-}
-
-impl Observer for Totals {
-    fn event(&self, event: &PipelineEvent) {
-        if let PipelineEvent::SaFilterSummary {
-            proposals,
-            admitted,
-            rejected,
-            audited,
-            false_rejects,
-            router_invocations,
-            audit_router_invocations,
-            ..
-        } = event
-        {
-            let mut guard = match self.0.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            guard.merge(&FilterStats {
-                proposals: *proposals,
-                admitted: *admitted,
-                rejected: *rejected,
-                audited: *audited,
-                false_rejects: *false_rejects,
-                router_invocations: *router_invocations,
-                audit_router_invocations: *audit_router_invocations,
-            });
-        }
-    }
-}
+use lisa_mapper::{FilterStats, FilterTotals, MovementScorer, SaMapper};
 
 fn main() {
     let arch_key = std::env::args().nth(1).unwrap_or_else(|| "4x4".to_string());
@@ -126,7 +82,7 @@ fn main() {
     // Phase 2: interleaved A/B per benchmark, median of five seeds per
     // arm (the paper's SA methodology, widened to five), seeds disjoint
     // from the capture run.
-    let totals = Arc::new(Totals::default());
+    let totals = Arc::new(FilterTotals::default());
     let sink = EventSink::new(Arc::clone(&totals) as Arc<dyn Observer>);
     println!();
     println!(

@@ -46,19 +46,19 @@
 //! `filter: proposals=... router_invocations=...` line on stdout.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use lisa::arch::Accelerator;
 use lisa::core::{Lisa, LisaConfig, Pipeline, Stage, MODEL_FILE};
 use lisa::dfg::{generate_random_dfg, polybench, unroll::unroll, Dfg, RandomDfgConfig};
-use lisa::events::{EventSink, MultiObserver, Observer, PipelineEvent, StderrObserver};
+use lisa::events::{EventSink, MultiObserver, Observer, StderrObserver};
 use lisa::gnn::TrainConfig;
 use lisa::labels::movement::{parse_movement_set, write_movement_set, MovementPredictor};
 use lisa::labels::MovementRecorder;
 use lisa::mapper::display::render;
 use lisa::mapper::exact::{ExactMapper, ExactParams};
 use lisa::mapper::schedule::IiSearch;
-use lisa::mapper::{FilterStats, SaMapper, SaParams, StrategySpec};
+use lisa::mapper::{FilterTotals, SaMapper, SaParams, StrategySpec};
 
 struct Options {
     kernel: String,
@@ -80,50 +80,6 @@ struct TrainPredictorOptions {
     out: PathBuf,
     epochs: usize,
     seed: u64,
-}
-
-/// Sums every chain's `SaFilterSummary` counters across the whole run
-/// (all IIs, all chains) for the end-of-run summary line.
-#[derive(Debug, Default)]
-struct FilterTotals(Mutex<FilterStats>);
-
-impl FilterTotals {
-    fn snapshot(&self) -> FilterStats {
-        match self.0.lock() {
-            Ok(guard) => *guard,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
-    }
-}
-
-impl Observer for FilterTotals {
-    fn event(&self, event: &PipelineEvent) {
-        if let PipelineEvent::SaFilterSummary {
-            proposals,
-            admitted,
-            rejected,
-            audited,
-            false_rejects,
-            router_invocations,
-            audit_router_invocations,
-            ..
-        } = event
-        {
-            let mut totals = match self.0.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            totals.merge(&FilterStats {
-                proposals: *proposals,
-                admitted: *admitted,
-                rejected: *rejected,
-                audited: *audited,
-                false_rejects: *false_rejects,
-                router_invocations: *router_invocations,
-                audit_router_invocations: *audit_router_invocations,
-            });
-        }
-    }
 }
 
 struct TrainOptions {
@@ -592,7 +548,7 @@ fn main() {
         eprintln!("note: --predictor only gates the annealing mappers (lisa, sa); ignored");
     }
     if opts.strategy != StrategySpec::default() && opts.mapper == "ilp" {
-        eprintln!("note: --strategy only selects portfolio lanes (lisa, sa); ignored");
+        eprintln!("note: --strategy only selects the lanes of lisa and sa; ignored");
     }
 
     let search = IiSearch {
@@ -678,7 +634,7 @@ fn main() {
         }
     }
     if opts.verbose {
-        let t = totals.snapshot();
+        let t = totals.take();
         println!(
             "filter: proposals={} admitted={} rejected={} audited={} false_rejects={} \
              router_invocations={} audit_router_invocations={}",
