@@ -70,23 +70,14 @@ impl Harness {
         self.scale
     }
 
-    /// The six paper architectures by key: `3x3`, `4x4`, `4x4-lr`,
-    /// `4x4-lm`, `8x8`, `systolic`.
+    /// The six paper architectures by key ([`Accelerator::standard`]):
+    /// `3x3`, `4x4`, `4x4-lr`, `4x4-lm`, `8x8`, `systolic`.
     ///
     /// # Panics
     ///
     /// Panics on an unknown key.
     pub fn architecture(key: &str) -> Accelerator {
-        match key {
-            "3x3" => Accelerator::cgra("3x3", 3, 3),
-            "4x4" => Accelerator::cgra("4x4", 4, 4),
-            "4x4-lr" => Accelerator::cgra("4x4-lr", 4, 4).with_regs_per_pe(1),
-            "4x4-lm" => Accelerator::cgra("4x4-lm", 4, 4)
-                .with_memory(lisa_arch::MemoryConnectivity::LeftColumn),
-            "8x8" => Accelerator::cgra("8x8", 8, 8),
-            "systolic" => Accelerator::systolic("systolic-5x5", 5, 5),
-            other => panic!("unknown architecture key {other:?}"),
-        }
+        Accelerator::standard(key).unwrap_or_else(|| panic!("unknown architecture key {key:?}"))
     }
 
     /// Annealer budget for SA and LISA at this scale.
@@ -240,17 +231,7 @@ impl Harness {
     /// Median-of-three vanilla SA ("we run SA three times [...] and use
     /// the median performance", §VI).
     pub fn median_sa(&self, dfg: &Dfg, acc: &Accelerator) -> MappingOutcome {
-        let search = IiSearch {
-            max_ii: Some(self.ii_cap()),
-        };
-        let mut outcomes: Vec<MappingOutcome> = (0..3)
-            .map(|run| {
-                let sa = SaMapper::new(self.sa_params(), self.seed + run * 101);
-                search.run(&sa, dfg, acc, 1).0
-            })
-            .collect();
-        outcomes.sort_by_key(|o| o.ii.unwrap_or(u32::MAX));
-        outcomes.swap_remove(1)
+        self.median_sa_with(dfg, acc, &self.sa_params())
     }
 
     /// Like [`Self::median_sa`] but with explicit parameters (used by the
