@@ -27,11 +27,10 @@ pub struct LisaConfig {
     /// Annealer parameters used at inference time (the final label-aware
     /// mapping of new DFGs).
     pub sa: SaParams,
-    /// Lane mix of the inference-time mapping portfolio. The default
-    /// (`Homogeneous(Sa)`) races homogeneous annealing chains exactly as
-    /// the pre-strategy framework did; `mixed` adds the constructive
-    /// fast path and an evolutionary lane (see
-    /// [`StrategySpec::parse`]).
+    /// Lanes raced for each II of the inference-time mapping. The
+    /// default (`sa`) is the paper's single label-aware annealing chain;
+    /// `sa,sa,sa,sa` races four seeds, and `mixed` adds the constructive
+    /// fast path and an evolutionary lane (see [`StrategySpec::parse`]).
     pub strategy: StrategySpec,
     /// Worker threads for the deterministic parallel stages: fans the
     /// training-data generation out across DFGs, the GNN gradient loop

@@ -113,8 +113,8 @@ impl Lisa {
     }
 
     /// Attaches a predict-then-verify movement filter; every subsequent
-    /// mapping call gates its router with it (all portfolio chains share
-    /// the one immutable scorer). Quality remains exact-by-construction:
+    /// mapping call gates its router with it (all lanes share the one
+    /// immutable scorer). Quality remains exact-by-construction:
     /// the filter only skips routing of rejected proposals, every
     /// accepted state is priced by the exact incremental cost.
     pub fn with_movement_filter(mut self, filter: Arc<dyn MovementScorer>) -> Lisa {
@@ -528,8 +528,8 @@ mod tests {
 
     #[test]
     fn training_is_parallelism_invariant() {
-        // The portfolio's determinism contract at the framework level:
-        // thread count changes wall clock, never the trained model.
+        // The determinism contract at the framework level: thread count
+        // changes wall clock, never the trained model or the mapping.
         let acc = Accelerator::cgra("3x3", 3, 3);
         let sequential = LisaConfig {
             parallelism: 1,

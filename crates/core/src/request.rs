@@ -43,11 +43,11 @@ pub struct MapRequest {
     pub seed: u64,
     /// II-search cap.
     pub max_ii: u32,
-    /// Lane mix of the mapping portfolio. Part of the determinism
-    /// contract (it selects which search trajectories run), so part of
-    /// the key. Documents without a `strategy` line parse as the
-    /// default (`sa`), and `canonical_text` always writes the line, so
-    /// legacy documents share the default's cache key.
+    /// Lanes raced for each II. Part of the determinism contract (it
+    /// selects which search trajectories run), so part of the key.
+    /// Documents without a `strategy` line parse as the default (`sa`),
+    /// and `canonical_text` always writes the line, so legacy documents
+    /// share the default's cache key.
     pub strategy: StrategySpec,
     /// The kernel to map.
     pub dfg: Dfg,

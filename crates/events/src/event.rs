@@ -122,7 +122,7 @@ pub enum PipelineEvent {
     /// Per-temperature snapshot of a simulated-annealing chain (the
     /// replacement for the `LISA_SA_DEBUG` env-var path).
     SaSnapshot {
-        /// Portfolio chain index.
+        /// Lane index in the race.
         chain: usize,
         /// Target II of the annealing run.
         ii: u32,
@@ -143,7 +143,7 @@ pub enum PipelineEvent {
     /// predict-then-verify movement filter. Emitted only when a sink is
     /// listening (building the feature vector is skipped otherwise).
     SaMovementSample {
-        /// Portfolio chain index.
+        /// Lane index in the race.
         chain: usize,
         /// Target II of the annealing run.
         ii: u32,
@@ -152,11 +152,11 @@ pub enum PipelineEvent {
         /// Exact cost delta `new_cost - old_cost` measured after routing.
         delta_cost: f64,
     },
-    /// End-of-chain totals of the movement-filter counters. Emitted once
-    /// per annealing chain, with or without a filter attached, so A/B
-    /// router-work comparisons read from the same stream.
+    /// End-of-lane totals of the movement-filter counters. Emitted once
+    /// per lane of a race, with or without a filter attached, so A/B
+    /// router-work comparisons read every lane from the same stream.
     SaFilterSummary {
-        /// Portfolio chain index.
+        /// Lane index in the race.
         chain: usize,
         /// Target II of the annealing run.
         ii: u32,
@@ -177,12 +177,12 @@ pub enum PipelineEvent {
         /// `route_edge` invocations spent on the audit (measure-only).
         audit_router_invocations: u64,
     },
-    /// The portfolio's winner for one II attempt: which lane produced
+    /// The race's winner for one II attempt: which lane produced
     /// the mapping the deterministic winner rule kept.
     StrategyLaneWon {
         /// Target II of the race.
         ii: u32,
-        /// Winning lane index (generalizes the portfolio chain index).
+        /// Winning lane index.
         lane: usize,
         /// Stable lane name (`sa`, `evolutionary`, `constructive`).
         strategy: &'static str,

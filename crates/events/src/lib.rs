@@ -43,7 +43,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Receives every event a pipeline run produces. Implementations must be
-/// thread-safe: the annealer portfolio and the label generator emit from
+/// thread-safe: the parallel II search and the label generator emit from
 /// worker threads.
 pub trait Observer: Send + Sync {
     /// Handles one event. Called synchronously from the emitting stage;

@@ -11,9 +11,10 @@
 //!   most `queue` more may wait. Beyond that the daemon answers
 //!   `status overloaded` immediately — explicit rejection instead of an
 //!   unbounded queue (the backpressure contract).
-//! * **Portfolio parallelism.** Inside one compute, the existing
-//!   `par_map` portfolio machinery fans out annealing chains across
-//!   `parallelism` threads; thread count never changes the result.
+//! * **II-search waves.** Inside one compute, `Lisa::map_request` runs
+//!   the II search in waves of `parallelism` speculative IIs on
+//!   `par_map` threads; each II's lane race runs on its wave thread, and
+//!   thread count never changes the result.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -41,7 +42,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Requests allowed to wait for a compute slot before overload.
     pub queue: usize,
-    /// Annealing-portfolio threads per computation.
+    /// Width of the II-search waves per computation: the `parallelism`
+    /// passed to `Lisa::map_request`. Never changes the result.
     pub parallelism: usize,
 }
 
