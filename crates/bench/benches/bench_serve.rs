@@ -1,9 +1,12 @@
 //! Benches for the serving daemon: per-tier response cost (memory hit,
-//! disk hit, full compute) and a load-generator replay that reports the
-//! service-level numbers — cache-hit rate, p50/p99 latency, and
-//! mappings/sec — for a mixed trace of repeated and unique requests.
+//! disk hit, full compute), a memory hit over loopback TCP through
+//! `serve_tcp` (on a kept connection and on one connection per request),
+//! and a load-generator replay that reports the service-level numbers —
+//! cache-hit rate, p50/p99 latency, and mappings/sec — for a mixed trace
+//! of repeated and unique requests.
 
 use std::cell::Cell;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,7 +15,8 @@ use lisa_bench::timing::Suite;
 use lisa_core::{Lisa, LisaConfig, MapRequest, ModelRegistry};
 use lisa_dfg::polybench;
 use lisa_events::EventSink;
-use lisa_serve::{ServeConfig, ServeEngine};
+use lisa_serve::protocol::{read_frame, write_frame};
+use lisa_serve::{serve_tcp, ServeConfig, ServeEngine};
 
 fn registry() -> ModelRegistry {
     let acc = Accelerator::standard("4x4").expect("standard catalog has 4x4");
@@ -68,6 +72,14 @@ fn replay(engine: &Arc<ServeEngine>, trace: &[Arc<String>], threads: usize) -> V
     })
 }
 
+/// Sends one frame and returns the daemon's answer.
+fn exchange(conn: &mut TcpStream, payload: &[u8]) -> Vec<u8> {
+    write_frame(conn, payload).expect("loopback send");
+    read_frame(conn)
+        .expect("loopback receive")
+        .expect("daemon answers every frame")
+}
+
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
@@ -112,6 +124,32 @@ fn main() {
     suite.bench("engine/hit_memory", || {
         std::hint::black_box(warm.handle(&req));
     });
+
+    // The same memory hit across the transport: `serve_tcp` on loopback,
+    // once over a kept connection and once with a connection per request,
+    // as `lisa-serve client` makes.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+    let addr = listener.local_addr().expect("bound address");
+    let tcp = Arc::new(engine(import(&model_text), ServeConfig::default()));
+    let _ = tcp.handle(&req);
+    let server = {
+        let tcp = tcp.clone();
+        std::thread::spawn(move || serve_tcp(tcp, listener))
+    };
+    let mut kept = TcpStream::connect(addr).expect("loopback connect");
+    suite.bench("tcp/kept_hit_memory", || {
+        std::hint::black_box(exchange(&mut kept, req.as_bytes()));
+    });
+    suite.bench("tcp/connect_hit_memory", || {
+        let mut conn = TcpStream::connect(addr).expect("loopback connect");
+        std::hint::black_box(exchange(&mut conn, req.as_bytes()));
+    });
+    exchange(&mut kept, b"shutdown");
+    drop(kept);
+    server
+        .join()
+        .expect("accept loop thread")
+        .expect("accept loop");
 
     // Disk-tier hit: memory tier disabled, so every probe reads the
     // response file back (the restarted-daemon steady state).

@@ -68,13 +68,16 @@ const REQUIRED_PIPELINE: &[&str] = &[
     "artifacts/dataset_round_trip_12",
 ];
 
-/// Serve-suite entries every run must produce: per-tier response cost
+/// Serve-suite entries every run must produce: per-tier response cost,
+/// a memory hit over loopback TCP (kept and per-request connections),
 /// and the load-generator replay. (The sustained-load entry is heavy
 /// tier and absent in smoke mode.)
 const REQUIRED_SERVE: &[&str] = &[
     "engine/hit_memory",
     "engine/hit_disk",
     "engine/miss_compute",
+    "tcp/kept_hit_memory",
+    "tcp/connect_hit_memory",
     "load/replay_24",
 ];
 

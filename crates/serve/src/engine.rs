@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use lisa_arch::Accelerator;
-use lisa_core::{MapRequest, ModelRegistry};
+use lisa_core::{Lisa, MapRequest, ModelRegistry};
 use lisa_events::{EventSink, PipelineEvent};
 
 use crate::cache::{CacheTier, ResultCache};
@@ -295,28 +295,34 @@ impl ServeEngine {
             return self.respond(id, started, body, Disposition::Coalesced);
         }
 
-        let (body, disposition) = match self.gate.acquire() {
-            Err(Overloaded) => (Arc::new(render_overloaded()), Disposition::Overloaded),
-            Ok(()) => {
-                self.sink
-                    .emit(PipelineEvent::ServeAnnealStarted { request: id });
-                self.counters.anneals.fetch_add(1, Ordering::Relaxed);
-                let computed = std::panic::catch_unwind(AssertUnwindSafe(|| self.compute(&req)));
-                self.gate.release();
-                match computed.unwrap_or(Err(ServeError::MappingPanicked)) {
-                    Ok(body) => {
-                        let body = Arc::new(body);
-                        // A failed disk write only costs a future
-                        // recompute; the response already exists.
-                        let _ = self.cache.put(key, body.clone());
-                        (body, Disposition::Computed)
+        // A request that cannot run takes no permit and counts no anneal.
+        let (body, disposition) = match self.resolve(&req) {
+            Err(e) => (Arc::new(render_error(&e.to_string())), Disposition::Error),
+            Ok((acc, model)) => match self.gate.acquire() {
+                Err(Overloaded) => (Arc::new(render_overloaded()), Disposition::Overloaded),
+                Ok(()) => {
+                    self.sink
+                        .emit(PipelineEvent::ServeAnnealStarted { request: id });
+                    self.counters.anneals.fetch_add(1, Ordering::Relaxed);
+                    let computed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        self.compute(&req, &acc, &model)
+                    }));
+                    self.gate.release();
+                    match computed.unwrap_or(Err(ServeError::MappingPanicked)) {
+                        Ok(body) => {
+                            let body = Arc::new(body);
+                            // A failed disk write only costs a future
+                            // recompute; the response already exists.
+                            let _ = self.cache.put(key, body.clone());
+                            (body, Disposition::Computed)
+                        }
+                        // Errors are never cached: a model loaded later
+                        // (or a fixed bug) must not be shadowed by a
+                        // cached failure.
+                        Err(e) => (Arc::new(render_error(&e.to_string())), Disposition::Error),
                     }
-                    // Errors are never cached: a model loaded later (or
-                    // a fixed bug) must not be shadowed by a cached
-                    // failure.
-                    Err(e) => (Arc::new(render_error(&e.to_string())), Disposition::Error),
                 }
-            }
+            },
         };
 
         // Publish to followers before answering, then retire the flight.
@@ -326,23 +332,37 @@ impl ServeEngine {
         self.respond(id, started, body, disposition)
     }
 
-    /// The miss path: resolve accelerator and model, run the annealer.
+    /// The accelerator and resident model a miss would map with.
     ///
     /// # Errors
     ///
-    /// Typed [`ServeError`]s for an unknown accelerator, a missing
-    /// model, or an internally inconsistent outcome — the caller answers
-    /// `status error` and keeps serving.
-    fn compute(&self, req: &MapRequest) -> Result<String, ServeError> {
+    /// [`ServeError::UnknownAccelerator`] or [`ServeError::NoModel`] —
+    /// the caller answers `status error` and keeps serving.
+    fn resolve(&self, req: &MapRequest) -> Result<(Accelerator, Arc<Lisa>), ServeError> {
         let acc = Accelerator::standard(&req.accelerator)
             .ok_or_else(|| ServeError::UnknownAccelerator(req.accelerator.clone()))?;
         let model = self
             .registry
             .get(acc.name())
             .ok_or_else(|| ServeError::NoModel(acc.name().to_string()))?;
+        Ok((acc, model))
+    }
+
+    /// The miss path: run the annealer and render its answer.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::MissingIi`] for an internally inconsistent outcome —
+    /// the caller answers `status error` and keeps serving.
+    fn compute(
+        &self,
+        req: &MapRequest,
+        acc: &Accelerator,
+        model: &Lisa,
+    ) -> Result<String, ServeError> {
         let (outcome, mapping) = model.map_request(
             &req.dfg,
-            &acc,
+            acc,
             req.seed,
             req.max_ii,
             &req.strategy,
@@ -508,5 +528,9 @@ mod tests {
         // be shadowed by a cached failure.
         let (_, disposition) = engine.handle(&req.canonical_text());
         assert_eq!(disposition, Disposition::Error);
+        // None of the three reached the annealer.
+        let stats = engine.stats();
+        assert_eq!(stats.anneals, 0);
+        assert_eq!(stats.errors, 3);
     }
 }

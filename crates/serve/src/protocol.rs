@@ -8,6 +8,11 @@
 //! `stats`, or the word `shutdown`; the daemon answers each frame with
 //! exactly one response frame.
 //!
+//! A frame leaves in one write. Written as a 4-byte length and then the
+//! payload, Nagle's algorithm holds the payload on a kept TCP connection
+//! until the peer's delayed ACK of the length arrives, about 43 ms per
+//! exchange on Linux.
+//!
 //! # Response documents
 //!
 //! ```text
@@ -46,7 +51,11 @@ pub const STATS_HEADER: &str = "lisa-serve-stats v1";
 /// Upper bound on a frame payload; larger frames are a protocol error.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`.
+///
+/// The length and the payload go out together: a separate 4-byte write
+/// makes Nagle's algorithm hold the payload until the peer's delayed
+/// ACK, about 43 ms per exchange on a kept Linux TCP connection.
 ///
 /// # Errors
 ///
@@ -56,8 +65,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -167,6 +178,38 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Accepts every byte and records the size of each `write` call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for len in [0, 5, 100 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, [4 + len], "{len}-byte payload");
+            let mut r = io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), payload);
+            assert!(read_frame(&mut r).unwrap().is_none());
+        }
     }
 
     #[test]

@@ -51,19 +51,6 @@ pub fn serve_connection(
     Ok(Served::Eof)
 }
 
-/// Serves one session over arbitrary streams (the stdio transport).
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn serve_stdio(
-    engine: &ServeEngine,
-    r: &mut impl Read,
-    w: &mut impl Write,
-) -> io::Result<Served> {
-    serve_connection(engine, r, w)
-}
-
 /// Accept loop: one thread per connection, all sharing the engine.
 /// Returns when a connection issues `shutdown`.
 ///
@@ -85,12 +72,8 @@ pub fn serve_tcp(engine: Arc<ServeEngine>, listener: TcpListener) -> io::Result<
         let engine = engine.clone();
         let shutdown = shutdown.clone();
         std::thread::spawn(move || {
-            let mut reader = match stream.try_clone() {
-                Ok(r) => r,
-                Err(_) => return,
-            };
-            let mut writer = stream;
-            if let Ok(Served::Shutdown) = serve_connection(&engine, &mut reader, &mut writer) {
+            // `&TcpStream` reads and writes, so one descriptor serves both.
+            if let Ok(Served::Shutdown) = serve_connection(&engine, &mut &stream, &mut &stream) {
                 shutdown.store(true, Ordering::Release);
                 // Unblock the accept loop with a no-op connection.
                 let _ = TcpStream::connect(local);
@@ -123,7 +106,7 @@ mod tests {
             write_frame(&mut input, c.as_bytes()).unwrap();
         }
         let mut output = Vec::new();
-        let served = serve_stdio(&engine(), &mut io::Cursor::new(input), &mut output).unwrap();
+        let served = serve_connection(&engine(), &mut io::Cursor::new(input), &mut output).unwrap();
         let mut frames = Vec::new();
         let mut r = io::Cursor::new(output);
         while let Some(f) = read_frame(&mut r).unwrap() {
@@ -160,7 +143,7 @@ mod tests {
         write_frame(&mut input, b"lisa-request v1\nbut torn").unwrap();
         write_frame(&mut input, b"stats").unwrap();
         let mut output = Vec::new();
-        let served = serve_stdio(&engine(), &mut io::Cursor::new(input), &mut output).unwrap();
+        let served = serve_connection(&engine(), &mut io::Cursor::new(input), &mut output).unwrap();
         assert_eq!(served, Served::Eof);
 
         let mut frames = Vec::new();
@@ -195,5 +178,30 @@ mod tests {
         assert_eq!(read_frame(&mut conn).unwrap().unwrap(), b"ok\n");
         drop(conn);
         server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn kept_connection_exchanges_do_not_wait_for_delayed_acks() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve_tcp(Arc::new(engine()), listener));
+
+        // Nagle stays on, as `lisa-serve client` leaves it.
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            write_frame(&mut conn, b"stats").unwrap();
+            let stats = read_frame(&mut conn).unwrap().unwrap();
+            assert!(stats.starts_with(STATS_HEADER.as_bytes()));
+        }
+        let elapsed = started.elapsed();
+        write_frame(&mut conn, b"shutdown").unwrap();
+        assert_eq!(read_frame(&mut conn).unwrap().unwrap(), b"ok\n");
+        drop(conn);
+        server.join().unwrap().unwrap();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "50 kept-connection exchanges took {elapsed:?}"
+        );
     }
 }

@@ -39,7 +39,7 @@ use lisa::core::{LisaConfig, MapRequest, ModelRegistry};
 use lisa::dfg::{generate_random_dfg, polybench, Dfg, RandomDfgConfig};
 use lisa::events::{EventSink, JsonlObserver, MultiObserver, Observer, StderrObserver};
 use lisa::serve::protocol::{read_frame, response_status, write_frame};
-use lisa::serve::{serve_stdio, serve_tcp, ServeConfig, ServeEngine};
+use lisa::serve::{serve_connection, serve_tcp, ServeConfig, ServeEngine};
 
 struct ServeOptions {
     models: Vec<PathBuf>,
@@ -234,7 +234,8 @@ fn run_serve(opts: ServeOptions) -> Result<(), String> {
     if opts.stdio {
         let mut stdin = std::io::stdin().lock();
         let mut stdout = std::io::stdout().lock();
-        serve_stdio(&engine, &mut stdin, &mut stdout).map_err(|e| format!("stdio session: {e}"))?;
+        serve_connection(&engine, &mut stdin, &mut stdout)
+            .map_err(|e| format!("stdio session: {e}"))?;
         return Ok(());
     }
 
