@@ -427,18 +427,6 @@ impl Accelerator {
             .filter(|&pe| self.supports(pe, op))
             .collect()
     }
-
-    /// The six evaluation architectures of the paper, in Table II order.
-    pub fn paper_suite() -> Vec<Accelerator> {
-        vec![
-            Accelerator::cgra("4x4", 4, 4),
-            Accelerator::cgra("3x3", 3, 3),
-            Accelerator::cgra("4x4-lr", 4, 4).with_regs_per_pe(1),
-            Accelerator::cgra("4x4-lm", 4, 4).with_memory(MemoryConnectivity::LeftColumn),
-            Accelerator::cgra("8x8", 8, 8),
-            Accelerator::systolic("systolic-5x5", 5, 5),
-        ]
-    }
 }
 
 impl fmt::Display for Accelerator {
@@ -652,15 +640,6 @@ mod tests {
                 assert!(s.linked(left, pe), "{left} should link right");
             }
         }
-    }
-
-    #[test]
-    fn paper_suite_has_six_architectures() {
-        let suite = Accelerator::paper_suite();
-        assert_eq!(suite.len(), 6);
-        let names: Vec<&str> = suite.iter().map(|a| a.name()).collect();
-        assert!(names.contains(&"8x8"));
-        assert!(names.contains(&"systolic-5x5"));
     }
 
     #[test]

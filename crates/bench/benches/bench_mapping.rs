@@ -170,22 +170,22 @@ fn main() {
         ));
     });
 
-    // Annealing races: one II search on Fig. 4 per iteration. chains1 is
-    // the single-chain annealer (`sa`); chains4 races four seeds
+    // Annealing races: one II search on Fig. 4 per iteration. lanes1 is
+    // the single-chain annealer (`sa`); lanes4 races four seeds
     // (`sa,sa,sa,sa`) one after another and keeps the best.
     let one_lane = StrategySpec::default();
     let four_lanes = StrategySpec::parse("sa,sa,sa,sa").expect("four SA lanes");
     let two_lanes = StrategySpec::parse("sa,sa").expect("two SA lanes");
-    for (chains, spec) in [(1, &one_lane), (4, &four_lanes)] {
-        suite.bench(&format!("portfolio/fig4_3x3/chains{chains}"), || {
+    for (lanes, spec) in [(1, &one_lane), (4, &four_lanes)] {
+        suite.bench(&format!("race/fig4_3x3/lanes{lanes}"), || {
             let sa = SaMapper::new(SaParams::fast(), 42).with_strategy(spec.clone());
             std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&sa, &fig4, &acc3, 1).0);
         });
     }
 
     // Strategy A/B (same shape as the filter A/B above): arm A races two
-    // SA lanes (`sa,sa`), arm B the mixed heterogeneous lanes
-    // (constructive + SA + evolutionary). The sweep interleaves the
+    // SA lanes (`sa,sa`), arm B the mixed lanes (`constructive,sa`: the
+    // constructive scout, then one annealer). The sweep interleaves the
     // arms per kernel across the fig9 4x4 suite at II 8, so machine drift
     // lands on both arms equally, and counts which lane wins each kernel
     // in arm B from the StrategyLaneWon events. Win counts, mapped
@@ -201,7 +201,7 @@ fn main() {
     let recorder = Arc::new(RecordingObserver::default());
     let sink = EventSink::new(Arc::clone(&recorder) as Arc<dyn Observer>);
     let (mut mapped_sa, mut mapped_mixed) = (0u64, 0u64);
-    let (mut wins_constructive, mut wins_sa, mut wins_evolutionary) = (0u64, 0u64, 0u64);
+    let (mut wins_constructive, mut wins_sa) = (0u64, 0u64);
     for dfg in &fig9 {
         let mut a = SaMapper::new(SaParams::fast(), 7).with_strategy(two_lanes.clone());
         mapped_sa += u64::from(a.map_at_ii(dfg, &acc, 8).is_some());
@@ -213,7 +213,6 @@ fn main() {
             if let PipelineEvent::StrategyLaneWon { strategy, .. } = event {
                 match strategy {
                     "constructive" => wins_constructive += 1,
-                    "evolutionary" => wins_evolutionary += 1,
                     _ => wins_sa += 1,
                 }
             }
@@ -231,11 +230,6 @@ fn main() {
         "kernels",
     );
     suite.metric("strategy/fig9_4x4/wins_sa", wins_sa as f64, "kernels");
-    suite.metric(
-        "strategy/fig9_4x4/wins_evolutionary",
-        wins_evolutionary as f64,
-        "kernels",
-    );
 
     // Router-work comparison at a common II: the constructive lane and a
     // single annealing chain (at the production `paper` schedule) both
@@ -296,8 +290,8 @@ fn main() {
     // The same races at realistic scale: four SA lanes vs. the single
     // chain on a polybench kernel (heavy tier).
     let doitgen = polybench::kernel("doitgen").unwrap();
-    for (chains, spec) in [(1, &one_lane), (4, &four_lanes)] {
-        suite.bench_heavy(&format!("portfolio/doitgen_4x4/chains{chains}"), || {
+    for (lanes, spec) in [(1, &one_lane), (4, &four_lanes)] {
+        suite.bench_heavy(&format!("race/doitgen_4x4/lanes{lanes}"), || {
             let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
             std::hint::black_box(search.run(&sa, &doitgen, &acc, 1).0);
         });

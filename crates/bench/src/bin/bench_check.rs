@@ -15,8 +15,8 @@ use lisa_bench::timing::bench_dir;
 /// (cheap tier).
 const REQUIRED_MAPPING: &[&str] = &[
     "movement/fig4_3x3/journal",
-    "portfolio/fig4_3x3/chains1",
-    "portfolio/fig4_3x3/chains4",
+    "race/fig4_3x3/lanes1",
+    "race/fig4_3x3/lanes4",
     "movement/fig4_16x16/journal",
     "e2e/doitgen_16x16/constructive",
     "movement/fig4_32x32/journal",
@@ -42,7 +42,6 @@ const REQUIRED_MAPPING_METRICS: &[&str] = &[
     "strategy/fig9_4x4/mapped_mixed",
     "strategy/fig9_4x4/wins_constructive",
     "strategy/fig9_4x4/wins_sa",
-    "strategy/fig9_4x4/wins_evolutionary",
     "strategy/doitgen_4x4/constructive_router_invocations",
     "strategy/doitgen_4x4/sa_router_invocations",
 ];

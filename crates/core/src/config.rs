@@ -29,8 +29,9 @@ pub struct LisaConfig {
     pub sa: SaParams,
     /// Lanes raced for each II of the inference-time mapping. The
     /// default (`sa`) is the paper's single label-aware annealing chain;
-    /// `sa,sa,sa,sa` races four seeds, and `mixed` adds the constructive
-    /// fast path and an evolutionary lane (see [`StrategySpec::parse`]).
+    /// `sa,sa,sa,sa` races four seeds, and `mixed` (`constructive,sa`)
+    /// tries the constructive fast path before the chain (see
+    /// [`StrategySpec::parse`]).
     pub strategy: StrategySpec,
     /// Worker threads for the deterministic parallel stages: fans the
     /// training-data generation out across DFGs, the GNN gradient loop

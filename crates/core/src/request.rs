@@ -180,11 +180,6 @@ impl MapRequest {
     pub fn cache_key(&self) -> u64 {
         fnv1a64(self.canonical_text().as_bytes())
     }
-
-    /// Hex form of [`Self::cache_key`], used for on-disk cache filenames.
-    pub fn cache_key_hex(&self) -> String {
-        format!("{:016x}", self.cache_key())
-    }
 }
 
 fn field<'a, I>(lines: &mut I, prefix: &str) -> Result<&'a str, RequestParseError>
@@ -320,15 +315,10 @@ mod tests {
         assert_eq!(parsed, base);
         assert_eq!(parsed.cache_key(), base.cache_key());
         // Alias spellings of the same mix canonicalize to one key.
-        let mut evo = base.clone();
-        evo.strategy = StrategySpec::parse("evo").unwrap();
-        let mut evolutionary = base.clone();
-        evolutionary.strategy = StrategySpec::parse("evolutionary").unwrap();
-        assert_eq!(evo.cache_key(), evolutionary.cache_key());
         let mut mixed = base.clone();
         mixed.strategy = StrategySpec::parse("mixed").unwrap();
         let mut listed = base.clone();
-        listed.strategy = StrategySpec::parse("constructive,sa,evolutionary").unwrap();
+        listed.strategy = StrategySpec::parse("constructive,sa").unwrap();
         assert_eq!(mixed.cache_key(), listed.cache_key());
         assert_ne!(mixed.cache_key(), base.cache_key());
     }

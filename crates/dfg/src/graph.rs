@@ -154,11 +154,6 @@ impl Dfg {
         &self.name
     }
 
-    /// Renames the graph (used by the unroller to tag `_u2` variants).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

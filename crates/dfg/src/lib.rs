@@ -13,8 +13,7 @@
 //! * the synthetic random DFG generator used to build GNN training sets
 //!   ([`random`], paper §V-A),
 //! * hand-constructed DFGs for the 12 PolyBench kernels used in the paper's
-//!   evaluation ([`polybench`]), plus factor-2 loop unrolling ([`unroll`]),
-//! * Graphviz export for debugging ([`dot`]).
+//!   evaluation ([`polybench`]), plus factor-2 loop unrolling ([`unroll`]).
 //!
 //! # Example
 //!
@@ -37,7 +36,6 @@
 //! ```
 
 pub mod analysis;
-pub mod dot;
 mod error;
 mod graph;
 mod op;

@@ -184,7 +184,7 @@ pub enum PipelineEvent {
         ii: u32,
         /// Winning lane index.
         lane: usize,
-        /// Stable lane name (`sa`, `evolutionary`, `constructive`).
+        /// Stable lane name (`sa` or `constructive`).
         strategy: &'static str,
         /// Cost of the winning mapping.
         cost: f64,

@@ -177,84 +177,13 @@ mod tests {
     }
 }
 
-/// Mean absolute error of a prediction set.
-///
-/// Empty inputs return the sentinel 0.0, like [`mse`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mae(predictions: &[f64], truths: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), truths.len(), "length mismatch");
-    if predictions.is_empty() {
-        return 0.0;
-    }
-    predictions
-        .iter()
-        .zip(truths)
-        .map(|(&p, &t)| (p - t).abs())
-        .sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Coefficient of determination R² = 1 − SSE/SST.
-///
-/// Two degenerate cases get documented sentinels instead of NaN:
-/// empty inputs return 0.0 (no evidence of fit), and zero-variance
-/// targets (SST = 0, where R² is undefined) return 1.0 when the
-/// predictions are exact and 0.0 otherwise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn r_squared(predictions: &[f64], truths: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), truths.len(), "length mismatch");
-    if truths.is_empty() {
-        return 0.0;
-    }
-    let mean = truths.iter().sum::<f64>() / truths.len() as f64;
-    let sst: f64 = truths.iter().map(|&t| (t - mean) * (t - mean)).sum();
-    let sse: f64 = predictions
-        .iter()
-        .zip(truths)
-        .map(|(&p, &t)| (p - t) * (p - t))
-        .sum();
-    if sst == 0.0 {
-        return if sse == 0.0 { 1.0 } else { 0.0 };
-    }
-    1.0 - sse / sst
-}
-
 #[cfg(test)]
 mod extended_tests {
     use super::*;
 
     #[test]
-    fn mae_basic() {
-        assert!((mae(&[1.0, 3.0], &[0.0, 1.0]) - 1.5).abs() < 1e-12);
-        assert_eq!(mae(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn r_squared_perfect_and_mean_baseline() {
-        let t = [1.0, 2.0, 3.0, 4.0];
-        assert!((r_squared(&t, &t) - 1.0).abs() < 1e-12);
-        // Predicting the mean everywhere gives R² = 0.
-        let mean_pred = [2.5; 4];
-        assert!(r_squared(&mean_pred, &t).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_degenerate_targets() {
-        assert_eq!(r_squared(&[2.0, 2.0], &[2.0, 2.0]), 1.0);
-        assert_eq!(r_squared(&[1.0, 3.0], &[2.0, 2.0]), 0.0);
-    }
-
-    #[test]
     fn empty_inputs_use_documented_sentinels() {
         assert_eq!(mse(&[], &[]), 0.0);
-        assert_eq!(mae(&[], &[]), 0.0);
-        assert_eq!(r_squared(&[], &[]), 0.0);
         assert!(mse(&[], &[]).is_finite());
     }
 

@@ -13,7 +13,7 @@
 //!   ancestor/descendant and the level/path populations around them.
 
 use lisa_dfg::analysis::{ancestor_sets, asap, descendant_sets, nodes_at_level};
-use lisa_dfg::{same_level, Dfg, DummyEdge, EdgeId, NodeId};
+use lisa_dfg::{same_level, Dfg, DummyEdge, EdgeId};
 
 /// Width of the node-attribute vectors.
 pub const NODE_ATTR_DIM: usize = 6;
@@ -38,7 +38,8 @@ pub const DUMMY_ATTR_DIM: usize = 7;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DfgAttributes {
-    /// Per-node attribute vectors, indexed by [`NodeId::index`].
+    /// Per-node attribute vectors, indexed by
+    /// [`NodeId::index`](lisa_dfg::NodeId::index).
     pub node: Vec<Vec<f64>>,
     /// Per-edge attribute vectors, indexed by [`EdgeId::index`].
     pub edge: Vec<Vec<f64>>,
@@ -187,15 +188,10 @@ fn dummy_edge_attributes(d: &DummyEdge, levels: &[u32]) -> Vec<f64> {
     ]
 }
 
-/// Convenience: the node attribute vector of one node.
-pub fn node_attributes(dfg: &Dfg, node: NodeId) -> Vec<f64> {
-    DfgAttributes::generate(dfg).node[node.index()].clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lisa_dfg::{polybench, OpKind};
+    use lisa_dfg::{polybench, NodeId, OpKind};
 
     fn fig4() -> Dfg {
         let mut g = Dfg::new("fig4");

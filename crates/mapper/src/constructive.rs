@@ -7,17 +7,13 @@
 //! This lane implements that regime check for the lane race. It is the
 //! cheapest lane by orders of magnitude — it invokes the router about
 //! once per edge, where one annealing chain invokes it thousands of
-//! times — so [`crate::strategy`]'s race runs it before any stochastic
-//! lane, and a complete constructive mapping wins the race outright.
-//!
-//! When the one-pass mapping is *incomplete*, the partial result is not
-//! wasted: [`crate::evolutionary::EvolutionaryStrategy`] seeds its first
-//! individual from [`construct`], giving the population an incumbent
-//! bound that a random initial placement rarely matches.
+//! times — so [`crate::strategy`]'s race runs it before the annealing
+//! lanes, and a complete constructive mapping wins the race outright
+//! (`mixed` is `constructive,sa`: the scout, then one annealer).
 //!
 //! The lane is fully deterministic — no RNG is drawn anywhere — so one
-//! lane is all a race ever needs ([`crate::StrategySpec::expand`]
-//! collapses homogeneous constructive specs to a single lane).
+//! constructive lane is all a race needs: a second would repeat the
+//! first's work.
 
 use std::cmp::Reverse;
 
@@ -93,7 +89,7 @@ fn place_pass(m: &mut Mapping<'_>, nodes: &[NodeId], stats: &mut FilterStats) {
 /// sweeps over the problematic set. Returns the (possibly partial)
 /// mapping, or `None` only if `ii` is infeasible for the fabric; router
 /// work accumulates into `stats`. Deterministic for fixed inputs.
-pub(crate) fn construct<'a>(
+fn construct<'a>(
     dfg: &'a Dfg,
     acc: &'a Accelerator,
     ii: u32,

@@ -399,11 +399,6 @@ impl LabelSaMapper {
         self
     }
 
-    /// Replaces the labels (e.g. after a fresh GNN prediction).
-    pub fn set_labels(&mut self, labels: GuidanceLabels) {
-        self.labels = labels;
-    }
-
     /// The active label set.
     pub fn labels(&self) -> &GuidanceLabels {
         &self.labels

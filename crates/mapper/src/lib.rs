@@ -9,9 +9,7 @@
 //! * [`exact`] — an exhaustive branch-and-bound mapper standing in for the
 //!   ILP baseline (see DESIGN.md "Substitutions");
 //! * [`strategy`] — the lane race: [`StrategySpec`] lists the lanes
-//!   (annealing, evolutionary, constructive) raced for each II;
-//! * [`evolutionary`] — a deterministic population mapper with
-//!   journal-transaction crossover;
+//!   (annealing, constructive) raced for each II;
 //! * [`constructive`] — a LOCAL-style low-complexity one-pass list
 //!   scheduler that fast-paths easy kernels and doubles as the
 //!   deterministic list-scheduling baseline (the classic non-stochastic
@@ -46,7 +44,6 @@
 pub mod constructive;
 pub mod display;
 mod error;
-pub mod evolutionary;
 pub mod exact;
 pub mod label_sa;
 mod mapping;
@@ -59,7 +56,6 @@ pub mod strategy;
 
 pub use constructive::ConstructiveStrategy;
 pub use error::MapperError;
-pub use evolutionary::{EvoParams, EvolutionaryStrategy};
 pub use label_sa::{GuidanceLabels, LabelMode, LabelSaMapper};
 pub use mapping::{Mapping, Placement, RouteStep};
 pub use predictor::{FilterStats, FilterTotals, MovementScorer, MOVEMENT_FEATURE_DIM};

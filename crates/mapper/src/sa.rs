@@ -270,10 +270,10 @@ pub(crate) fn place_and_route(
 /// remap set, the unrouted-edge worklist, candidate slots); owning them
 /// here turns five-plus heap allocations per movement into none.
 #[derive(Debug, Default)]
-pub(crate) struct MoveBuffers {
+struct MoveBuffers {
     problematic: Vec<NodeId>,
     victims: Vec<NodeId>,
-    pub(crate) nodes: Vec<NodeId>,
+    nodes: Vec<NodeId>,
     edges: Vec<EdgeId>,
     candidates: Vec<(PeId, u32)>,
     /// Victims' pre-movement placements (for the displacement feature).
@@ -284,7 +284,7 @@ pub(crate) struct MoveBuffers {
 
 /// What the movement loop decided before the accept test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MovementVerdict {
+enum MovementVerdict {
     /// Routed and ready for exact pricing (always, with no filter).
     Admitted,
     /// Predictor-rejected before routing; the caller rolls back without
@@ -465,7 +465,7 @@ pub(crate) fn anneal<'a, P: SaPolicy>(
 /// after placement and before routing, and consumes no RNG, so the
 /// filter-off RNG stream is bit-identical to the pre-filter annealer.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn movement<P: SaPolicy>(
+fn movement<P: SaPolicy>(
     policy: &P,
     mapping: &mut Mapping<'_>,
     params: &SaParams,
@@ -552,7 +552,7 @@ pub(crate) fn movement<P: SaPolicy>(
 
 /// Places the nodes in `bufs.nodes` in policy order, consulting the
 /// policy for each slot. The caller fills `bufs.nodes`.
-pub(crate) fn place_nodes<P: SaPolicy>(
+fn place_nodes<P: SaPolicy>(
     policy: &P,
     mapping: &mut Mapping<'_>,
     bufs: &mut MoveBuffers,
@@ -578,11 +578,7 @@ pub(crate) fn place_nodes<P: SaPolicy>(
 /// policy order. Failures are left unrouted for the cost function.
 /// Returns the number of `route_edge` invocations — the unit of router
 /// work the movement filter exists to save.
-pub(crate) fn route_all<P: SaPolicy>(
-    policy: &P,
-    mapping: &mut Mapping<'_>,
-    bufs: &mut MoveBuffers,
-) -> u64 {
+fn route_all<P: SaPolicy>(policy: &P, mapping: &mut Mapping<'_>, bufs: &mut MoveBuffers) -> u64 {
     mapping.unrouted_edges_into(&mut bufs.edges);
     policy.order_edges(mapping, &mut bufs.edges);
     let mut invocations = 0;

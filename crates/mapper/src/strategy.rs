@@ -2,19 +2,14 @@
 //!
 //! A [`StrategySpec`] is the one description of a race: its lane list
 //! says which algorithm runs in each lane (`sa,sa,sa,sa` is four
-//! independently seeded annealers; `mixed` is one lane of each kind).
-//! Every lane runs over the shared substrate — [`Mapping`] (placement +
+//! independently seeded annealers; `mixed` is `constructive,sa`). Every
+//! lane runs over the shared substrate — [`Mapping`] (placement +
 //! routing with the transaction journal), the Dijkstra router, the
-//! `lisa-events` sink, and the optional movement filter. Three lane
-//! kinds exist:
+//! `lisa-events` sink, and the optional movement filter. Two lane kinds
+//! exist:
 //!
 //! * [`LaneKind::Sa`] — the annealer ([`crate::sa`]); a one-lane `sa`
 //!   race is the paper's single annealing chain;
-//! * [`LaneKind::Evolutionary`] —
-//!   [`crate::evolutionary::EvolutionaryStrategy`], a deterministic
-//!   population mapper whose crossover exchanges placement regions via
-//!   the transaction journal and whose mutation reuses the annealer's
-//!   movement generator;
 //! * [`LaneKind::Constructive`] —
 //!   [`crate::constructive::ConstructiveStrategy`], a LOCAL-style
 //!   low-complexity one-pass mapper that often finishes easy kernels
@@ -22,8 +17,8 @@
 //!
 //! **Winner rule.** Lanes run one after another on the calling thread.
 //! Constructive lanes run first, in lane-index order: they are
-//! deterministic and orders of magnitude cheaper than a stochastic lane,
-//! so a complete constructive mapping wins outright. The remaining lanes
+//! deterministic and orders of magnitude cheaper than an annealing lane,
+//! so a complete constructive mapping wins outright. The annealing lanes
 //! then run in lane-index order, and the winner is the lowest-cost
 //! complete mapping, ties broken by lane index. Lane seeds derive from
 //! the lane *index* via [`chain_seed`], so the outcome is a pure
@@ -42,7 +37,6 @@ use lisa_dfg::Dfg;
 use lisa_events::{EventSink, PipelineEvent};
 
 use crate::constructive::ConstructiveStrategy;
-use crate::evolutionary::EvolutionaryStrategy;
 use crate::portfolio::chain_seed;
 use crate::predictor::{FilterStats, MovementScorer};
 use crate::sa::{anneal, mapping_cost, SaParams, SaPolicy};
@@ -53,8 +47,6 @@ use crate::Mapping;
 pub enum LaneKind {
     /// Simulated annealing.
     Sa,
-    /// Deterministic population search with journal crossover.
-    Evolutionary,
     /// LOCAL-style one-pass constructive mapping.
     Constructive,
 }
@@ -64,7 +56,6 @@ impl LaneKind {
     pub fn name(self) -> &'static str {
         match self {
             LaneKind::Sa => "sa",
-            LaneKind::Evolutionary => "evolutionary",
             LaneKind::Constructive => "constructive",
         }
     }
@@ -72,54 +63,46 @@ impl LaneKind {
     fn parse_one(name: &str) -> Option<LaneKind> {
         match name {
             "sa" => Some(LaneKind::Sa),
-            "evolutionary" | "evo" => Some(LaneKind::Evolutionary),
             "constructive" => Some(LaneKind::Constructive),
             _ => None,
         }
     }
 }
 
-/// The lane mix of the `mixed` strategy alias: a constructive scout, the
-/// annealer, and the evolutionary lane.
-pub const MIXED_LANES: [LaneKind; 3] =
-    [LaneKind::Constructive, LaneKind::Sa, LaneKind::Evolutionary];
+/// The lane mix of the `mixed` strategy alias: a constructive scout,
+/// then the annealer.
+pub const MIXED_LANES: [LaneKind; 2] = [LaneKind::Constructive, LaneKind::Sa];
 
-/// Which lanes race for each II attempt.
+/// Which lanes race for each II attempt: a non-empty lane list, raced
+/// under the winner rule of the module docs.
 ///
 /// Parsed from `lisa-map --strategy`, the `strategy` field of a
 /// `lisa-request v1` document, and [`Display`](fmt::Display)ed back in
 /// canonical form (`parse` ∘ `to_string` is the identity on parsed
 /// specs, which is what the serve cache key relies on).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StrategySpec {
-    /// One lane of one kind. `Homogeneous(Sa)`, the default, is the
-    /// paper's single annealing chain.
-    Homogeneous(LaneKind),
-    /// An explicit lane list, raced in index order; `sa,sa,sa,sa` races
-    /// four independently seeded annealers.
-    Lanes(Vec<LaneKind>),
+pub struct StrategySpec {
+    lanes: Vec<LaneKind>,
 }
 
 impl Default for StrategySpec {
+    /// One annealing lane: the paper's single annealing chain.
     fn default() -> Self {
-        StrategySpec::Homogeneous(LaneKind::Sa)
+        StrategySpec {
+            lanes: vec![LaneKind::Sa],
+        }
     }
 }
 
 impl fmt::Display for StrategySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StrategySpec::Homogeneous(kind) => f.write_str(kind.name()),
-            StrategySpec::Lanes(lanes) => {
-                for (i, lane) in lanes.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    f.write_str(lane.name())?;
-                }
-                Ok(())
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
             }
+            f.write_str(lane.name())?;
         }
+        Ok(())
     }
 }
 
@@ -133,8 +116,8 @@ impl fmt::Display for ParseStrategyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown strategy `{}` (expected sa, evolutionary, constructive, \
-             mixed, or a comma-separated lane list)",
+            "unknown strategy `{}` (expected sa, constructive, mixed, or a \
+             comma-separated lane list)",
             self.spec
         )
     }
@@ -143,11 +126,9 @@ impl fmt::Display for ParseStrategyError {
 impl std::error::Error for ParseStrategyError {}
 
 impl StrategySpec {
-    /// Parses a strategy spec: a single lane name (`sa`, `evolutionary`
-    /// / `evo`, `constructive`), the `mixed` alias
-    /// (constructive,sa,evolutionary), or a comma-separated lane list.
-    /// A one-element list normalizes to [`StrategySpec::Homogeneous`],
-    /// so distinct spellings of the same mix canonicalize to one value.
+    /// Parses a strategy spec: the `mixed` alias (`constructive,sa`) or
+    /// a comma-separated list of lane names (`sa`, `constructive`), one
+    /// lane per name.
     ///
     /// # Errors
     ///
@@ -155,38 +136,24 @@ impl StrategySpec {
     pub fn parse(spec: &str) -> Result<StrategySpec, ParseStrategyError> {
         let trimmed = spec.trim();
         if trimmed == "mixed" {
-            return Ok(StrategySpec::Lanes(MIXED_LANES.to_vec()));
+            return Ok(StrategySpec {
+                lanes: MIXED_LANES.to_vec(),
+            });
         }
-        let mut lanes = Vec::new();
-        for part in trimmed.split(',') {
-            match LaneKind::parse_one(part.trim()) {
-                Some(kind) => lanes.push(kind),
-                None => {
-                    return Err(ParseStrategyError {
-                        spec: spec.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(if lanes.len() == 1 {
-            StrategySpec::Homogeneous(lanes[0])
-        } else {
-            StrategySpec::Lanes(lanes)
-        })
+        trimmed
+            .split(',')
+            .map(|part| LaneKind::parse_one(part.trim()))
+            .collect::<Option<Vec<_>>>()
+            .map(|lanes| StrategySpec { lanes })
+            .ok_or_else(|| ParseStrategyError {
+                spec: spec.to_string(),
+            })
     }
 
-    /// The concrete lane list, with a homogeneous kind replicated
-    /// `chains` times — except `Homogeneous(Constructive)`, which yields
-    /// one lane: the constructive mapper is deterministic, so duplicate
-    /// lanes would be identical work. Explicit lane lists are returned
-    /// as written. The mappers race `expand(1)`; N annealers are the
-    /// lane list `sa,…,sa`, not a larger `chains`.
-    pub fn expand(&self, chains: usize) -> Vec<LaneKind> {
-        match self {
-            StrategySpec::Homogeneous(LaneKind::Constructive) => vec![LaneKind::Constructive],
-            StrategySpec::Homogeneous(kind) => vec![*kind; chains.max(1)],
-            StrategySpec::Lanes(lanes) => lanes.clone(),
-        }
+    /// The lane list, in lane-index order. `_chains` is ignored: the
+    /// list says how many lanes run (N annealers are `sa,…,sa`).
+    pub fn expand(&self, _chains: usize) -> Vec<LaneKind> {
+        self.lanes.clone()
     }
 }
 
@@ -206,9 +173,8 @@ pub(crate) fn race_lanes<'a, P: SaPolicy>(
     sink: &EventSink,
     filter: Option<&dyn MovementScorer>,
 ) -> Option<Mapping<'a>> {
-    let lanes = spec.expand(1);
+    let lanes = &spec.lanes;
     let run_lane = |lane: usize| {
-        let lane_seed = chain_seed(seed, lane as u64, ii);
         let mut stats = FilterStats::default();
         let mapping = match lanes[lane] {
             LaneKind::Sa => anneal(
@@ -217,14 +183,12 @@ pub(crate) fn race_lanes<'a, P: SaPolicy>(
                 dfg,
                 acc,
                 ii,
-                lane_seed,
+                chain_seed(seed, lane as u64, ii),
                 lane,
                 sink,
                 filter,
                 &mut stats,
             ),
-            LaneKind::Evolutionary => EvolutionaryStrategy::new(params.clone())
-                .run(dfg, acc, ii, lane_seed, filter, &mut stats),
             LaneKind::Constructive => ConstructiveStrategy.run(dfg, acc, ii, &mut stats),
         };
         if sink.is_active() {
@@ -234,8 +198,8 @@ pub(crate) fn race_lanes<'a, P: SaPolicy>(
     };
     let is_constructive = |lane: &usize| lanes[*lane] == LaneKind::Constructive;
 
-    // A complete constructive lane wins outright; otherwise every other
-    // lane runs and the cheapest complete mapping wins.
+    // A complete constructive lane wins outright; otherwise every
+    // annealing lane runs and the cheapest complete mapping wins.
     let winner = (0..lanes.len())
         .filter(is_constructive)
         .find_map(&run_lane)
@@ -266,6 +230,10 @@ mod tests {
     use lisa_events::RecordingObserver;
     use std::sync::Arc;
 
+    fn lanes(spec: &str) -> Vec<LaneKind> {
+        StrategySpec::parse(spec).unwrap().lanes
+    }
+
     #[test]
     fn every_lane_reports_its_counters_even_at_an_ii_the_fabric_rejects() {
         // II 5 is above the fabric's maximum, so no lane can build a
@@ -293,39 +261,25 @@ mod tests {
 
     #[test]
     fn parse_accepts_every_lane_and_the_aliases() {
-        assert_eq!(
-            StrategySpec::parse("sa").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Sa)
-        );
-        assert_eq!(
-            StrategySpec::parse("evolutionary").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Evolutionary)
-        );
-        assert_eq!(
-            StrategySpec::parse("evo").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Evolutionary)
-        );
-        assert_eq!(
-            StrategySpec::parse("constructive").unwrap(),
-            StrategySpec::Homogeneous(LaneKind::Constructive)
-        );
-        assert_eq!(
-            StrategySpec::parse("mixed").unwrap(),
-            StrategySpec::Lanes(MIXED_LANES.to_vec())
-        );
-        assert_eq!(
-            StrategySpec::parse("constructive, sa ,evo").unwrap(),
-            StrategySpec::Lanes(vec![
-                LaneKind::Constructive,
-                LaneKind::Sa,
-                LaneKind::Evolutionary
-            ])
-        );
+        use LaneKind::{Constructive, Sa};
+        assert_eq!(lanes("sa"), [Sa]);
+        assert_eq!(lanes("constructive"), [Constructive]);
+        assert_eq!(lanes("mixed"), MIXED_LANES);
+        assert_eq!(lanes("constructive, sa ,sa"), [Constructive, Sa, Sa]);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in ["", "annealing", "sa;evo", "sa,,evo", "mixed,sa"] {
+        for bad in [
+            "",
+            "annealing",
+            "sa;sa",
+            "sa,,sa",
+            "mixed,sa",
+            "evolutionary",
+            "evo",
+            "constructive,sa,evolutionary",
+        ] {
             assert!(StrategySpec::parse(bad).is_err(), "accepted `{bad}`");
         }
         let err = StrategySpec::parse("warp-drive").unwrap_err();
@@ -336,10 +290,9 @@ mod tests {
     fn display_is_canonical_and_round_trips() {
         for spec in [
             "sa",
-            "evolutionary",
             "constructive",
             "mixed",
-            "sa,evolutionary",
+            "sa,sa",
             "constructive,constructive,sa",
         ] {
             let parsed = StrategySpec::parse(spec).unwrap();
@@ -355,17 +308,13 @@ mod tests {
                 canonical
             );
         }
-        // Alias spellings collapse to one canonical text (one cache key).
+        // The alias and its lane list share one canonical text (one
+        // cache key).
         assert_eq!(
             StrategySpec::parse("mixed").unwrap().to_string(),
-            "constructive,sa,evolutionary"
+            "constructive,sa"
         );
-        assert_eq!(
-            StrategySpec::parse("evo").unwrap().to_string(),
-            "evolutionary"
-        );
-        // A one-element list is the homogeneous spec.
-        assert_eq!(StrategySpec::parse("sa,").is_err(), true);
+        assert!(StrategySpec::parse("sa,").is_err());
         assert_eq!(
             StrategySpec::parse(" sa ").unwrap().to_string(),
             StrategySpec::default().to_string()
@@ -373,23 +322,13 @@ mod tests {
     }
 
     #[test]
-    fn expand_replicates_homogeneous_and_keeps_lane_lists() {
-        assert_eq!(
-            StrategySpec::Homogeneous(LaneKind::Sa).expand(3),
-            vec![LaneKind::Sa; 3]
-        );
-        assert_eq!(
-            StrategySpec::Homogeneous(LaneKind::Evolutionary).expand(2),
-            vec![LaneKind::Evolutionary; 2]
-        );
-        // Deterministic lane: duplicates would be identical work.
-        assert_eq!(
-            StrategySpec::Homogeneous(LaneKind::Constructive).expand(4),
-            vec![LaneKind::Constructive]
-        );
-        let lanes = vec![LaneKind::Constructive, LaneKind::Sa];
-        assert_eq!(StrategySpec::Lanes(lanes.clone()).expand(7), lanes);
-        // Chain floor of 1.
-        assert_eq!(StrategySpec::default().expand(0), vec![LaneKind::Sa]);
+    fn expand_returns_the_lane_list_whatever_chains_says() {
+        for spec in ["sa", "constructive", "mixed", "sa,sa,constructive"] {
+            let parsed = StrategySpec::parse(spec).unwrap();
+            for chains in [0, 1, 4] {
+                assert_eq!(parsed.expand(chains), lanes(spec), "`{spec}` x{chains}");
+            }
+        }
+        assert_eq!(StrategySpec::default().expand(3), [LaneKind::Sa]);
     }
 }

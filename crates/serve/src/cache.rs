@@ -136,11 +136,6 @@ impl ResultCache {
         Ok(())
     }
 
-    /// Whether a disk tier is configured.
-    pub fn has_disk_tier(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// Number of entries resident in the memory tier.
     pub fn memory_len(&self) -> usize {
         lock_unpoisoned(&self.memory).entries.len()

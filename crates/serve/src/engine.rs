@@ -494,7 +494,25 @@ mod tests {
         let (body, disposition) = engine.handle("not a request");
         assert_eq!(disposition, Disposition::Error);
         assert!(body.contains("status error"));
-        assert_eq!(engine.stats().errors, 1);
+        // A well-formed document naming a lane kind that does not exist
+        // fails at the strategy parse, before any accelerator or model
+        // lookup.
+        let request = MapRequest {
+            accelerator: "4x4".to_string(),
+            seed: 1,
+            max_ii: 4,
+            strategy: Default::default(),
+            dfg: lisa_dfg::polybench::kernel("gemm").unwrap(),
+        }
+        .canonical_text()
+        .replace("strategy sa\n", "strategy evolutionary\n");
+        let (body, disposition) = engine.handle(&request);
+        assert_eq!(disposition, Disposition::Error);
+        assert!(
+            body.contains("status error\nreason bad request: strategy field: unknown strategy"),
+            "body was {body}"
+        );
+        assert_eq!(engine.stats().errors, 2);
         assert_eq!(engine.stats().anneals, 0, "errors never reach the annealer");
     }
 

@@ -184,7 +184,7 @@ fn strategy_selection_separates_keys_and_hits_across_tiers_and_restarts() {
     // computation, not two).
     assert_eq!(
         MapRequest::parse(&mixed).unwrap().cache_key(),
-        MapRequest::parse(&gemm_request_with_strategy("constructive,sa,evolutionary"))
+        MapRequest::parse(&gemm_request_with_strategy("constructive,sa"))
             .unwrap()
             .cache_key()
     );

@@ -48,14 +48,14 @@ echo "verify: 16x16 fabric maps end-to-end on the distance oracle"
 
 # Strategy-lane smoke: the constructive lane alone must land a verified
 # mapping of doitgen on the 4x4 (it is deterministic and orders of
-# magnitude cheaper than annealing), and the mixed heterogeneous
-# portfolio (constructive + sa + evolutionary) must map as well.
-# lisa-map exits nonzero if the mapping fails to verify.
+# magnitude cheaper than annealing), and the mixed race (constructive,
+# then sa) must map as well. lisa-map exits nonzero if the mapping fails
+# to verify.
 cargo run -q --release --offline --bin lisa-map -- \
     doitgen --arch 4x4 --mapper sa --strategy constructive --max-ii 8 --seed 7
 cargo run -q --release --offline --bin lisa-map -- \
     doitgen --arch 4x4 --mapper sa --strategy mixed --max-ii 8 --seed 7
-echo "verify: constructive lane and mixed portfolio map doitgen on the 4x4"
+echo "verify: constructive lane and mixed race map doitgen on the 4x4"
 
 # Predict-then-verify smoke: close the capture -> train -> gate loop.
 # The capture run (its own seed, mirroring filter_ab: the predictor

@@ -4,7 +4,7 @@
 //! ```text
 //! lisa-map <kernel> [--arch <key>] [--mapper lisa|sa|ilp]
 //!          [--model <path>] [--unroll <k>] [--max-ii <n>] [--seed <n>]
-//!          [--strategy sa|evolutionary|constructive|mixed|<lane,lane,...>]
+//!          [--strategy sa|constructive|mixed|<lane,lane,...>]
 //!          [--predictor <path>|off] [--capture-movements <path>]
 //!          [--verbose] [--show]
 //!
@@ -275,7 +275,7 @@ fn usage() -> String {
     "usage: lisa-map <kernel|core:<kernel>|rand:<seed>> \
      [--arch 3x3|4x4|4x4-lr|4x4-lm|8x8|systolic|<RxC>] \
      [--mapper lisa|sa|ilp] [--model path] [--unroll k] [--max-ii n] [--seed n] \
-     [--strategy sa|evolutionary|constructive|mixed|lane,lane,...] \
+     [--strategy sa|constructive|mixed|lane,lane,...] \
      [--predictor path|off] [--capture-movements path] [--verbose] [--show]\n\
      \x20      lisa-map train --help             for offline label training\n\
      \x20      lisa-map train-predictor --help   for movement-predictor training"

@@ -68,7 +68,7 @@ fn usage() -> String {
      [--port-file path] [--cache-dir dir] [--cache-mem n] [--workers n] [--queue n] \
      [--parallelism n] [--events path] [--verbose]\n\
      \x20      lisa-serve client [--connect addr] [--kernel spec] [--arch key] [--seed n] \
-     [--max-ii n] [--strategy sa|evolutionary|constructive|mixed|lane,lane,...] \
+     [--max-ii n] [--strategy sa|constructive|mixed|lane,lane,...] \
      [--stats] [--shutdown]"
         .to_string()
 }

@@ -58,7 +58,7 @@ fn sa_mapper_runs_are_byte_identical() {
 /// selection — is pinned. The wall-clock budget is lifted so only the
 /// deterministic schedule can end a lane.
 #[test]
-fn portfolio_is_thread_count_invariant() {
+fn four_lane_race_is_thread_count_invariant() {
     let dfg = polybench::kernel("doitgen").unwrap();
     let acc = Accelerator::cgra("4x4", 4, 4);
     let search = IiSearch { max_ii: Some(8) };
