@@ -134,7 +134,6 @@ impl Harness {
                         ..SaParams::paper()
                     },
                     max_ii: Some(12),
-                    parallelism: 1,
                     seed: self.seed,
                 },
                 // The quick scale cannot afford paper-strength annealing in

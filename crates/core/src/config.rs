@@ -33,13 +33,11 @@ pub struct LisaConfig {
     /// tries the constructive fast path before the chain (see
     /// [`StrategySpec::parse`]).
     pub strategy: StrategySpec,
-    /// Worker threads for the deterministic parallel stages: fans the
-    /// training-data generation out across DFGs, the GNN gradient loop
-    /// out across micro-batches ([`TrainConfig::parallelism`] is set
-    /// from this in `Lisa::train_for`), and the inference-time II search
-    /// out across speculative IIs. Results are byte-identical for every
-    /// value; `1` executes exactly the historical sequential code path.
-    /// Defaults to the machine's available parallelism.
+    /// The pipeline's one worker budget: label generation runs on up to
+    /// this many DFGs at once, and the inference-time II search tries
+    /// this many speculative IIs per wave. GNN training runs on the
+    /// calling thread whatever the value. Results are byte-identical for
+    /// every value. Defaults to the machine's available parallelism.
     pub parallelism: usize,
     /// Master seed; all stages derive their seeds from it.
     pub seed: u64,

@@ -528,8 +528,9 @@ mod tests {
 
     #[test]
     fn training_is_parallelism_invariant() {
-        // The determinism contract at the framework level: thread count
-        // changes wall clock, never the trained model or the mapping.
+        // The determinism contract at the framework level: the worker
+        // budget spreads label generation across DFGs and changes wall
+        // clock, never the trained model or the mapping.
         let acc = Accelerator::cgra("3x3", 3, 3);
         let sequential = LisaConfig {
             parallelism: 1,
@@ -541,6 +542,7 @@ mod tests {
         };
         let a = Lisa::train_for(&acc, &sequential).unwrap();
         let b = Lisa::train_for(&acc, &parallel).unwrap();
+        assert_eq!(a.export_model(), b.export_model());
         let dfg = polybench::kernel("doitgen").unwrap();
         assert_eq!(a.predict_labels(&dfg), b.predict_labels(&dfg));
         let (oa, _) = a.map_capped(&dfg, &acc, 8);

@@ -469,14 +469,10 @@ impl<'a> Pipeline<'a> {
         })
     }
 
-    /// Stage 4: the four label networks (§IV-B, §VI-B). The framework's
-    /// worker budget also drives the deterministic parallel gradient loop
-    /// inside each network (bit-identical for any value).
+    /// Stage 4: the four label networks (§IV-B, §VI-B), trained one after
+    /// another on the calling thread.
     fn train_nets(&self, train_set: &TrainingSet) -> TrainedNets {
-        let train_cfg = lisa_gnn::TrainConfig {
-            parallelism: self.config.parallelism.max(1),
-            ..self.config.train
-        };
+        let train_cfg = &self.config.train;
         let seed = self.config.seed;
         let mut schedule_net = ScheduleOrderNet::new(NODE_ATTR_DIM, seed ^ 0x1);
         let mut same_level_net = EdgeMlp::new(DUMMY_ATTR_DIM, seed ^ 0x2);
@@ -485,19 +481,19 @@ impl<'a> Pipeline<'a> {
 
         let r1 = schedule_net.train_observed(
             &train_set.node_graphs,
-            &train_cfg,
+            train_cfg,
             "schedule_order",
             &self.sink,
         );
         let r2 = same_level_net.train_observed(
             &train_set.same_level,
-            &train_cfg,
+            train_cfg,
             "same_level",
             &self.sink,
         );
-        let r3 = spatial_net.train_observed(&train_set.spatial, &train_cfg, "spatial", &self.sink);
+        let r3 = spatial_net.train_observed(&train_set.spatial, train_cfg, "spatial", &self.sink);
         let r4 =
-            temporal_net.train_observed(&train_set.temporal, &train_cfg, "temporal", &self.sink);
+            temporal_net.train_observed(&train_set.temporal, train_cfg, "temporal", &self.sink);
 
         TrainedNets {
             schedule_net,

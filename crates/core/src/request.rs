@@ -18,11 +18,12 @@
 //! end dfg
 //! ```
 //!
-//! The cache key is the FNV-1a 64-bit hash of the canonical text. The
-//! mapper itself is a deterministic pure function of
-//! `(dfg, accelerator, config, seed)`, which is what makes
-//! content-addressed response caching sound: equal keys imply
-//! byte-identical responses.
+//! [`MapRequest::cache_key`] is the FNV-1a 64-bit hash of the canonical
+//! text. The mapper itself is a deterministic pure function of
+//! `(dfg, accelerator, model, seed)`, which is what makes
+//! content-addressed response caching sound; the serving daemon's key
+//! therefore also hashes the resident model's digest and a mapper-format
+//! version, so equal keys imply byte-identical responses.
 
 use std::fmt;
 
@@ -176,7 +177,8 @@ impl MapRequest {
         })
     }
 
-    /// The content-addressed cache key: FNV-1a 64 over the canonical text.
+    /// FNV-1a 64 over the canonical text: the request's share of a
+    /// content-addressed cache key.
     pub fn cache_key(&self) -> u64 {
         fnv1a64(self.canonical_text().as_bytes())
     }

@@ -55,6 +55,8 @@ pub enum DfgError {
     },
     /// The graph is empty where a non-empty graph is required.
     Empty,
+    /// A kernel lookup named no kernel of the catalog.
+    UnknownKernel(String),
 }
 
 impl fmt::Display for DfgError {
@@ -92,6 +94,7 @@ impl fmt::Display for DfgError {
                 node.index()
             ),
             DfgError::Empty => write!(f, "graph is empty"),
+            DfgError::UnknownKernel(name) => write!(f, "unknown PolyBench kernel {name:?}"),
         }
     }
 }

@@ -34,12 +34,9 @@ pub const UNROLLED_8X8_NAMES: [&str; 8] = [
 ///
 /// # Errors
 ///
-/// Returns [`DfgError`] only if an internal construction bug violates the
+/// [`DfgError::UnknownKernel`] for a name outside [`KERNEL_NAMES`]; any
+/// other [`DfgError`] only if an internal construction bug violates the
 /// graph invariants (never in practice; covered by tests).
-///
-/// # Panics
-///
-/// Panics on an unknown kernel name.
 pub fn kernel(name: &str) -> Result<Dfg, DfgError> {
     let g = match name {
         "atax" => atax(),
@@ -54,7 +51,7 @@ pub fn kernel(name: &str) -> Result<Dfg, DfgError> {
         "doitgen" => doitgen(),
         "2mm" => mm2(),
         "3mm" => mm3(),
-        other => panic!("unknown PolyBench kernel {other:?}"),
+        other => return Err(DfgError::UnknownKernel(other.to_string())),
     }?;
     g.validate()?;
     Ok(g)
@@ -509,9 +506,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown PolyBench kernel")]
-    fn unknown_kernel_panics() {
-        let _ = kernel("nosuch");
+    fn unknown_kernel_is_a_typed_error() {
+        let unknown = Err(DfgError::UnknownKernel("nosuch".to_string()));
+        assert_eq!(kernel("nosuch"), unknown);
+        assert_eq!(kernel_core("nosuch"), unknown);
+        assert_eq!(
+            kernel("nosuch").unwrap_err().to_string(),
+            "unknown PolyBench kernel \"nosuch\""
+        );
     }
 
     #[test]
@@ -531,12 +533,9 @@ mod tests {
 ///
 /// # Errors
 ///
-/// Returns [`DfgError`] only on internal construction bugs (covered by
+/// [`DfgError::UnknownKernel`] for a name outside [`KERNEL_NAMES`]; any
+/// other [`DfgError`] only on internal construction bugs (covered by
 /// tests).
-///
-/// # Panics
-///
-/// Panics on an unknown kernel name.
 pub fn kernel_core(name: &str) -> Result<Dfg, DfgError> {
     let mut b = Builder::new(&format!("{name}-core"));
     match name {
@@ -748,7 +747,7 @@ pub fn kernel_core(name: &str) -> Result<Dfg, DfgError> {
             let g = b.accumulate(m3, "g")?;
             b.store(g, "g_store")?;
         }
-        other => panic!("unknown PolyBench kernel {other:?}"),
+        other => return Err(DfgError::UnknownKernel(other.to_string())),
     }
     b.finish()
 }
@@ -817,18 +816,15 @@ pub const EXTRA_KERNEL_NAMES: [&str; 4] = ["gemver", "jacobi-1d", "jacobi-2d", "
 ///
 /// # Errors
 ///
-/// Returns [`DfgError`] only on internal construction bugs.
-///
-/// # Panics
-///
-/// Panics on an unknown kernel name.
+/// [`DfgError::UnknownKernel`] for a name outside [`EXTRA_KERNEL_NAMES`];
+/// any other [`DfgError`] only on internal construction bugs.
 pub fn extra_kernel(name: &str) -> Result<Dfg, DfgError> {
     let g = match name {
         "gemver" => gemver(),
         "jacobi-1d" => jacobi1d(),
         "jacobi-2d" => jacobi2d(),
         "trisolv" => trisolv(),
-        other => panic!("unknown extra PolyBench kernel {other:?}"),
+        other => return Err(DfgError::UnknownKernel(other.to_string())),
     }?;
     g.validate()?;
     Ok(g)
@@ -979,8 +975,13 @@ mod extra_tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown extra PolyBench kernel")]
-    fn unknown_extra_kernel_panics() {
-        let _ = extra_kernel("nope");
+    fn unknown_extra_kernel_is_a_typed_error() {
+        // The twelve paper kernels are not extra kernels.
+        for name in ["nope", "gemm"] {
+            assert_eq!(
+                extra_kernel(name),
+                Err(DfgError::UnknownKernel(name.to_string()))
+            );
+        }
     }
 }

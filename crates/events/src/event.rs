@@ -99,7 +99,8 @@ pub enum PipelineEvent {
     ServeCacheProbe {
         /// Request id.
         request: u64,
-        /// Hex cache key (FNV-1a 64 of the canonical request text).
+        /// Hex cache key (FNV-1a 64 of the canonical request text, the
+        /// resident model's digest, and the mapper format).
         key: u64,
         /// Which tier answered: `"memory"`, `"disk"`, or `"none"`.
         tier: &'static str,

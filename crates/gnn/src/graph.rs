@@ -34,7 +34,7 @@ use crate::{ParamGrads, ParamId, ParamStore, Tensor};
 pub struct VarId(usize);
 
 /// A node-to-neighbours adjacency in compressed sparse row form, shared
-/// cheaply (two `Arc` clones) between tape ops and across worker threads.
+/// cheaply (two `Arc` clones) between tape ops and across epochs.
 ///
 /// Consumer `j`'s neighbours are `indices[offsets[j]..offsets[j + 1]]`,
 /// each a column index into the source matrix of a
@@ -557,10 +557,9 @@ impl Graph {
     }
 
     /// Runs the backward pass from `loss` (which must be 1×1), adding
-    /// parameter gradients into `sink`. The trainer gives each
-    /// micro-batch unit its own sink and reduces them in ascending unit
-    /// order, which is what keeps multi-threaded training bit-identical
-    /// to sequential.
+    /// parameter gradients into `sink`. The trainer re-zeroes the sink
+    /// for each micro-batch unit and adds it to the store in ascending
+    /// unit order, the summation tree the pinned weights rest on.
     ///
     /// # Panics
     ///

@@ -17,9 +17,8 @@ use crate::plan::ProgramBuilder;
 use crate::train::{run_training, TrainConfig, TrainReport};
 use crate::{ParamId, ParamStore, Tensor};
 
-/// Samples per micro-batch tape. Part of the numeric contract (fixed
-/// per model, never derived from the thread count) so parallel training
-/// stays bit-identical to sequential.
+/// Samples per micro-batch tape. Part of the numeric contract, like the
+/// batch size: changing it moves the trained weights.
 const MICRO_BATCH: usize = 8;
 
 /// A two-layer perceptron over edge attributes with a scalar readout.

@@ -197,8 +197,8 @@ impl ScheduleOrderNet {
     ) -> TrainReport {
         let net = self.clone();
         // Per-sample batch matrices, CSR adjacencies, and targets are
-        // shuffle-invariant: build them once, share across epochs (and
-        // worker threads — CSR rows and targets are Arc-backed).
+        // shuffle-invariant: build them once and share them across
+        // epochs (CSR rows and targets are Arc-backed).
         let prepared: Vec<(Tensor, CsrAdjacency, Arc<[f64]>, f64)> = samples
             .iter()
             .map(|s| {

@@ -22,9 +22,8 @@ use crate::plan::ProgramBuilder;
 use crate::train::{run_training, TrainConfig, TrainReport};
 use crate::{ParamId, ParamStore};
 
-/// Samples per micro-batch tape. Part of the numeric contract (fixed
-/// per model, never derived from the thread count) so parallel training
-/// stays bit-identical to sequential.
+/// Samples per micro-batch tape. Part of the numeric contract, like the
+/// batch size: changing it moves the trained weights.
 const MICRO_BATCH: usize = 8;
 
 /// The edge-level network with neighbourhood normalisation.

@@ -25,11 +25,10 @@ pub(crate) fn param_id_for_io(index: usize) -> ParamId {
 /// A detached set of per-parameter gradient accumulators, shaped like a
 /// [`ParamStore`]'s parameters.
 ///
-/// The deterministic parallel trainer gives every micro-batch unit one of
-/// these as its backward sink ([`crate::Graph::backward_into`]), then
-/// reduces the sinks into the store in ascending unit order — a fixed
-/// summation tree independent of how many worker threads produced them,
-/// which is what keeps parallel training bit-identical to sequential.
+/// The trainer runs every micro-batch unit's backward pass
+/// ([`crate::Graph::backward_into`]) into one of these, re-zeroed per
+/// unit, and adds it to the store before the next unit: the per-unit
+/// partial sums are the fixed summation tree the pinned weights rest on.
 #[derive(Debug, Clone, Default)]
 pub struct ParamGrads {
     grads: Vec<Tensor>,
@@ -140,7 +139,7 @@ impl ParamStore {
     }
 
     /// Adds a detached gradient sink into the store's accumulators (the
-    /// ordered-reduction step of the parallel trainer).
+    /// trainer's per-unit reduction step).
     ///
     /// # Panics
     ///

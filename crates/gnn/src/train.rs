@@ -1,20 +1,21 @@
 //! Shared training configuration and the deterministic minibatch loop.
 //!
 //! Each shuffled batch is split into fixed-size **micro-batch units**
-//! (the unit size is a property of the model, not of the thread count).
-//! Every unit builds one forward/backward pass into its own detached
-//! [`ParamGrads`] sink, and the sinks are reduced into the store in
-//! ascending unit order. Because the unit boundaries and the reduction
-//! order are both independent of `parallelism`, training with any number
-//! of worker threads produces bit-identical weights to the sequential
-//! loop (pinned by tests here and in `tests/determinism.rs`).
+//! (the unit size is a property of the model). Every unit builds one
+//! forward/backward pass on a reused tape into a reused [`ParamGrads`]
+//! sink, which is then added to the store, so the per-batch gradient is
+//! reduced in ascending unit order. The unit boundaries and that order
+//! are the numeric contract: the trained weights are pinned by digest in
+//! `tests/determinism.rs`.
 
 use lisa_events::{EventSink, PipelineEvent};
 use lisa_rng::Rng;
 
 use crate::{Adam, Graph, ParamGrads, ParamStore, VarId};
 
-/// Hyperparameters of a training run.
+/// Hyperparameters of a training run. Training runs on the calling
+/// thread; these fields and the model's micro-batch size determine the
+/// trained weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the dataset (paper §VI-B: 500).
@@ -27,9 +28,6 @@ pub struct TrainConfig {
     pub weight_decay: f64,
     /// Seed for epoch shuffling.
     pub shuffle_seed: u64,
-    /// Worker threads for gradient computation (min 1). Any value
-    /// produces bit-identical weights: only wall-clock changes.
-    pub parallelism: usize,
 }
 
 impl TrainConfig {
@@ -41,7 +39,6 @@ impl TrainConfig {
             lr: 1e-3,
             weight_decay: 5e-4,
             shuffle_seed: 0,
-            parallelism: 1,
         }
     }
 
@@ -88,8 +85,7 @@ impl TrainReport {
 /// batch here, exactly as the historical per-sample loop did).
 ///
 /// `micro_batch` fixes how many samples share one tape; it is part of the
-/// numeric contract (like `batch_size`) and must not depend on
-/// `config.parallelism`. One Adam step runs per batch.
+/// numeric contract, like `batch_size`. One Adam step runs per batch.
 ///
 /// `network` names the model in the [`PipelineEvent::EpochLoss`] events
 /// emitted to `sink` after each epoch; it is caller-supplied because the
@@ -103,43 +99,31 @@ pub(crate) fn run_training(
     micro_batch: usize,
     network: &'static str,
     sink: &EventSink,
-    loss_fn: impl Fn(&mut Graph, &ParamStore, &[usize]) -> VarId + Sync,
+    loss_fn: impl Fn(&mut Graph, &ParamStore, &[usize]) -> VarId,
 ) -> TrainReport {
-    let micro = micro_batch.max(1);
-    let workers = config.parallelism.max(1);
     let mut adam = Adam::new(config.lr, config.weight_decay);
     let mut rng = Rng::seed_from_u64(config.shuffle_seed);
     let mut order: Vec<usize> = (0..sample_count).collect();
     let mut epoch_losses = Vec::with_capacity(config.epochs);
-    // One tape for the whole run: reset() keeps its buffers.
-    let mut seq_graph = Graph::new();
+    // One tape and one gradient sink for the whole run: reset() and
+    // reset_like() keep their buffers.
+    let mut graph = Graph::new();
+    let mut grads = ParamGrads::zeros_like(store);
     for epoch in 0..config.epochs {
         rng.shuffle(&mut order);
         let mut epoch_loss = 0.0;
         for batch in order.chunks(config.batch_size.max(1)) {
             store.zero_grads();
-            let units: Vec<&[usize]> = batch.chunks(micro).collect();
-            let mut sinks: Vec<ParamGrads> = units
-                .iter()
-                .map(|_| ParamGrads::zeros_like(store))
-                .collect();
-            let mut losses = vec![0.0; units.len()];
-            if workers > 1 && units.len() > 1 {
-                run_units_parallel(store, &loss_fn, &units, &mut sinks, &mut losses, workers);
-            } else {
-                for ((unit, sink), loss_out) in units.iter().zip(&mut sinks).zip(&mut losses) {
-                    seq_graph.reset();
-                    let loss = loss_fn(&mut seq_graph, store, unit);
-                    *loss_out = seq_graph.value(loss).item();
-                    seq_graph.backward_into(loss, sink);
-                }
-            }
-            // Ordered reduction: ascending unit index, regardless of
-            // which worker produced each sink — the canonical summation
-            // tree that makes parallel and sequential runs bit-identical.
-            for (sink, loss) in sinks.iter().zip(&losses) {
-                store.add_grads(sink);
-                epoch_loss += loss;
+            // Each unit's gradient is summed in its own sink, then added
+            // to the store: the ascending-unit reduction that fixes the
+            // floating-point summation tree.
+            for unit in batch.chunks(micro_batch.max(1)) {
+                graph.reset();
+                grads.reset_like(store);
+                let loss = loss_fn(&mut graph, store, unit);
+                epoch_loss += graph.value(loss).item();
+                graph.backward_into(loss, &mut grads);
+                store.add_grads(&grads);
             }
             store.scale_grads(1.0 / batch.len() as f64);
             adam.step(store);
@@ -155,37 +139,6 @@ pub(crate) fn run_training(
         }
     }
     TrainReport { epoch_losses }
-}
-
-/// Fans a batch's units out over scoped worker threads, each with its own
-/// reusable tape, writing into disjoint contiguous slices of the
-/// per-unit sinks. No worker ever touches the store or another worker's
-/// sink, so the result is identical to running the units sequentially.
-fn run_units_parallel(
-    store: &ParamStore,
-    loss_fn: &(impl Fn(&mut Graph, &ParamStore, &[usize]) -> VarId + Sync),
-    units: &[&[usize]],
-    sinks: &mut [ParamGrads],
-    losses: &mut [f64],
-    workers: usize,
-) {
-    let per = units.len().div_ceil(workers.min(units.len()));
-    std::thread::scope(|scope| {
-        let mut start = 0;
-        for (sink_chunk, loss_chunk) in sinks.chunks_mut(per).zip(losses.chunks_mut(per)) {
-            let unit_chunk = &units[start..start + sink_chunk.len()];
-            start += sink_chunk.len();
-            scope.spawn(move || {
-                let mut g = Graph::new();
-                for ((unit, sink), loss_out) in unit_chunk.iter().zip(sink_chunk).zip(loss_chunk) {
-                    g.reset();
-                    let loss = loss_fn(&mut g, store, unit);
-                    *loss_out = g.value(loss).item();
-                    g.backward_into(loss, sink);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -234,7 +187,6 @@ mod tests {
             lr: 0.02,
             weight_decay: 0.0,
             shuffle_seed: 1,
-            parallelism: 1,
         };
         let (store, report) = linear_fit(&cfg);
         assert!(report.improved());
@@ -242,33 +194,6 @@ mod tests {
         let weights = store.value(crate::params::param_id_for_io(0)).data();
         assert!((weights[0] - 2.0).abs() < 0.05);
         assert!((weights[1] + 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn parallel_training_is_bit_identical_to_sequential() {
-        let base = TrainConfig {
-            epochs: 40,
-            batch_size: 8,
-            lr: 0.02,
-            weight_decay: 1e-4,
-            shuffle_seed: 3,
-            parallelism: 1,
-        };
-        let (seq, seq_report) = linear_fit(&base);
-        for workers in [2, 3, 8] {
-            let cfg = TrainConfig {
-                parallelism: workers,
-                ..base
-            };
-            let (par, par_report) = linear_fit(&cfg);
-            let id = crate::params::param_id_for_io(0);
-            assert_eq!(
-                seq.value(id).data(),
-                par.value(id).data(),
-                "weights diverged at parallelism {workers}"
-            );
-            assert_eq!(seq_report, par_report, "losses diverged at {workers}");
-        }
     }
 
     #[test]
@@ -282,7 +207,6 @@ mod tests {
             lr: 0.02,
             weight_decay: 0.0,
             shuffle_seed: 1,
-            parallelism: 1,
         };
         let recorder = Arc::new(RecordingObserver::default());
         let sink = EventSink::new(recorder.clone());
@@ -312,7 +236,6 @@ mod tests {
             lr: 0.02,
             weight_decay: 1e-4,
             shuffle_seed: 5,
-            parallelism: 1,
         };
         let (silent, silent_report) = linear_fit(&cfg);
         let sink = EventSink::new(Arc::new(RecordingObserver::default()));

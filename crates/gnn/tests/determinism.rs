@@ -1,12 +1,10 @@
-//! Training numerics are pinned, and parallel training is bit-identical
-//! to sequential training.
+//! Training numerics are pinned.
 //!
-//! The trainer splits each batch into fixed micro-batch units and
-//! reduces the per-unit gradient sinks in ascending unit order, so the
-//! floating-point summation tree never depends on the worker count.
-//! These tests train all three models at parallelism 1 and 4 and compare
-//! the byte-exact serialised weights against a golden FNV-1a digest, so
-//! they pin training across revisions as well as across thread counts.
+//! The trainer splits each batch into fixed micro-batch units and adds
+//! each unit's gradient sink to the store in ascending unit order. These
+//! tests train each model once and compare the byte-exact serialised
+//! weights against a golden FNV-1a digest, so they pin the summation tree
+//! across revisions.
 //!
 //! The datasets deliberately include the edge cases of the forward and
 //! backward passes: empty neighbourhoods (ν = 1, no gradient into `Wν`),
@@ -18,39 +16,26 @@ use lisa_gnn::dataset::{ContextEdgeSample, EdgeSample, NodeGraphSample};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
 use lisa_gnn::TrainConfig;
 
-fn config(parallelism: usize) -> TrainConfig {
+fn config() -> TrainConfig {
     TrainConfig {
         epochs: 25,
         batch_size: 16,
         shuffle_seed: 5,
-        parallelism,
         ..TrainConfig::paper()
     }
 }
 
-/// FNV-1a 64 over the serialised weights.
-fn digest(weights: &str) -> u64 {
-    weights.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Trains a fresh model at parallelism 1 and 4 and checks both exports
+/// Checks the FNV-1a 64 digest of a trained model's serialised weights
 /// against `golden`.
-fn assert_pinned(golden: u64, train: impl Fn(usize) -> String) {
-    let seq = train(1);
-    let par = train(4);
-    assert_eq!(seq, par, "parallel weights diverged from sequential");
-    assert_eq!(
-        digest(&seq),
-        golden,
-        "trained weights moved: {:#018x}",
-        digest(&seq)
-    );
+fn assert_pinned(golden: u64, weights: &str) {
+    let digest = weights.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, golden, "trained weights moved: {digest:#018x}");
 }
 
 #[test]
-fn edge_mlp_training_is_pinned_and_thread_count_invariant() {
+fn edge_mlp_training_is_pinned() {
     // 53 samples in batches of 16: the last batch is one partial
     // micro-batch of 5.
     let samples: Vec<EdgeSample> = (0..53)
@@ -59,15 +44,13 @@ fn edge_mlp_training_is_pinned_and_thread_count_invariant() {
             target: f64::from(i % 4),
         })
         .collect();
-    assert_pinned(0x2176_18d9_51f1_85c4, |parallelism| {
-        let mut net = EdgeMlp::new(3, 2);
-        net.train(&samples, &config(parallelism));
-        net.export_weights()
-    });
+    let mut net = EdgeMlp::new(3, 2);
+    net.train(&samples, &config());
+    assert_pinned(0x2176_18d9_51f1_85c4, &net.export_weights());
 }
 
 #[test]
-fn schedule_order_training_is_pinned_and_thread_count_invariant() {
+fn schedule_order_training_is_pinned() {
     let samples: Vec<NodeGraphSample> = (0..24)
         .map(|c| {
             let n = 3 + c % 4;
@@ -93,15 +76,13 @@ fn schedule_order_training_is_pinned_and_thread_count_invariant() {
             }
         })
         .collect();
-    assert_pinned(0x63f0_2f00_995f_3c88, |parallelism| {
-        let mut net = ScheduleOrderNet::new(3, 2);
-        net.train(&samples, &config(parallelism));
-        net.export_weights()
-    });
+    let mut net = ScheduleOrderNet::new(3, 2);
+    net.train(&samples, &config());
+    assert_pinned(0x63f0_2f00_995f_3c88, &net.export_weights());
 }
 
 #[test]
-fn spatial_training_is_pinned_and_thread_count_invariant() {
+fn spatial_training_is_pinned() {
     // Every fourth sample has an empty neighbourhood; the five extra
     // samples have neighbourhoods summing to exactly zero. 41 samples in
     // batches of 16 end in a partial micro-batch of 1.
@@ -120,9 +101,7 @@ fn spatial_training_is_pinned_and_thread_count_invariant() {
             }
         })
         .collect();
-    assert_pinned(0xe0cc_c508_e552_e776, |parallelism| {
-        let mut net = SpatialNet::new(2, 2);
-        net.train(&samples, &config(parallelism));
-        net.export_weights()
-    });
+    let mut net = SpatialNet::new(2, 2);
+    net.train(&samples, &config());
+    assert_pinned(0xe0cc_c508_e552_e776, &net.export_weights());
 }

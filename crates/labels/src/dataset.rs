@@ -112,11 +112,6 @@ impl TrainingSet {
         }
     }
 
-    /// Number of contributing DFGs.
-    pub fn graph_count(&self) -> usize {
-        self.node_graphs.len()
-    }
-
     /// Whether the set holds any samples at all.
     pub fn is_empty(&self) -> bool {
         self.node_graphs.is_empty()
@@ -594,7 +589,7 @@ mod tests {
         let labels = GuidanceLabels::initial(&dfg);
         let mut set = TrainingSet::new();
         set.push(&dfg, &labels);
-        assert_eq!(set.graph_count(), 1);
+        assert_eq!(set.node_graphs.len(), 1);
         assert!(set.node_graphs[0].is_consistent());
         assert_eq!(set.temporal.len(), dfg.edge_count());
         assert_eq!(set.spatial.len(), dfg.edge_count());
@@ -612,7 +607,7 @@ mod tests {
             let labels = GuidanceLabels::initial(&dfg);
             set.push(&dfg, &labels);
         }
-        assert_eq!(set.graph_count(), 3);
+        assert_eq!(set.node_graphs.len(), 3);
         assert!(!set.is_empty());
         assert!(set.temporal.len() > 40);
     }

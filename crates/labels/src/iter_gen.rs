@@ -23,7 +23,9 @@ use crate::extract::{average_labels, labels_from_mapping};
 /// standard one, the label is a candidate", §V-B).
 pub const ROUTING_COST_SLACK: f64 = 1.15;
 
-/// Configuration of the iterative generator.
+/// Configuration of the iterative generator. Each round's II search runs
+/// on the calling thread; the pipeline spreads label generation across
+/// DFGs instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterGenConfig {
     /// Mapping rounds per DFG.
@@ -32,11 +34,6 @@ pub struct IterGenConfig {
     pub sa: SaParams,
     /// Cap on the II search (keeps the one-off generation bounded).
     pub max_ii: Option<u32>,
-    /// Worker threads for each round's speculative II search. Results are
-    /// byte-identical for every value. Defaults to 1: the framework
-    /// already fans out across DFGs, and nesting thread pools would
-    /// oversubscribe; raise it when generating labels for a single DFG.
-    pub parallelism: usize,
     /// Base RNG seed; each round perturbs it.
     pub seed: u64,
 }
@@ -47,7 +44,6 @@ impl Default for IterGenConfig {
             rounds: 5,
             sa: SaParams::paper(),
             max_ii: None,
-            parallelism: 1,
             seed: 0xBADCAFE,
         }
     }
@@ -63,7 +59,6 @@ impl IterGenConfig {
                 ..SaParams::fast()
             },
             max_ii: Some(8),
-            parallelism: 1,
             seed: 7,
         }
     }
@@ -133,7 +128,7 @@ pub fn generate_labels_with(
         let search = IiSearch {
             max_ii: config.max_ii,
         };
-        let (outcome, mapping) = search.run(&mapper, dfg, acc, config.parallelism);
+        let (outcome, mapping) = search.run(&mapper, dfg, acc, 1);
         let Some(mapping) = mapping else {
             if sink.is_active() {
                 sink.emit(PipelineEvent::LabelGenRound {

@@ -396,8 +396,7 @@ impl MovementPredictor {
     /// Trains a predictor on a captured movement set and calibrates its
     /// admission threshold (see the module docs).
     ///
-    /// Deterministic in `(set, config, seed)` including
-    /// `config.parallelism` (the gradient loop is order-invariant).
+    /// Deterministic in `(set, config, seed)`.
     ///
     /// # Errors
     ///

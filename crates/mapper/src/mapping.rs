@@ -987,49 +987,6 @@ mod tests {
     }
 }
 
-impl Mapping<'_> {
-    /// Route latency of an edge in cycles (`dst_eff_time - src_time`), or
-    /// `None` if the edge is unrouted.
-    pub fn route_latency(&self, edge: EdgeId) -> Option<u32> {
-        self.routes[edge.index()].as_ref()?;
-        let e = self.dfg.edge(edge);
-        let src = self.placements[e.src.index()]?;
-        let dst_eff = self.effective_dst_time(edge)?;
-        Some(dst_eff - src.time)
-    }
-
-    /// Sum of route latencies over all routed edges — a communication-cost
-    /// metric complementary to [`Self::routing_cells`].
-    pub fn total_route_latency(&self) -> u32 {
-        self.dfg
-            .edge_ids()
-            .filter_map(|e| self.route_latency(e))
-            .sum()
-    }
-}
-
-#[cfg(test)]
-mod latency_tests {
-    use super::*;
-    use lisa_dfg::OpKind;
-
-    #[test]
-    fn route_latency_matches_schedule_gap() {
-        let mut g = Dfg::new("t");
-        let a = g.add_node(OpKind::Load, "a");
-        let b = g.add_node(OpKind::Store, "b");
-        let e = g.add_data_edge(a, b).unwrap();
-        let acc = lisa_arch::Accelerator::cgra("2x2", 2, 2);
-        let mut m = Mapping::new(&g, &acc, 4).unwrap();
-        assert_eq!(m.route_latency(e), None);
-        m.place(a, lisa_arch::PeId::new(0), 0).unwrap();
-        m.place(b, lisa_arch::PeId::new(1), 3).unwrap();
-        m.route_edge(e).unwrap();
-        assert_eq!(m.route_latency(e), Some(3));
-        assert_eq!(m.total_route_latency(), 3);
-    }
-}
-
 /// Per-PE utilisation of a mapping: how many modulo slots of each PE are
 /// busy with computation or routing. High variance indicates hot spots —
 /// the congestion signature constrained architectures exhibit.

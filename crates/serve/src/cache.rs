@@ -1,7 +1,8 @@
 //! Two-tier content-addressed response store.
 //!
-//! Keys are the FNV-1a 64 hash of the canonical request text
-//! ([`lisa_core::MapRequest::cache_key`]); values are complete
+//! Keys are the engine's response keys (FNV-1a 64 over the canonical
+//! request text, the resident model's digest, and
+//! [`crate::MAPPER_FORMAT`]); values are complete
 //! `lisa-response v1` bodies. Tier one is a bounded in-memory LRU map;
 //! tier two is an optional on-disk directory with one
 //! `<key>.lisa-response` file per entry, written via a temp file and an

@@ -1,5 +1,11 @@
-//! Request handling: canonicalize → hash → cache probe → single-flight
-//! compute under a bounded admission gate.
+//! Request handling: canonicalize → resolve the resident model → hash →
+//! cache probe → single-flight compute under a bounded admission gate.
+//!
+//! The cache and single-flight key is FNV-1a 64 over the canonical
+//! request text, the resident model's digest, and [`MAPPER_FORMAT`]: a
+//! daemon restarted on the same cache directory with another model, or
+//! with a mapper whose output changed, computes instead of answering
+//! with the old mapping.
 //!
 //! Concurrency structure, outermost first:
 //!
@@ -16,13 +22,14 @@
 //!   `par_map` threads; each II's lane race runs on its wave thread, and
 //!   thread count never changes the result.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use lisa_arch::Accelerator;
+use lisa_core::request::fnv1a64;
 use lisa_core::{Lisa, MapRequest, ModelRegistry};
 use lisa_events::{EventSink, PipelineEvent};
 
@@ -30,6 +37,12 @@ use crate::cache::{CacheTier, ResultCache};
 use crate::error::ServeError;
 use crate::lock_unpoisoned;
 use crate::protocol::{render_error, render_ok, render_overloaded, render_unmappable};
+
+/// Version of the mapper's output, hashed into every cache key. A change
+/// that moves a golden digest (a mapping, an event stream, or trained
+/// weights) bumps it, so no disk tier written before the change is
+/// served after it.
+pub const MAPPER_FORMAT: u32 = 1;
 
 /// Daemon sizing knobs.
 #[derive(Debug, Clone)]
@@ -189,11 +202,22 @@ impl Gate {
 
 struct Overloaded;
 
+/// A resident model and what a request for its accelerator needs,
+/// resolved once when the engine starts.
+struct Resident {
+    acc: Accelerator,
+    model: Arc<Lisa>,
+    /// FNV-1a 64 of the model's `lisa-model v1` export.
+    digest: u64,
+}
+
 /// The serving engine: warm models, two-tier cache, single-flight
 /// computation, telemetry. Transport-agnostic — [`crate::server`] feeds
 /// it request payloads.
 pub struct ServeEngine {
     registry: ModelRegistry,
+    /// Resident models by catalog key (`Accelerator::standard`).
+    residents: BTreeMap<&'static str, Resident>,
     cache: ResultCache,
     config: ServeConfig,
     sink: EventSink,
@@ -204,7 +228,8 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Builds an engine over resident models.
+    /// Builds an engine over resident models. Each model is serialised
+    /// once here to take its digest.
     ///
     /// # Errors
     ///
@@ -215,8 +240,18 @@ impl ServeEngine {
         sink: EventSink,
     ) -> std::io::Result<Self> {
         let cache = ResultCache::new(config.mem_cache, config.cache_dir.clone())?;
+        let residents = Accelerator::STANDARD_KEYS
+            .into_iter()
+            .filter_map(|key| {
+                let acc = Accelerator::standard(key)?;
+                let model = registry.get(acc.name())?;
+                let digest = fnv1a64(model.export_model().as_bytes());
+                Some((key, Resident { acc, model, digest }))
+            })
+            .collect();
         Ok(ServeEngine {
             registry,
+            residents,
             cache,
             gate: Gate::new(config.workers, config.queue),
             config,
@@ -251,7 +286,16 @@ impl ServeEngine {
                 return self.respond(id, started, body, Disposition::Error);
             }
         };
-        let key = req.cache_key();
+        // A request that cannot run answers before the probe: it takes no
+        // permit and counts no anneal.
+        let resident = match self.resident(&req.accelerator) {
+            Ok(resident) => resident,
+            Err(e) => {
+                let body = Arc::new(render_error(&e.to_string()));
+                return self.respond(id, started, body, Disposition::Error);
+            }
+        };
+        let key = response_key(&req, resident.digest);
 
         if let Some((body, tier)) = self.cache.get(key) {
             let (tier_name, disposition) = match tier {
@@ -295,34 +339,28 @@ impl ServeEngine {
             return self.respond(id, started, body, Disposition::Coalesced);
         }
 
-        // A request that cannot run takes no permit and counts no anneal.
-        let (body, disposition) = match self.resolve(&req) {
-            Err(e) => (Arc::new(render_error(&e.to_string())), Disposition::Error),
-            Ok((acc, model)) => match self.gate.acquire() {
-                Err(Overloaded) => (Arc::new(render_overloaded()), Disposition::Overloaded),
-                Ok(()) => {
-                    self.sink
-                        .emit(PipelineEvent::ServeAnnealStarted { request: id });
-                    self.counters.anneals.fetch_add(1, Ordering::Relaxed);
-                    let computed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.compute(&req, &acc, &model)
-                    }));
-                    self.gate.release();
-                    match computed.unwrap_or(Err(ServeError::MappingPanicked)) {
-                        Ok(body) => {
-                            let body = Arc::new(body);
-                            // A failed disk write only costs a future
-                            // recompute; the response already exists.
-                            let _ = self.cache.put(key, body.clone());
-                            (body, Disposition::Computed)
-                        }
-                        // Errors are never cached: a model loaded later
-                        // (or a fixed bug) must not be shadowed by a
-                        // cached failure.
-                        Err(e) => (Arc::new(render_error(&e.to_string())), Disposition::Error),
+        let (body, disposition) = match self.gate.acquire() {
+            Err(Overloaded) => (Arc::new(render_overloaded()), Disposition::Overloaded),
+            Ok(()) => {
+                self.sink
+                    .emit(PipelineEvent::ServeAnnealStarted { request: id });
+                self.counters.anneals.fetch_add(1, Ordering::Relaxed);
+                let computed =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| self.compute(&req, resident)));
+                self.gate.release();
+                match computed.unwrap_or(Err(ServeError::MappingPanicked)) {
+                    Ok(body) => {
+                        let body = Arc::new(body);
+                        // A failed disk write only costs a future
+                        // recompute; the response already exists.
+                        let _ = self.cache.put(key, body.clone());
+                        (body, Disposition::Computed)
                     }
+                    // Errors are never cached: a fixed bug must not be
+                    // shadowed by a cached failure.
+                    Err(e) => (Arc::new(render_error(&e.to_string())), Disposition::Error),
                 }
-            },
+            }
         };
 
         // Publish to followers before answering, then retire the flight.
@@ -332,20 +370,19 @@ impl ServeEngine {
         self.respond(id, started, body, disposition)
     }
 
-    /// The accelerator and resident model a miss would map with.
+    /// The resident model for a request's accelerator key.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownAccelerator`] or [`ServeError::NoModel`] —
     /// the caller answers `status error` and keeps serving.
-    fn resolve(&self, req: &MapRequest) -> Result<(Accelerator, Arc<Lisa>), ServeError> {
-        let acc = Accelerator::standard(&req.accelerator)
-            .ok_or_else(|| ServeError::UnknownAccelerator(req.accelerator.clone()))?;
-        let model = self
-            .registry
-            .get(acc.name())
-            .ok_or_else(|| ServeError::NoModel(acc.name().to_string()))?;
-        Ok((acc, model))
+    fn resident(&self, accelerator: &str) -> Result<&Resident, ServeError> {
+        self.residents
+            .get(accelerator)
+            .ok_or_else(|| match Accelerator::standard(accelerator) {
+                Some(acc) => ServeError::NoModel(acc.name().to_string()),
+                None => ServeError::UnknownAccelerator(accelerator.to_string()),
+            })
     }
 
     /// The miss path: run the annealer and render its answer.
@@ -354,15 +391,10 @@ impl ServeEngine {
     ///
     /// [`ServeError::MissingIi`] for an internally inconsistent outcome —
     /// the caller answers `status error` and keeps serving.
-    fn compute(
-        &self,
-        req: &MapRequest,
-        acc: &Accelerator,
-        model: &Lisa,
-    ) -> Result<String, ServeError> {
-        let (outcome, mapping) = model.map_request(
+    fn compute(&self, req: &MapRequest, resident: &Resident) -> Result<String, ServeError> {
+        let (outcome, mapping) = resident.model.map_request(
             &req.dfg,
-            acc,
+            &resident.acc,
             req.seed,
             req.max_ii,
             &req.strategy,
@@ -439,6 +471,17 @@ impl ServeEngine {
             self.cache.memory_len(),
         )
     }
+}
+
+/// The cache and single-flight key of a request served by a model with
+/// digest `model_digest`: FNV-1a 64 over the canonical request text, the
+/// model digest, and [`MAPPER_FORMAT`].
+fn response_key(req: &MapRequest, model_digest: u64) -> u64 {
+    let mut text = req.canonical_text();
+    text.push_str(&format!(
+        "model {model_digest:016x}\nmapper_format {MAPPER_FORMAT}\n"
+    ));
+    fnv1a64(text.as_bytes())
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -518,10 +561,11 @@ mod tests {
 
     #[test]
     fn unknown_accelerator_and_missing_model_are_errors() {
+        let recorder = Arc::new(lisa_events::RecordingObserver::default());
         let engine = ServeEngine::new(
             ModelRegistry::new(),
             ServeConfig::default(),
-            EventSink::null(),
+            EventSink::new(recorder.clone()),
         )
         .unwrap();
         let req = MapRequest {
@@ -546,9 +590,15 @@ mod tests {
         // be shadowed by a cached failure.
         let (_, disposition) = engine.handle(&req.canonical_text());
         assert_eq!(disposition, Disposition::Error);
-        // None of the three reached the annealer.
+        // None of the three reached the cache probe or the annealer.
         let stats = engine.stats();
         assert_eq!(stats.anneals, 0);
         assert_eq!(stats.errors, 3);
+        let events = recorder.take();
+        assert_eq!(events.len(), 6, "one enqueue and one response each");
+        assert!(events.iter().all(|e| matches!(
+            e,
+            PipelineEvent::ServeEnqueued { .. } | PipelineEvent::ServeResponded { .. }
+        )));
     }
 }

@@ -4,7 +4,8 @@
 //! config, seed) → mapping`, byte-identical across reruns — which makes
 //! it servable: a warm model answers repeated requests without
 //! retraining, and responses are content-addressed by the hash of the
-//! canonical request text ([`lisa_core::MapRequest`]).
+//! canonical request text ([`lisa_core::MapRequest`]), the resident
+//! model's digest, and [`MAPPER_FORMAT`].
 //!
 //! Layering:
 //!
@@ -29,7 +30,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheTier, ResultCache};
-pub use engine::{Disposition, ServeConfig, ServeEngine, StatsSnapshot};
+pub use engine::{Disposition, ServeConfig, ServeEngine, StatsSnapshot, MAPPER_FORMAT};
 pub use error::ServeError;
 pub use server::{serve_connection, serve_tcp, Served};
 

@@ -50,6 +50,9 @@ pub const RESPONSE_HEADER: &str = "lisa-response v1";
 pub const STATS_HEADER: &str = "lisa-serve-stats v1";
 /// Upper bound on a frame payload; larger frames are a protocol error.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+/// Payload bytes reserved before any arrive. A typical frame fits, so it
+/// is read in one call; a longer one grows the buffer as it arrives.
+const FIRST_READ: usize = 64 * 1024;
 
 /// Writes one length-prefixed frame with a single `write_all`.
 ///
@@ -75,6 +78,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
 /// boundary.
 ///
+/// The payload buffer starts at most 64 KiB long and grows as bytes
+/// arrive, so a peer that declares a large frame and sends little holds
+/// little memory.
+///
 /// # Errors
 ///
 /// Propagates read failures; a truncated frame or an oversized length is
@@ -93,8 +100,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME} limit"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(FIRST_READ.min(len as usize));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ended after {} of {len} bytes", payload.len()),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -219,6 +232,37 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = io::Cursor::new(buf);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// Serves bytes from a cursor and records the largest buffer any
+    /// `read` call is given.
+    struct LargestReadBuffer {
+        data: io::Cursor<Vec<u8>>,
+        largest: usize,
+    }
+
+    impl Read for LargestReadBuffer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn payload_buffer_grows_as_bytes_arrive() {
+        let mut bytes = MAX_FRAME.to_be_bytes().to_vec();
+        bytes.extend_from_slice(b"hello");
+        let mut r = LargestReadBuffer {
+            data: io::Cursor::new(bytes),
+            largest: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest <= 64 * 1024,
+            "a read got a {}-byte buffer for 5 bytes of payload",
+            r.largest
+        );
     }
 
     #[test]

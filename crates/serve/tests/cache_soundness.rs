@@ -1,6 +1,7 @@
-//! Cache-soundness contract of the serving daemon: same request text →
-//! same hash → byte-identical response, from any tier, in any process;
-//! and concurrent identical misses compute exactly once.
+//! Cache-soundness contract of the serving daemon: same request text and
+//! same resident model → same hash → byte-identical response, from any
+//! tier, in any process; and concurrent identical misses compute exactly
+//! once.
 
 use std::sync::{Arc, Barrier, OnceLock};
 
@@ -13,27 +14,19 @@ use lisa_serve::{Disposition, ServeConfig, ServeEngine};
 /// is the expensive part; the tests exercise serving, not training).
 fn model_text() -> &'static str {
     static MODEL: OnceLock<String> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let acc = lisa_arch_accelerator();
-        let config = LisaConfig {
-            training_dfgs: 6,
-            ..LisaConfig::fast()
-        };
-        Lisa::train_for(&acc, &config)
-            .expect("tiny training run completes")
-            .export_model()
-    })
+    MODEL.get_or_init(|| train_tiny_model(LisaConfig::fast().seed))
 }
 
-fn lisa_arch_accelerator() -> lisa_arch::Accelerator {
-    lisa_arch::Accelerator::standard("4x4").unwrap()
-}
-
-fn registry() -> ModelRegistry {
-    let mut reg = ModelRegistry::new();
-    reg.insert(Lisa::import_model(&LisaConfig::fast(), model_text()).unwrap())
-        .unwrap();
-    reg
+fn train_tiny_model(seed: u64) -> String {
+    let acc = lisa_arch::Accelerator::standard("4x4").unwrap();
+    let config = LisaConfig {
+        training_dfgs: 6,
+        seed,
+        ..LisaConfig::fast()
+    };
+    Lisa::train_for(&acc, &config)
+        .expect("tiny training run completes")
+        .export_model()
 }
 
 fn gemm_request() -> String {
@@ -52,7 +45,16 @@ fn gemm_request_with_strategy(spec: &str) -> String {
 }
 
 fn engine(config: ServeConfig) -> ServeEngine {
-    ServeEngine::new(registry(), config, EventSink::null()).unwrap()
+    engine_on(model_text(), config)
+}
+
+/// An engine serving one model, given as `lisa-model v1` text.
+fn engine_on(model: &str, config: ServeConfig) -> ServeEngine {
+    let mut registry = ModelRegistry::new();
+    registry
+        .insert(Lisa::import_model(&LisaConfig::fast(), model).unwrap())
+        .unwrap();
+    ServeEngine::new(registry, config, EventSink::null()).unwrap()
 }
 
 #[test]
@@ -213,5 +215,45 @@ fn strategy_selection_separates_keys_and_hits_across_tiers_and_restarts() {
         assert_eq!(**first, *body, "disk hit must be byte-identical");
     }
     assert_eq!(second_daemon.stats().anneals, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restart_on_another_model_recomputes_instead_of_serving_the_old_mapping() {
+    let dir = std::env::temp_dir().join("lisa_serve_model_key_soundness");
+    let _ = std::fs::remove_dir_all(&dir);
+    let request = gemm_request();
+    let config = ServeConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+
+    let first_daemon = engine(config.clone());
+    let (first, d1) = first_daemon.handle(&request);
+    assert_eq!(d1, Disposition::Computed);
+    drop(first_daemon);
+
+    // The same configuration at another seed trains another model.
+    let other = train_tiny_model(LisaConfig::fast().seed + 1);
+    assert_ne!(other, model_text());
+    let restarted = engine_on(&other, config);
+    let (body, d2) = restarted.handle(&request);
+    assert_eq!(
+        d2,
+        Disposition::Computed,
+        "a disk entry written under another model must not be served"
+    );
+    assert_eq!(restarted.stats().hit_disk, 0);
+
+    let cacheless = engine_on(
+        &other,
+        ServeConfig {
+            mem_cache: 0,
+            ..ServeConfig::default()
+        },
+    );
+    let (fresh, _) = cacheless.handle(&request);
+    assert_eq!(*body, *fresh, "the answer is the resident model's mapping");
+    assert_ne!(*body, *first, "the two models map gemm differently");
     let _ = std::fs::remove_dir_all(&dir);
 }

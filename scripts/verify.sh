@@ -46,6 +46,19 @@ cargo run -q --release --offline --bin lisa-map -- \
     doitgen --arch 16x16 --mapper sa --max-ii 8 --seed 7
 echo "verify: 16x16 fabric maps end-to-end on the distance oracle"
 
+# Unknown-kernel smoke: a kernel name outside the catalog is a usage
+# error (one line on stderr, exit 2), not a panic.
+mkdir -p target/cli-smoke
+STATUS=0
+target/release/lisa-map nosuch --arch 4x4 --mapper sa \
+    2>target/cli-smoke/nosuch.err || STATUS=$?
+if [ "$STATUS" -ne 2 ] || grep -q panicked target/cli-smoke/nosuch.err; then
+    echo "verify: unknown kernel exited $STATUS:" >&2
+    cat target/cli-smoke/nosuch.err >&2
+    exit 1
+fi
+echo "verify: an unknown kernel is a clean usage error"
+
 # Strategy-lane smoke: the constructive lane alone must land a verified
 # mapping of doitgen on the 4x4 (it is deterministic and orders of
 # magnitude cheaper than annealing), and the mixed race (constructive,
@@ -125,7 +138,9 @@ echo "verify: pipeline resume is byte-identical"
 # result cache, map the same kernel twice (the repeat must be a memory-tier
 # hit, byte-identical, without invoking the annealer), then restart the
 # daemon on the same cache directory and check the disk tier answers the
-# request byte-identically with zero anneals.
+# request byte-identically with zero anneals. A third daemon on the same
+# directory serves another model: the cache key covers the model, so it
+# must compute instead of answering with the first model's mapping.
 SERVE_DIR="$SMOKE_DIR/serve"
 mkdir -p "$SERVE_DIR"
 SERVE_BIN="target/release/lisa-serve"
@@ -134,7 +149,7 @@ trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
 start_daemon() {
     rm -f "$SERVE_DIR/addr"
-    "$SERVE_BIN" serve --model "$SMOKE_DIR/cold.model" \
+    "$SERVE_BIN" serve --model "$2" \
         --listen 127.0.0.1:0 --port-file "$SERVE_DIR/addr" \
         --cache-dir "$SERVE_DIR/cache" \
         --events "$SERVE_DIR/$1.events.jsonl" 2>"$SERVE_DIR/$1.log" &
@@ -152,7 +167,7 @@ start_daemon() {
     ADDR="$(cat "$SERVE_DIR/addr")"
 }
 
-start_daemon daemon1
+start_daemon daemon1 "$SMOKE_DIR/cold.model"
 "$SERVE_BIN" client --connect "$ADDR" --kernel gemm --arch 4x4 --max-ii 8 \
     >"$SERVE_DIR/r1"
 "$SERVE_BIN" client --connect "$ADDR" --kernel gemm --arch 4x4 --max-ii 8 \
@@ -166,7 +181,7 @@ grep -q '^hit_memory 1$' "$SERVE_DIR/stats1"
 wait "$SERVE_PID"
 SERVE_PID=""
 
-start_daemon daemon2
+start_daemon daemon2 "$SMOKE_DIR/cold.model"
 "$SERVE_BIN" client --connect "$ADDR" --kernel gemm --arch 4x4 --max-ii 8 \
     >"$SERVE_DIR/r3"
 cmp "$SERVE_DIR/r1" "$SERVE_DIR/r3"
@@ -176,7 +191,20 @@ grep -q '^hit_disk 1$' "$SERVE_DIR/stats2"
 "$SERVE_BIN" client --connect "$ADDR" --shutdown
 wait "$SERVE_PID"
 SERVE_PID=""
+
+cargo run -q --release --offline --bin lisa-map -- \
+    train --arch 4x4 --dfgs 6 --seed 8 --quiet --out "$SERVE_DIR/seed8.model"
+start_daemon daemon3 "$SERVE_DIR/seed8.model"
+"$SERVE_BIN" client --connect "$ADDR" --kernel gemm --arch 4x4 --max-ii 8 \
+    >"$SERVE_DIR/r4"
+grep -q '^status ok$' "$SERVE_DIR/r4"
+"$SERVE_BIN" client --connect "$ADDR" --stats >"$SERVE_DIR/stats3"
+grep -q '^anneals 1$' "$SERVE_DIR/stats3"
+grep -q '^hit_disk 0$' "$SERVE_DIR/stats3"
+"$SERVE_BIN" client --connect "$ADDR" --shutdown
+wait "$SERVE_PID"
+SERVE_PID=""
 trap - EXIT
-echo "verify: serve cache is byte-identical across restarts"
+echo "verify: serve cache is byte-identical across restarts and keyed by model"
 
 echo "verify: OK"

@@ -264,18 +264,23 @@ fn exchange(conn: &mut TcpStream, payload: &[u8]) -> Result<String, String> {
 }
 
 fn run_client(opts: ClientOptions) -> Result<(), String> {
-    let mut conn = TcpStream::connect(&opts.connect)
-        .map_err(|e| format!("connecting {}: {e}", opts.connect))?;
-
-    let mut failed = false;
-    if let Some(spec) = &opts.kernel {
-        let request = MapRequest {
+    // Build the request first: a bad kernel spec is a usage error whether
+    // or not a daemon is listening.
+    let request = match &opts.kernel {
+        Some(spec) => Some(MapRequest {
             accelerator: opts.arch.clone(),
             seed: opts.seed,
             max_ii: opts.max_ii,
             strategy: opts.strategy.clone(),
             dfg: build_dfg(spec)?,
-        };
+        }),
+        None => None,
+    };
+    let mut conn = TcpStream::connect(&opts.connect)
+        .map_err(|e| format!("connecting {}: {e}", opts.connect))?;
+
+    let mut failed = false;
+    if let Some(request) = &request {
         let body = exchange(&mut conn, request.canonical_text().as_bytes())?;
         print!("{body}");
         failed = matches!(response_status(&body), Some("error" | "overloaded") | None);
