@@ -34,10 +34,12 @@ pub struct LisaConfig {
     /// [`StrategySpec::parse`]).
     pub strategy: StrategySpec,
     /// The pipeline's one worker budget: label generation runs on up to
-    /// this many DFGs at once, and the inference-time II search tries
-    /// this many speculative IIs per wave. GNN training runs on the
-    /// calling thread whatever the value. Results are byte-identical for
-    /// every value. Defaults to the machine's available parallelism.
+    /// this many DFGs at once, GNN training trains up to this many of the
+    /// four label networks side by side (each on one thread), and the
+    /// inference-time II search tries this many speculative IIs per wave.
+    /// At 1 everything runs inline on the calling thread. Results and
+    /// checkpoint files are byte-identical for every value. Defaults to
+    /// the machine's available parallelism.
     pub parallelism: usize,
     /// Master seed; all stages derive their seeds from it.
     pub seed: u64,

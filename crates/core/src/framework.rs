@@ -25,6 +25,7 @@ use lisa_mapper::{GuidanceLabels, LabelSaMapper, Mapping, MappingOutcome, Moveme
 use crate::compiled::CompiledModel;
 use crate::pipeline::{Pipeline, TrainError};
 use crate::report::{LabelAccuracy, TrainingStats};
+use crate::request::fnv1a64;
 use crate::LisaConfig;
 
 /// A LISA instance trained for one accelerator.
@@ -56,6 +57,9 @@ pub struct Lisa {
     /// The four networks frozen into tape-free plans at construction;
     /// every label prediction this instance serves runs on these.
     compiled: CompiledModel,
+    /// FNV-1a 64 of the model's `lisa-model v1` text, taken once when
+    /// the instance is built or imported (see [`Lisa::digest`]).
+    digest: u64,
     stats: TrainingStats,
     /// Optional predict-then-verify movement filter, shared read-only by
     /// every annealing chain this instance drives.
@@ -85,7 +89,7 @@ impl Lisa {
     }
 
     /// Assembles an instance from trained parts (the pipeline's final
-    /// stage and the model importer).
+    /// stage) and takes its digest from one export.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         accelerator_name: String,
@@ -98,7 +102,7 @@ impl Lisa {
     ) -> Lisa {
         let compiled =
             CompiledModel::freeze(&schedule_net, &same_level_net, &spatial_net, &temporal_net);
-        Lisa {
+        let mut lisa = Lisa {
             accelerator_name,
             config,
             schedule_net,
@@ -106,10 +110,13 @@ impl Lisa {
             spatial_net,
             temporal_net,
             compiled,
+            digest: 0,
             stats,
             movement_filter: None,
             sink: EventSink::null(),
-        }
+        };
+        lisa.digest = fnv1a64(lisa.export_model().as_bytes());
+        lisa
     }
 
     /// Attaches a predict-then-verify movement filter; every subsequent
@@ -151,6 +158,15 @@ impl Lisa {
     /// Name of the accelerator this instance was trained for.
     pub fn accelerator_name(&self) -> &str {
         &self.accelerator_name
+    }
+
+    /// FNV-1a 64 of this model's `lisa-model v1` text: of the text
+    /// [`Lisa::import_model`] parsed, or of [`Lisa::export_model`] for a
+    /// model the pipeline trained. For a file `export_model` wrote the two
+    /// agree. Taken once, so callers keying caches by the model (the
+    /// serving daemon) need not re-serialise it.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Training statistics, including the Table II accuracy row.
@@ -230,7 +246,8 @@ impl Lisa {
         )
     }
 
-    /// Reconstructs a trained model from [`Self::export_model`] output.
+    /// Reconstructs a trained model from [`Self::export_model`] output
+    /// and records the FNV-1a 64 of `text` as its [`Lisa::digest`].
     /// The configuration supplies the inference-time annealer parameters;
     /// training statistics are reset (the model was not trained here).
     ///
@@ -268,6 +285,7 @@ impl Lisa {
             spatial_net,
             temporal_net,
             compiled,
+            digest: fnv1a64(text.as_bytes()),
             stats: TrainingStats {
                 dfgs_generated: 0,
                 dfgs_labelled: 0,
@@ -567,6 +585,20 @@ mod model_io_tests {
         assert_eq!(restored.accelerator_name(), "3x3");
         let dfg = polybench::kernel("gemm").unwrap();
         assert_eq!(lisa.predict_labels(&dfg), restored.predict_labels(&dfg));
+    }
+
+    #[test]
+    fn imported_digest_matches_the_export_it_was_read_from() {
+        let acc = Accelerator::cgra("3x3", 3, 3);
+        let lisa = Lisa::train_for(&acc, &LisaConfig::fast()).unwrap();
+        let text = lisa.export_model();
+        assert_eq!(lisa.digest(), fnv1a64(text.as_bytes()));
+        let restored = Lisa::import_model(&LisaConfig::fast(), &text).unwrap();
+        assert_eq!(restored.digest(), fnv1a64(text.as_bytes()));
+        assert_eq!(
+            restored.digest(),
+            fnv1a64(restored.export_model().as_bytes())
+        );
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! 4. [`Stage::TrainNets`] — the four GNN label networks (§IV-B, §VI-B);
 //! 5. [`Stage::Evaluate`] — the Table II holdout accuracy row.
 //!
+//! [`LisaConfig::parallelism`] is the pipeline's one worker budget. Label
+//! generation streams DFGs through the in-order fan-out
+//! ([`par_stream`]): workers pull DFG indices from one shared cursor and
+//! the calling thread appends each finished entry in index order. The
+//! four label networks train side by side through [`par_map`], each on
+//! one thread. Neither the artifacts, the trained weights nor the order
+//! of the training events depend on the worker count; at 1 every stage
+//! runs inline on the calling thread.
+//!
 //! Each stage consumes and produces plain data, reports through the
 //! [`EventSink`], and — when a checkpoint directory is configured —
 //! persists its artifact in a versioned text format:
@@ -35,15 +44,18 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{random, text as dfg_text, Dfg};
-use lisa_events::{EventSink, LabelGenResult, PipelineEvent};
+use lisa_events::{EventSink, LabelGenResult, PipelineEvent, RecordingObserver};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
+use lisa_gnn::TrainReport;
 use lisa_labels::attributes::{DUMMY_ATTR_DIM, EDGE_ATTR_DIM, NODE_ATTR_DIM};
 use lisa_labels::dataset::{self, DatasetEntry, DatasetParseError, DatasetWriter};
 use lisa_labels::{filter, generate_labels_with, TrainingSet};
+use lisa_mapper::portfolio::{par_map, par_stream};
 use lisa_mapper::GuidanceLabels;
 
 use crate::framework::{evaluate_accuracy, Lisa};
@@ -322,12 +334,14 @@ impl<'a> Pipeline<'a> {
     /// Stage 2: iterative label generation with incremental
     /// checkpointing and resume.
     ///
-    /// DFGs are processed in index-ordered chunks of `parallelism`
-    /// (each chunk fanned out via the deterministic `par_map`), and each
-    /// finished entry is appended and flushed before the next chunk
-    /// starts — the checkpoint granularity. Per-DFG generation is
-    /// independent and seeded per DFG index via the config, so chunking
-    /// and thread count never change the entries.
+    /// Up to `parallelism` workers pull the missing DFG indices from one
+    /// shared cursor ([`par_stream`]); the calling thread appends and
+    /// flushes each finished entry in index order as soon as every
+    /// earlier entry is in, so the checkpoint is always a prefix — the
+    /// same bytes at any worker count — and a slow DFG holds back only
+    /// the appends, never the other workers. Per-DFG generation is
+    /// independent and seeded via the config, so the worker count never
+    /// changes the entries.
     fn generate_labels(&self, dfgs: &[Dfg]) -> Result<Vec<DatasetEntry>, TrainError> {
         let mut entries: Vec<DatasetEntry> = Vec::new();
         let mut writer = None;
@@ -355,24 +369,27 @@ impl<'a> Pipeline<'a> {
                 });
             }
         }
-        let chunk = self.config.parallelism.max(1);
-        while entries.len() < dfgs.len() {
-            let start = entries.len();
-            let end = (start + chunk).min(dfgs.len());
-            let batch: Vec<(usize, Dfg)> = (start..end).map(|i| (i, dfgs[i].clone())).collect();
-            let produced =
-                lisa_mapper::portfolio::par_map(self.config.parallelism, batch, |_, (i, dfg)| {
-                    let outcome =
-                        generate_labels_with(&dfg, self.acc, &self.config.iter_gen, i, &self.sink);
-                    DatasetEntry { dfg, outcome }
-                });
-            for entry in produced {
+        let missing: Vec<usize> = (entries.len()..dfgs.len()).collect();
+        par_stream(
+            self.config.parallelism,
+            missing,
+            |_, i| {
+                let dfg = &dfgs[i];
+                let outcome =
+                    generate_labels_with(dfg, self.acc, &self.config.iter_gen, i, &self.sink);
+                DatasetEntry {
+                    dfg: dfg.clone(),
+                    outcome,
+                }
+            },
+            |_, entry| {
                 if let Some(w) = &mut writer {
                     w.append(&entry)?;
                 }
                 entries.push(entry);
-            }
-        }
+                Ok::<(), TrainError>(())
+            },
+        )?;
         Ok(entries)
     }
 
@@ -469,8 +486,14 @@ impl<'a> Pipeline<'a> {
         })
     }
 
-    /// Stage 4: the four label networks (§IV-B, §VI-B), trained one after
-    /// another on the calling thread.
+    /// Stage 4: the four label networks (§IV-B, §VI-B), trained side by
+    /// side on up to `parallelism` workers ([`par_map`]), schedule_order
+    /// first because it takes longest. Each network trains on one thread
+    /// with its own store and shuffle stream, so its weights do not
+    /// depend on the worker count. With an active sink each network's
+    /// events are buffered and emitted after the join in network order
+    /// (schedule_order, same_level, spatial, temporal), so the event
+    /// stream does not depend on it either.
     fn train_nets(&self, train_set: &TrainingSet) -> TrainedNets {
         let train_cfg = &self.config.train;
         let seed = self.config.seed;
@@ -479,35 +502,51 @@ impl<'a> Pipeline<'a> {
         let mut spatial_net = SpatialNet::new(EDGE_ATTR_DIM, seed ^ 0x3);
         let mut temporal_net = EdgeMlp::new(EDGE_ATTR_DIM, seed ^ 0x4);
 
-        let r1 = schedule_net.train_observed(
-            &train_set.node_graphs,
-            train_cfg,
-            "schedule_order",
-            &self.sink,
-        );
-        let r2 = same_level_net.train_observed(
-            &train_set.same_level,
-            train_cfg,
-            "same_level",
-            &self.sink,
-        );
-        let r3 = spatial_net.train_observed(&train_set.spatial, train_cfg, "spatial", &self.sink);
-        let r4 =
-            temporal_net.train_observed(&train_set.temporal, train_cfg, "temporal", &self.sink);
-
+        let jobs: Vec<TrainJob<'_>> = vec![
+            Box::new(|sink| {
+                schedule_net.train_observed(
+                    &train_set.node_graphs,
+                    train_cfg,
+                    "schedule_order",
+                    sink,
+                )
+            }),
+            Box::new(|sink| {
+                same_level_net.train_observed(&train_set.same_level, train_cfg, "same_level", sink)
+            }),
+            Box::new(|sink| {
+                spatial_net.train_observed(&train_set.spatial, train_cfg, "spatial", sink)
+            }),
+            Box::new(|sink| {
+                temporal_net.train_observed(&train_set.temporal, train_cfg, "temporal", sink)
+            }),
+        ];
+        let active = self.sink.is_active();
+        let trained = par_map(self.config.parallelism, jobs, |_, train| {
+            let buffer = Arc::new(RecordingObserver::default());
+            let sink = if active {
+                EventSink::new(buffer.clone())
+            } else {
+                EventSink::null()
+            };
+            let report = train(&sink);
+            (report.final_loss(), buffer.take())
+        });
+        // A non-finite loss (empty split, diverged net) records as None
+        // so it renders "n/a" instead of leaking NaN into tables.
+        let mut final_losses = [None; 4];
+        for (slot, (loss, events)) in final_losses.iter_mut().zip(trained) {
+            *slot = finite(loss);
+            for event in events {
+                self.sink.emit(event);
+            }
+        }
         TrainedNets {
             schedule_net,
             same_level_net,
             spatial_net,
             temporal_net,
-            // A non-finite loss (empty split, diverged net) records as
-            // None so it renders "n/a" instead of leaking NaN into tables.
-            final_losses: [
-                finite(r1.final_loss()),
-                finite(r2.final_loss()),
-                finite(r3.final_loss()),
-                finite(r4.final_loss()),
-            ],
+            final_losses,
         }
     }
 
@@ -564,6 +603,9 @@ struct SplitSets {
     kept: usize,
     holdout_graphs: usize,
 }
+
+/// One label network's training run, handed the sink its events go to.
+type TrainJob<'a> = Box<dyn FnOnce(&EventSink) -> TrainReport + Send + 'a>;
 
 /// Output of [`Stage::TrainNets`].
 struct TrainedNets {

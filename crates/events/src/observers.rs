@@ -7,7 +7,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::{LabelGenResult, Observer, PipelineEvent};
 
-/// Buffers every event in memory. Intended for tests.
+/// Buffers every event in memory: for tests, and for stages that replay
+/// events from worker threads in a fixed order.
 #[derive(Default)]
 pub struct RecordingObserver {
     events: Mutex<Vec<PipelineEvent>>,

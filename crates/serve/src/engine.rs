@@ -34,7 +34,7 @@ use lisa_core::{Lisa, MapRequest, ModelRegistry};
 use lisa_events::{EventSink, PipelineEvent};
 
 use crate::cache::{CacheTier, ResultCache};
-use crate::error::ServeError;
+use crate::error::{ServeError, StartError};
 use crate::lock_unpoisoned;
 use crate::protocol::{render_error, render_ok, render_overloaded, render_unmappable};
 
@@ -207,8 +207,6 @@ struct Overloaded;
 struct Resident {
     acc: Accelerator,
     model: Arc<Lisa>,
-    /// FNV-1a 64 of the model's `lisa-model v1` export.
-    digest: u64,
 }
 
 /// The serving engine: warm models, two-tier cache, single-flight
@@ -228,27 +226,35 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Builds an engine over resident models. Each model is serialised
-    /// once here to take its digest.
+    /// Builds an engine over resident models, keyed by their stored
+    /// [`Lisa::digest`].
     ///
     /// # Errors
     ///
-    /// Propagates cache-directory creation failures.
+    /// [`StartError::UnknownAccelerator`] when a model targets an
+    /// accelerator outside the catalog (`Accelerator::STANDARD_KEYS`),
+    /// which no request can name; cache-directory creation failures.
     pub fn new(
         registry: ModelRegistry,
         config: ServeConfig,
         sink: EventSink,
-    ) -> std::io::Result<Self> {
-        let cache = ResultCache::new(config.mem_cache, config.cache_dir.clone())?;
-        let residents = Accelerator::STANDARD_KEYS
+    ) -> Result<Self, StartError> {
+        let residents: BTreeMap<&'static str, Resident> = Accelerator::STANDARD_KEYS
             .into_iter()
             .filter_map(|key| {
                 let acc = Accelerator::standard(key)?;
                 let model = registry.get(acc.name())?;
-                let digest = fnv1a64(model.export_model().as_bytes());
-                Some((key, Resident { acc, model, digest }))
+                Some((key, Resident { acc, model }))
             })
             .collect();
+        if let Some(stray) = registry
+            .accelerators()
+            .into_iter()
+            .find(|name| !residents.values().any(|r| r.acc.name() == *name))
+        {
+            return Err(StartError::UnknownAccelerator(stray.to_string()));
+        }
+        let cache = ResultCache::new(config.mem_cache, config.cache_dir.clone())?;
         Ok(ServeEngine {
             registry,
             residents,
@@ -295,7 +301,7 @@ impl ServeEngine {
                 return self.respond(id, started, body, Disposition::Error);
             }
         };
-        let key = response_key(&req, resident.digest);
+        let key = response_key(&req, resident.model.digest());
 
         if let Some((body, tier)) = self.cache.get(key) {
             let (tier_name, disposition) = match tier {
@@ -600,5 +606,29 @@ mod tests {
             e,
             PipelineEvent::ServeEnqueued { .. } | PipelineEvent::ServeResponded { .. }
         )));
+    }
+
+    #[test]
+    fn a_model_outside_the_catalog_is_refused_at_start() {
+        // What `lisa-map train --arch 5x5` writes: a valid model that no
+        // request can name, since requests resolve catalog keys only.
+        let acc = Accelerator::cgra("5x5", 5, 5);
+        let config = lisa_core::LisaConfig {
+            training_dfgs: 4,
+            ..lisa_core::LisaConfig::fast()
+        };
+        let model = Lisa::train_for(&acc, &config).expect("tiny training run completes");
+        let mut registry = ModelRegistry::new();
+        registry.insert(model).unwrap();
+        let err = match ServeEngine::new(registry, ServeConfig::default(), EventSink::null()) {
+            Ok(_) => panic!("an engine over a 5x5 model must not start"),
+            Err(e) => e,
+        };
+        assert!(matches!(&err, StartError::UnknownAccelerator(name) if name == "5x5"));
+        assert_eq!(
+            err.to_string(),
+            "model for accelerator `5x5` cannot be served: requests name one of \
+             3x3, 4x4, 4x4-lr, 4x4-lm, 8x8, systolic"
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! Typed failures on the request path.
+//! Typed failures on the request path, and why the engine would not
+//! start.
 //!
 //! The daemon's availability contract (PANIC001 in the static invariant
 //! catalog) is that nothing a client sends — and no internal oddity a
@@ -8,6 +9,8 @@
 //! [`crate::protocol::render_error`] turns them into response bodies.
 
 use std::fmt;
+
+use lisa_arch::Accelerator;
 
 /// Why a request could not be answered with a mapping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +45,46 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Why [`crate::ServeEngine::new`] refused to start.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum StartError {
+    /// A resident model targets an accelerator outside the catalog
+    /// (`Accelerator::STANDARD_KEYS`): requests resolve only catalog
+    /// keys, so every request for it would fail.
+    UnknownAccelerator(String),
+    /// The disk-tier directory could not be created.
+    Io(std::io::Error),
+}
+
+impl fmt::Display for StartError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StartError::UnknownAccelerator(name) => write!(
+                f,
+                "model for accelerator `{name}` cannot be served: requests name one of {}",
+                Accelerator::STANDARD_KEYS.join(", ")
+            ),
+            StartError::Io(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for StartError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StartError::Io(e) => Some(e),
+            StartError::UnknownAccelerator(_) => None,
+        }
+    }
+}
+
+impl From<std::io::Error> for StartError {
+    fn from(e: std::io::Error) -> Self {
+        StartError::Io(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -31,7 +31,7 @@ pub mod server;
 
 pub use cache::{CacheTier, ResultCache};
 pub use engine::{Disposition, ServeConfig, ServeEngine, StatsSnapshot, MAPPER_FORMAT};
-pub use error::ServeError;
+pub use error::{ServeError, StartError};
 pub use server::{serve_connection, serve_tcp, Served};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

@@ -59,6 +59,18 @@ if [ "$STATUS" -ne 2 ] || grep -q panicked target/cli-smoke/nosuch.err; then
 fi
 echo "verify: an unknown kernel is a clean usage error"
 
+# Unknown-mapper smoke: the mapper name is checked with the flags, so a
+# typo is a usage error (exit 2) before any `mapping ...` line is printed.
+STATUS=0
+target/release/lisa-map gemm --arch 4x4 --mapper zz \
+    2>target/cli-smoke/zz.err || STATUS=$?
+if [ "$STATUS" -ne 2 ] || grep -q -e panicked -e '^mapping' target/cli-smoke/zz.err; then
+    echo "verify: unknown mapper exited $STATUS:" >&2
+    cat target/cli-smoke/zz.err >&2
+    exit 1
+fi
+echo "verify: an unknown mapper is a clean usage error"
+
 # Strategy-lane smoke: the constructive lane alone must land a verified
 # mapping of doitgen on the 4x4 (it is deterministic and orders of
 # magnitude cheaper than annealing), and the mixed race (constructive,

@@ -60,10 +60,37 @@ use lisa::mapper::exact::{ExactMapper, ExactParams};
 use lisa::mapper::schedule::IiSearch;
 use lisa::mapper::{FilterTotals, SaMapper, SaParams, StrategySpec};
 
+/// The `--mapper` choice, checked while the flags are parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MapperKind {
+    Lisa,
+    Sa,
+    Ilp,
+}
+
+impl MapperKind {
+    fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "lisa" => Ok(MapperKind::Lisa),
+            "sa" => Ok(MapperKind::Sa),
+            "ilp" => Ok(MapperKind::Ilp),
+            other => Err(format!("unknown mapper {other}\n{}", usage())),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            MapperKind::Lisa => "lisa",
+            MapperKind::Sa => "sa",
+            MapperKind::Ilp => "ilp",
+        }
+    }
+}
+
 struct Options {
     kernel: String,
     arch: String,
-    mapper: String,
+    mapper: MapperKind,
     model: Option<PathBuf>,
     unroll: u32,
     max_ii: u32,
@@ -104,7 +131,7 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         kernel,
         arch: "4x4".to_string(),
-        mapper: "lisa".to_string(),
+        mapper: MapperKind::Lisa,
         model: None,
         unroll: 1,
         max_ii: 16,
@@ -122,7 +149,7 @@ fn parse_args() -> Result<Options, String> {
         };
         match flag.as_str() {
             "--arch" => opts.arch = value("--arch")?,
-            "--mapper" => opts.mapper = value("--mapper")?,
+            "--mapper" => opts.mapper = MapperKind::parse(&value("--mapper")?)?,
             "--model" => opts.model = Some(PathBuf::from(value("--model")?)),
             "--unroll" => {
                 opts.unroll = value("--unroll")?
@@ -519,7 +546,7 @@ fn main() {
         dfg.node_count(),
         dfg.edge_count(),
         acc.name(),
-        opts.mapper
+        opts.mapper.name()
     );
 
     // Event plumbing: the movement recorder captures training pairs, the
@@ -544,18 +571,18 @@ fn main() {
     } else {
         EventSink::null()
     };
-    if opts.predictor.is_some() && opts.mapper == "ilp" {
+    if opts.predictor.is_some() && opts.mapper == MapperKind::Ilp {
         eprintln!("note: --predictor only gates the annealing mappers (lisa, sa); ignored");
     }
-    if opts.strategy != StrategySpec::default() && opts.mapper == "ilp" {
+    if opts.strategy != StrategySpec::default() && opts.mapper == MapperKind::Ilp {
         eprintln!("note: --strategy only selects the lanes of lisa and sa; ignored");
     }
 
     let search = IiSearch {
         max_ii: Some(opts.max_ii),
     };
-    let (outcome, mapping) = match opts.mapper.as_str() {
-        "lisa" => {
+    let (outcome, mapping) = match opts.mapper {
+        MapperKind::Lisa => {
             let config = mapping_config(
                 &acc,
                 opts.seed,
@@ -591,7 +618,7 @@ fn main() {
             let lisa = lisa.with_observer(sink.clone());
             lisa.map_capped(&dfg, &acc, opts.max_ii)
         }
-        "sa" => {
+        MapperKind::Sa => {
             let mut sa = SaMapper::new(SaParams::paper(), opts.seed)
                 .with_strategy(opts.strategy.clone())
                 .with_observer(sink.clone());
@@ -609,13 +636,9 @@ fn main() {
             }
             search.run(&sa, &dfg, &acc, 1)
         }
-        "ilp" => {
+        MapperKind::Ilp => {
             let ilp = ExactMapper::new(ExactParams::default());
             search.run(&ilp, &dfg, &acc, 1)
-        }
-        other => {
-            eprintln!("unknown mapper {other}\n{}", usage());
-            std::process::exit(2);
         }
     };
 

@@ -221,15 +221,15 @@ fn run_serve(opts: ServeOptions) -> Result<(), String> {
     for dir in &opts.model_dirs {
         registry.load_dir(dir, &config).map_err(|e| e.to_string())?;
     }
-    eprintln!(
-        "serving {} model(s): {}",
-        registry.len(),
-        registry.accelerators().join(", ")
-    );
-
     let sink = build_sink(&opts)?;
     let engine = ServeEngine::new(registry, opts.config.clone(), sink)
         .map_err(|e| format!("starting engine: {e}"))?;
+    let accelerators = engine.accelerators();
+    eprintln!(
+        "serving {} model(s): {}",
+        accelerators.len(),
+        accelerators.join(", ")
+    );
 
     if opts.stdio {
         let mut stdin = std::io::stdin().lock();

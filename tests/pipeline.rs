@@ -18,6 +18,14 @@ fn tiny_config() -> LisaConfig {
     }
 }
 
+/// [`tiny_config`] with an explicit worker budget.
+fn tiny_config_at(parallelism: usize) -> LisaConfig {
+    LisaConfig {
+        parallelism,
+        ..tiny_config()
+    }
+}
+
 /// Fresh scratch directory for one test.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lisa-pipeline-{name}"));
@@ -28,19 +36,25 @@ fn scratch(name: &str) -> PathBuf {
 #[test]
 fn resumed_run_exports_a_byte_identical_model() {
     let acc = Accelerator::cgra("4x4", 4, 4);
-    let config = tiny_config();
 
-    // Reference: one cold, uncheckpointed run.
-    let cold = Pipeline::new(&acc, config.clone())
+    // Reference: one cold, uncheckpointed, single-worker run.
+    let cold = Pipeline::new(&acc, tiny_config_at(1))
         .run()
         .unwrap()
         .expect("cold run completes");
     let cold_model = cold.export_model();
+    for parallelism in [1, 4] {
+        kill_and_resume(&acc, tiny_config_at(parallelism), &cold_model);
+    }
+}
 
-    // "Killed" run: checkpoint through the label stage, then chop the
-    // dataset file mid-entry, as a kill during a flush would.
-    let dir = scratch("resume");
-    let stopped = Pipeline::new(&acc, config.clone())
+/// Checkpoints a run through the label stage, chops its dataset file
+/// mid-entry, as a kill during a flush would, resumes it, and checks
+/// that the resumed model is `cold_model`.
+fn kill_and_resume(acc: &Accelerator, config: LisaConfig, cold_model: &str) {
+    let parallelism = config.parallelism;
+    let dir = scratch(&format!("resume-{parallelism}"));
+    let stopped = Pipeline::new(acc, config.clone())
         .with_checkpoint_dir(&dir)
         .stop_after(Stage::GenerateLabels)
         .run()
@@ -54,7 +68,7 @@ fn resumed_run_exports_a_byte_identical_model() {
 
     // Resume and observe which entries were recovered vs regenerated.
     let recorder = Arc::new(RecordingObserver::default());
-    let resumed = Pipeline::new(&acc, config)
+    let resumed = Pipeline::new(acc, config)
         .with_checkpoint_dir(&dir)
         .with_observer(EventSink::new(recorder.clone()))
         .run()
@@ -64,7 +78,7 @@ fn resumed_run_exports_a_byte_identical_model() {
     assert_eq!(
         resumed.export_model(),
         cold_model,
-        "resumed model differs from the cold run"
+        "{parallelism} workers: resumed model differs from the cold run"
     );
     // The Evaluate stage persisted the same bytes.
     assert_eq!(
@@ -113,40 +127,44 @@ fn resume_survives_a_kill_at_any_rewrite_point() {
     let dataset_path = dir.join(DATASET_FILE);
     let full = std::fs::read_to_string(&dataset_path).unwrap();
 
-    // Kill points: header only, an exact entry boundary, and mid-entry.
+    // Kill points: header only, an exact entry boundary, and mid-entry;
+    // each resumed on one worker and on four.
     let boundary = full[full.len() / 3..]
         .find("end entry\n")
         .map(|i| full.len() / 3 + i + "end entry\n".len())
         .expect("dataset has an entry boundary");
     let header_len = full.match_indices('\n').nth(2).map(|(i, _)| i + 1).unwrap();
-    for (label, cut) in [
-        ("header-only", header_len),
-        ("entry-boundary", boundary),
-        ("mid-entry", boundary + 37),
-    ] {
-        std::fs::write(&dataset_path, &full[..cut]).unwrap();
+    for parallelism in [1, 4] {
+        for (label, cut) in [
+            ("header-only", header_len),
+            ("entry-boundary", boundary),
+            ("mid-entry", boundary + 37),
+        ] {
+            std::fs::write(&dataset_path, &full[..cut]).unwrap();
 
-        // Simulate a resume that is itself killed right after reopening
-        // the checkpoint, before appending anything: the file must stay
-        // recoverable for the next attempt.
-        let recovered =
-            lisa::labels::parse_dataset_partial(&std::fs::read_to_string(&dataset_path).unwrap())
-                .unwrap();
-        let writer =
-            lisa::labels::DatasetWriter::resume(&dataset_path, "4x4", 6, &recovered.entries)
-                .unwrap();
-        drop(writer);
+            // Simulate a resume that is itself killed right after
+            // reopening the checkpoint, before appending anything: the
+            // file must stay recoverable for the next attempt.
+            let recovered = lisa::labels::parse_dataset_partial(
+                &std::fs::read_to_string(&dataset_path).unwrap(),
+            )
+            .unwrap();
+            let writer =
+                lisa::labels::DatasetWriter::resume(&dataset_path, "4x4", 6, &recovered.entries)
+                    .unwrap();
+            drop(writer);
 
-        let resumed = Pipeline::new(&acc, config.clone())
-            .with_checkpoint_dir(&dir)
-            .run()
-            .unwrap()
-            .expect("resumed run completes");
-        assert_eq!(
-            resumed.export_model(),
-            cold_model,
-            "kill point {label}: resumed model differs from the cold run"
-        );
+            let resumed = Pipeline::new(&acc, tiny_config_at(parallelism))
+                .with_checkpoint_dir(&dir)
+                .run()
+                .unwrap()
+                .expect("resumed run completes");
+            assert_eq!(
+                resumed.export_model(),
+                cold_model,
+                "kill point {label}, {parallelism} workers: resumed model differs from the cold run"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -268,4 +286,66 @@ fn observer_does_not_change_the_trained_model() {
     assert!(events
         .iter()
         .any(|e| matches!(e, PipelineEvent::FilterDecision { .. })));
+}
+
+#[test]
+fn dataset_checkpoint_bytes_do_not_depend_on_parallelism() {
+    // Workers finish DFGs out of order; the calling thread appends them
+    // in index order, so the checkpoint is the same file at any worker
+    // count.
+    let acc = Accelerator::cgra("4x4", 4, 4);
+    let dataset_at = |parallelism: usize| {
+        let dir = scratch(&format!("dataset-bytes-{parallelism}"));
+        Pipeline::new(&acc, tiny_config_at(parallelism))
+            .with_checkpoint_dir(&dir)
+            .stop_after(Stage::GenerateLabels)
+            .run()
+            .unwrap();
+        let bytes = std::fs::read(dir.join(DATASET_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    };
+    let sequential = dataset_at(1);
+    assert!(!sequential.is_empty());
+    assert!(
+        sequential == dataset_at(4),
+        "the dataset checkpoint differs between 1 and 4 workers"
+    );
+}
+
+#[test]
+fn epoch_loss_stream_does_not_depend_on_parallelism() {
+    // The four networks train side by side, but their epoch losses reach
+    // the observer in network order, epochs ascending, at any worker
+    // count.
+    let acc = Accelerator::cgra("3x3", 3, 3);
+    let epoch_losses_at = |parallelism: usize| {
+        let recorder = Arc::new(RecordingObserver::default());
+        Pipeline::new(&acc, tiny_config_at(parallelism))
+            .with_observer(EventSink::new(recorder.clone()))
+            .run()
+            .unwrap()
+            .unwrap();
+        recorder
+            .take()
+            .into_iter()
+            .filter(|e| matches!(e, PipelineEvent::EpochLoss { .. }))
+            .collect::<Vec<_>>()
+    };
+    let sequential = epoch_losses_at(1);
+    assert_eq!(sequential, epoch_losses_at(4));
+
+    let epochs = tiny_config().train.epochs;
+    let order: Vec<(&str, usize)> = sequential
+        .iter()
+        .map(|e| match e {
+            PipelineEvent::EpochLoss { network, epoch, .. } => (*network, *epoch),
+            _ => unreachable!("filtered to epoch losses"),
+        })
+        .collect();
+    let expected: Vec<(&str, usize)> = ["schedule_order", "same_level", "spatial", "temporal"]
+        .into_iter()
+        .flat_map(|network| (0..epochs).map(move |epoch| (network, epoch)))
+        .collect();
+    assert_eq!(order, expected);
 }
