@@ -15,6 +15,11 @@
 //! II cycles.
 //!
 //! The MRRG is purely structural; the occupancy tables live in the mapper.
+//! It numbers each slot's resources by a dense *offset*
+//! ([`Mrrg::offset`]) and precomputes every offset's successor offsets
+//! ([`Mrrg::move_offsets`]), which is what the router expands.
+
+use std::fmt;
 
 use lisa_dfg::OpKind;
 
@@ -60,15 +65,69 @@ impl Resource {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Mrrg<'a> {
     acc: &'a Accelerator,
     ii: u32,
     /// `⌊2³²/ii⌋ + 1`: turns the `t mod ii` in every occupancy-index
     /// computation into a multiply-shift (exact for `t < 2¹⁶`, see
-    /// [`slot`](Self::slot)) — `index_at` runs once per router expansion
+    /// [`slot`](Self::slot)) — `slot_base` runs once per router layer
     /// and per placement probe, where a hardware divide dominates.
     slot_magic: u64,
+    moves: MoveTable,
+}
+
+impl fmt::Debug for Mrrg<'_> {
+    /// The move table is a pure function of the accelerator, so it is
+    /// left out: `Mapping`'s debug rendering, which debug builds snapshot
+    /// on every annealing movement, stays as small as it was.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mrrg")
+            .field("acc", &self.acc)
+            .field("ii", &self.ii)
+            .field("slot_magic", &self.slot_magic)
+            .finish()
+    }
+}
+
+/// [`Mrrg::moves_from`] for every resource, precomputed over resource
+/// offsets (see [`Mrrg::offset`]) so the router expands a search state
+/// without building resources or re-deriving their offsets. It does not
+/// depend on the II; its size is linear in the resources per slot.
+#[derive(Clone, Default)]
+struct MoveTable {
+    /// CSR row starts: the successors of offset `o` are
+    /// `succ[start[o]..start[o + 1]]`.
+    start: Vec<u32>,
+    /// Successor offsets, each row in `moves_from` order.
+    succ: Vec<u32>,
+    /// The PE owning each offset.
+    pe: Vec<PeId>,
+}
+
+impl MoveTable {
+    /// Builds the table from [`Mrrg::moves_from_into`], the one statement
+    /// of the move rules, in offset order.
+    fn build(mrrg: &Mrrg<'_>) -> Self {
+        let per_slot = mrrg.resources_per_slot();
+        let mut table = MoveTable {
+            start: Vec::with_capacity(per_slot + 1),
+            succ: Vec::new(),
+            pe: Vec::with_capacity(per_slot),
+        };
+        let mut row = Vec::new();
+        for offset in 0..per_slot {
+            let r = mrrg.resource(offset);
+            table.start.push(table.succ.len() as u32);
+            table.pe.push(r.pe());
+            mrrg.moves_from_into(r, &mut row);
+            table
+                .succ
+                .extend(row.iter().map(|&next| mrrg.offset(next) as u32));
+        }
+        table.start.push(table.succ.len() as u32);
+        table
+    }
 }
 
 impl<'a> Mrrg<'a> {
@@ -88,11 +147,14 @@ impl<'a> Mrrg<'a> {
                 max_ii: acc.max_ii(),
             });
         }
-        Ok(Mrrg {
+        let mut mrrg = Mrrg {
             acc,
             ii,
             slot_magic: (1u64 << 32) / u64::from(ii) + 1,
-        })
+            moves: MoveTable::default(),
+        };
+        mrrg.moves = MoveTable::build(&mrrg);
+        Ok(mrrg)
     }
 
     /// The accelerator this MRRG was built for.
@@ -133,18 +195,52 @@ impl<'a> Mrrg<'a> {
     }
 
     /// Dense index of a (resource, absolute time) pair, folding time into
-    /// its modulo slot. Used as the key of occupancy tables.
+    /// its modulo slot. Used as the key of occupancy tables; equal to
+    /// `slot_base(t) + offset(r)`.
     pub fn index_at(&self, r: Resource, t: u32) -> usize {
-        let slot = self.slot(t) as usize;
-        let base = slot * self.resources_per_slot();
-        let offset = match r {
+        self.slot_base(t) + self.offset(r)
+    }
+
+    /// Occupancy index of the first resource of `t`'s modulo slot.
+    pub fn slot_base(&self, t: u32) -> usize {
+        self.slot(t) as usize * self.resources_per_slot()
+    }
+
+    /// Dense index of a resource within one modulo slot: FUs first, in PE
+    /// order, then each PE's registers.
+    pub fn offset(&self, r: Resource) -> usize {
+        match r {
             Resource::Fu(p) => p.index(),
             Resource::Reg(p, reg) => {
                 debug_assert!((reg as usize) < self.acc.regs_per_pe());
                 self.acc.pe_count() + p.index() * self.acc.regs_per_pe() + reg as usize
             }
-        };
-        base + offset
+        }
+    }
+
+    /// The resource at a slot offset: the inverse of
+    /// [`offset`](Self::offset).
+    pub fn resource(&self, offset: usize) -> Resource {
+        let pes = self.acc.pe_count();
+        if offset < pes {
+            Resource::Fu(PeId::new(offset))
+        } else {
+            let regs = self.acc.regs_per_pe();
+            let reg = offset - pes;
+            Resource::Reg(PeId::new(reg / regs), (reg % regs) as u8)
+        }
+    }
+
+    /// The PE owning the resource at a slot offset (a table read).
+    pub fn offset_pe(&self, offset: usize) -> PeId {
+        self.moves.pe[offset]
+    }
+
+    /// Offsets of [`moves_from`](Self::moves_from)`(self.resource(offset))`,
+    /// in the same order, read from a table built with the MRRG.
+    pub fn move_offsets(&self, offset: usize) -> &[u32] {
+        let t = &self.moves;
+        &t.succ[t.start[offset] as usize..t.start[offset + 1] as usize]
     }
 
     /// Dense index of an FU at an absolute time.
@@ -166,8 +262,8 @@ impl<'a> Mrrg<'a> {
 
     /// Allocation-free variant of [`moves_from`](Self::moves_from):
     /// clears `out` and fills it with the successor resources in the same
-    /// order. The router calls this once per Dijkstra expansion, so hot
-    /// paths reuse one buffer instead of allocating per expansion.
+    /// order. [`Mrrg::new`] builds the [`move_offsets`](Self::move_offsets)
+    /// table with it.
     pub fn moves_from_into(&self, r: Resource, out: &mut Vec<Resource>) {
         out.clear();
         match r {
@@ -269,6 +365,34 @@ mod tests {
         assert_eq!(m.len(), 4);
         assert!(m.contains(&Resource::Reg(PeId::new(0), 0)));
         assert!(m.contains(&Resource::Fu(PeId::new(0))));
+    }
+
+    #[test]
+    fn offsets_round_trip_and_move_table_matches_moves_from() {
+        let accs = [
+            Accelerator::cgra("3x3", 3, 3).with_regs_per_pe(2),
+            Accelerator::cgra("4x4", 4, 4),
+            Accelerator::systolic("sys", 3, 3),
+            Accelerator::cgra("2x2", 2, 2).with_regs_per_pe(0),
+        ];
+        for acc in &accs {
+            let mrrg = Mrrg::new(acc, 1).unwrap();
+            for offset in 0..mrrg.resources_per_slot() {
+                let r = mrrg.resource(offset);
+                assert_eq!(mrrg.offset(r), offset);
+                assert_eq!(mrrg.offset_pe(offset), r.pe());
+                let table: Vec<Resource> = mrrg
+                    .move_offsets(offset)
+                    .iter()
+                    .map(|&o| mrrg.resource(o as usize))
+                    .collect();
+                assert_eq!(table, mrrg.moves_from(r), "{} offset {offset}", acc.name());
+            }
+            assert_eq!(
+                mrrg.index_at(Resource::Fu(PeId::new(1)), 0),
+                mrrg.slot_base(0) + 1
+            );
+        }
     }
 
     #[test]

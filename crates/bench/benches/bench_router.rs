@@ -2,7 +2,6 @@
 
 use lisa_arch::{Accelerator, Mrrg, PeId, Resource};
 use lisa_bench::timing::Suite;
-use lisa_dfg::NodeId;
 use lisa_mapper::router::find_route;
 
 fn main() {
@@ -13,12 +12,11 @@ fn main() {
     suite.bench("adjacent_4x4", || {
         std::hint::black_box(find_route(
             &mrrg,
-            NodeId::new(0),
             PeId::new(5),
             0,
             PeId::new(6),
             1,
-            |_r: Resource, _t| Some(1),
+            |_cell, _t| Some(1),
         ));
     });
 
@@ -27,31 +25,43 @@ fn main() {
     suite.bench("corner_to_corner_8x8", || {
         std::hint::black_box(find_route(
             &mrrg8,
-            NodeId::new(0),
             PeId::new(0),
             0,
             PeId::new(63),
             14,
-            |_r: Resource, _t| Some(1),
+            |_cell, _t| Some(1),
         ));
     });
 
     let mrrg6 = Mrrg::new(&acc, 6).unwrap();
     // Only even-index PEs usable: forces detours.
-    let filter = |r: Resource, _t: u32| match r {
+    let per_slot6 = mrrg6.resources_per_slot();
+    let filter = |cell: usize, _t: u32| match mrrg6.resource(cell % per_slot6) {
         Resource::Fu(p) if p.index() % 2 == 1 => None,
         _ => Some(1),
     };
     suite.bench("congested_4x4", || {
         std::hint::black_box(find_route(
             &mrrg6,
-            NodeId::new(0),
             PeId::new(0),
             0,
             PeId::new(10),
             8,
             filter,
         ));
+    });
+
+    // The retry the annealer pays most often: an infeasible route whose
+    // search exhausts its cone. Column 4 of the 8x8 is a wall (every FU
+    // and register busy at every cycle), so nothing crosses from the left
+    // half to the right half and the search runs out of states.
+    let per_slot8 = mrrg8.resources_per_slot();
+    let wall =
+        |cell: usize, _t: u32| (mrrg8.offset_pe(cell % per_slot8).index() % 8 != 4).then_some(1);
+    suite.bench("congested_8x8_fail", || {
+        let route = find_route(&mrrg8, PeId::new(24), 0, PeId::new(31), 12, wall);
+        debug_assert!(route.is_none());
+        std::hint::black_box(route);
     });
 
     suite.finish();

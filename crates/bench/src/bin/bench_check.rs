@@ -3,11 +3,11 @@
 //! `scripts/verify.sh` runs the bench targets in smoke mode (via `cargo
 //! test`), which writes `BENCH_<suite>.json` with single-shot timings,
 //! then runs this binary. It fails (exit 1) when `BENCH_mapping.json`,
-//! `BENCH_gnn.json`, `BENCH_pipeline.json`, or `BENCH_serve.json` is
-//! missing, malformed, or lacks the entries the incremental-annealer,
-//! batched-GNN, artifact round-trip, and serving-cache work is
-//! benchmarked by — so a refactor that silently drops a bench
-//! registration breaks verify, not just the numbers.
+//! `BENCH_router.json`, `BENCH_gnn.json`, `BENCH_pipeline.json`, or
+//! `BENCH_serve.json` is missing, malformed, or lacks the entries the
+//! incremental-annealer, router, batched-GNN, artifact round-trip, and
+//! serving-cache work is benchmarked by — so a refactor that silently
+//! drops a bench registration breaks verify, not just the numbers.
 
 use lisa_bench::timing::bench_dir;
 
@@ -44,6 +44,15 @@ const REQUIRED_MAPPING_METRICS: &[&str] = &[
     "strategy/fig9_4x4/wins_sa",
     "strategy/doitgen_4x4/constructive_router_invocations",
     "strategy/doitgen_4x4/sa_router_invocations",
+];
+
+/// Router-suite entries every run must produce: direct, long-haul,
+/// detouring and infeasible (cone-exhausting) searches.
+const REQUIRED_ROUTER: &[&str] = &[
+    "adjacent_4x4",
+    "corner_to_corner_8x8",
+    "congested_4x4",
+    "congested_8x8_fail",
 ];
 
 /// GNN-suite entries every run must produce: compiled-plan inference
@@ -157,8 +166,9 @@ fn check_suite(suite: &str, required: &[&str], required_metrics: &[&str]) -> &'s
 }
 
 fn main() {
-    let suites: [(&str, &[&str], &[&str]); 4] = [
+    let suites: [(&str, &[&str], &[&str]); 5] = [
         ("mapping", REQUIRED_MAPPING, REQUIRED_MAPPING_METRICS),
+        ("router", REQUIRED_ROUTER, &[]),
         ("gnn", REQUIRED_GNN, &[]),
         ("pipeline", REQUIRED_PIPELINE, &[]),
         ("serve", REQUIRED_SERVE, REQUIRED_SERVE_METRICS),

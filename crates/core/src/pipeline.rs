@@ -49,7 +49,7 @@ use std::time::Instant;
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{random, text as dfg_text, Dfg};
-use lisa_events::{EventSink, LabelGenResult, PipelineEvent, RecordingObserver};
+use lisa_events::{EventSink, LabelGenResult, Observer, PipelineEvent, RecordingObserver};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
 use lisa_gnn::TrainReport;
 use lisa_labels::attributes::{DUMMY_ATTR_DIM, EDGE_ATTR_DIM, NODE_ATTR_DIM};
@@ -341,7 +341,10 @@ impl<'a> Pipeline<'a> {
     /// same bytes at any worker count — and a slow DFG holds back only
     /// the appends, never the other workers. Per-DFG generation is
     /// independent and seeded via the config, so the worker count never
-    /// changes the entries.
+    /// changes the entries. Each DFG's progress events
+    /// ([`PipelineEvent::LabelGenRound`], [`PipelineEvent::LabelGenFinished`])
+    /// are held by a [`ProgressBuffer`] and emitted with its entry, so
+    /// they too arrive in index order at any worker count.
     fn generate_labels(&self, dfgs: &[Dfg]) -> Result<Vec<DatasetEntry>, TrainError> {
         let mut entries: Vec<DatasetEntry> = Vec::new();
         let mut writer = None;
@@ -370,19 +373,32 @@ impl<'a> Pipeline<'a> {
             }
         }
         let missing: Vec<usize> = (entries.len()..dfgs.len()).collect();
+        let active = self.sink.is_active();
         par_stream(
             self.config.parallelism,
             missing,
             |_, i| {
                 let dfg = &dfgs[i];
-                let outcome =
-                    generate_labels_with(dfg, self.acc, &self.config.iter_gen, i, &self.sink);
-                DatasetEntry {
+                let progress = Arc::new(ProgressBuffer {
+                    downstream: self.sink.clone(),
+                    held: RecordingObserver::default(),
+                });
+                let sink = if active {
+                    EventSink::new(progress.clone())
+                } else {
+                    EventSink::null()
+                };
+                let outcome = generate_labels_with(dfg, self.acc, &self.config.iter_gen, i, &sink);
+                let entry = DatasetEntry {
                     dfg: dfg.clone(),
                     outcome,
-                }
+                };
+                (entry, progress.held.take())
             },
-            |_, entry| {
+            |_, (entry, progress)| {
+                for event in progress {
+                    self.sink.emit(event);
+                }
                 if let Some(w) = &mut writer {
                     w.append(&entry)?;
                 }
@@ -592,6 +608,26 @@ impl<'a> Pipeline<'a> {
             fs::write(dir.join(MODEL_FILE), lisa.export_model())?;
         }
         Ok(lisa)
+    }
+}
+
+/// The sink of one label-generation worker: holds the DFG's progress
+/// events (`LabelGenRound`, `LabelGenFinished`) for the in-order consumer
+/// and passes the annealer's events straight on, so a DFG never buffers
+/// its per-movement samples.
+struct ProgressBuffer {
+    downstream: EventSink,
+    held: RecordingObserver,
+}
+
+impl Observer for ProgressBuffer {
+    fn event(&self, event: &PipelineEvent) {
+        match event {
+            PipelineEvent::LabelGenRound { .. } | PipelineEvent::LabelGenFinished { .. } => {
+                self.held.event(event);
+            }
+            _ => self.downstream.forward(event),
+        }
     }
 }
 

@@ -78,8 +78,14 @@ impl EventSink {
 
     /// Emits one event (no-op on the null sink).
     pub fn emit(&self, event: PipelineEvent) {
+        self.forward(&event);
+    }
+
+    /// Passes a borrowed event on (no-op on the null sink): for observers
+    /// that relay the events they do not keep, without cloning them.
+    pub fn forward(&self, event: &PipelineEvent) {
         if let Some(observer) = &self.0 {
-            observer.event(&event);
+            observer.event(event);
         }
     }
 }

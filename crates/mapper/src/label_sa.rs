@@ -15,10 +15,21 @@
 //! 3. **Temporal mapping distance** (label 4) prioritises long edges in
 //!    routing (line 9): edges that need many routing resources are routed
 //!    while resources are still plentiful.
+//!
+//! The labels are fixed for a lane, so the routing order is ranked once
+//! when the lane's policy is built. A candidate draw gathers the placed
+//! neighbours' terms once per node, prices every candidate from them with
+//! the floating-point operations of the per-candidate formula in the same
+//! order (so each cost is bit-identical to it), and selects the drawn
+//! index by `(cost, candidate index)`: the element a stable sort by cost
+//! would put there. One buffer per lane holds both lists, so a draw
+//! allocates nothing.
+
+use std::cell::{Cell, RefCell};
 
 use lisa_rng::Rng;
 
-use lisa_arch::{Accelerator, PeId};
+use lisa_arch::{Accelerator, Coord, PeId};
 use lisa_dfg::{analysis, same_level, Dfg, EdgeId, NodeId};
 use lisa_events::EventSink;
 
@@ -128,9 +139,150 @@ struct LabelPolicy<'l> {
     config: LabelSaConfig,
     /// Same-level partners per node, precomputed for the placement cost.
     partners: Vec<Vec<(NodeId, f64)>>,
+    /// Each edge's position in the label routing order (Algorithm 1
+    /// line 9), ranked once: the labels do not change within a lane.
+    edge_rank: Vec<u32>,
+    /// Scratch of every candidate draw of the lane.
+    draw: RefCell<CandidateDraw>,
     /// Whether the annealer is past the initial mapping (used by
     /// [`LabelMode::InitialOnly`]).
-    initial_done: std::cell::Cell<bool>,
+    initial_done: Cell<bool>,
+}
+
+/// One placed neighbour's share of a candidate's placement cost, with
+/// everything that does not depend on the candidate looked up once.
+#[derive(Debug, Clone, Copy)]
+struct CostTerm {
+    /// The neighbour's grid position.
+    at: Coord,
+    /// Expected spatial distance: label 3 of the edge, or label 2 of a
+    /// same-level pair.
+    spatial: f64,
+    timing: Timing,
+}
+
+/// The temporal part of a [`CostTerm`].
+#[derive(Debug, Clone, Copy)]
+enum Timing {
+    /// A placed producer: the actual temporal distance of a candidate at
+    /// `t` is `f64::from(t + shift) - time`.
+    Producer {
+        shift: u32,
+        time: f64,
+        expected: f64,
+    },
+    /// A placed consumer: the actual temporal distance is
+    /// `due - f64::from(t)`.
+    Consumer { due: f64, expected: f64 },
+    /// A same-level partner contributes a spatial term only.
+    Partner,
+}
+
+/// Reusable buffers of the label policy's `choose_candidate`.
+#[derive(Debug, Default)]
+struct CandidateDraw {
+    terms: Vec<CostTerm>,
+    /// `(placement cost, candidate index)` per candidate.
+    order: Vec<(f64, usize)>,
+}
+
+/// Penalty for a spatial distance a value cannot cover in the temporal
+/// gap: it advances at most one hop per cycle, so such a candidate is
+/// physically unroutable whatever the (possibly inaccurate) labels say.
+fn infeasible(spatial: f64, temporal: f64) -> f64 {
+    if spatial > temporal {
+        100.0 * (spatial - temporal)
+    } else {
+        0.0
+    }
+}
+
+impl CandidateDraw {
+    /// Collects the cost terms of `node`'s placed neighbours, in the order
+    /// the placement cost sums them: in-edges, out-edges, same-level
+    /// partners.
+    fn gather(&mut self, policy: &LabelPolicy<'_>, m: &Mapping<'_>, node: NodeId) {
+        self.terms.clear();
+        let dfg = m.dfg();
+        let acc = m.accelerator();
+        let ii = m.ii();
+        let labels = policy.labels;
+        for &e in dfg.in_edges(node) {
+            let edge = dfg.edge(e);
+            if let Some(p) = m.placement(edge.src) {
+                self.terms.push(CostTerm {
+                    at: acc.coord(p.pe),
+                    spatial: labels.spatial[e.index()],
+                    timing: Timing::Producer {
+                        shift: edge.kind.distance() * ii,
+                        time: f64::from(p.time),
+                        expected: labels.temporal[e.index()],
+                    },
+                });
+            }
+        }
+        for &e in dfg.out_edges(node) {
+            let edge = dfg.edge(e);
+            if edge.dst == node {
+                continue; // self-recurrence counted once above
+            }
+            if let Some(c) = m.placement(edge.dst) {
+                self.terms.push(CostTerm {
+                    at: acc.coord(c.pe),
+                    spatial: labels.spatial[e.index()],
+                    timing: Timing::Consumer {
+                        due: f64::from(c.time + edge.kind.distance() * ii),
+                        expected: labels.temporal[e.index()],
+                    },
+                });
+            }
+        }
+        for &(partner, expected) in &policy.partners[node.index()] {
+            if let Some(p) = m.placement(partner) {
+                self.terms.push(CostTerm {
+                    at: acc.coord(p.pe),
+                    spatial: expected,
+                    timing: Timing::Partner,
+                });
+            }
+        }
+    }
+
+    /// Placement cost of a candidate at grid position `at`, time `t`, from
+    /// the gathered terms: Σ |actual − expected| over labels 2, 3, 4
+    /// (Algorithm 1 line 6) plus the infeasibility penalty.
+    fn cost(&self, at: Coord, t: u32) -> f64 {
+        let mut cost = 0.0;
+        for term in &self.terms {
+            let spatial = f64::from(at.manhattan(term.at));
+            cost += (spatial - term.spatial).abs();
+            let (temporal, expected) = match term.timing {
+                Timing::Producer {
+                    shift,
+                    time,
+                    expected,
+                } => (f64::from(t + shift) - time, expected),
+                Timing::Consumer { due, expected } => (due - f64::from(t), expected),
+                Timing::Partner => continue,
+            };
+            cost += (temporal - expected).abs();
+            cost += infeasible(spatial, temporal);
+        }
+        cost
+    }
+}
+
+/// The candidate index a stable sort of `order` by cost puts at position
+/// `idx`. Stable sorting breaks cost ties by candidate index, so that
+/// element is the `idx`-th smallest by `(cost, candidate index)`, which
+/// selection finds without sorting the rest.
+fn nth_by_cost(order: &mut [(f64, usize)], idx: usize) -> usize {
+    let (_, nth, _) = order.select_nth_unstable_by(idx, |a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("finite costs")
+            .then(a.1.cmp(&b.1))
+    });
+    nth.1
 }
 
 impl<'l> LabelPolicy<'l> {
@@ -140,33 +292,47 @@ impl<'l> LabelPolicy<'l> {
             partners[a.index()].push((b, d));
             partners[b.index()].push((a, d));
         }
+        // Route the neediest data first: descending label-4 sum of the
+        // producing node, tie-broken by the edge's own label 4, then by id.
+        let need: Vec<f64> = dfg
+            .node_ids()
+            .map(|n| labels.node_routing_need(dfg, n))
+            .collect();
+        let mut by_priority: Vec<EdgeId> = dfg.edge_ids().collect();
+        by_priority.sort_by(|&a, &b| {
+            let na = need[dfg.edge(a).src.index()];
+            let nb = need[dfg.edge(b).src.index()];
+            nb.partial_cmp(&na)
+                .expect("finite needs")
+                .then_with(|| {
+                    labels.temporal[b.index()]
+                        .partial_cmp(&labels.temporal[a.index()])
+                        .expect("finite labels")
+                })
+                .then(a.index().cmp(&b.index()))
+        });
+        let mut edge_rank = vec![0; dfg.edge_count()];
+        for (rank, e) in by_priority.iter().enumerate() {
+            edge_rank[e.index()] = rank as u32;
+        }
         LabelPolicy {
             labels,
             config,
             partners,
-            initial_done: std::cell::Cell::new(false),
+            edge_rank,
+            draw: RefCell::default(),
+            initial_done: Cell::new(false),
         }
     }
 
-    /// Placement cost of putting `node` at `(pe, t)`: Σ |actual − expected|
-    /// over labels 2, 3, 4 against already-placed neighbours
-    /// (Algorithm 1 line 6).
+    /// Placement cost of putting `node` at `(pe, t)`, one candidate at a
+    /// time: the reference the gathered-term draw is tested against.
+    #[cfg(test)]
     fn placement_cost(&self, m: &Mapping<'_>, node: NodeId, pe: PeId, t: u32) -> f64 {
         let dfg = m.dfg();
         let acc = m.accelerator();
         let ii = m.ii();
         let mut cost = 0.0;
-        // A value advances at most one hop per cycle, so a candidate whose
-        // spatial distance to a placed neighbour exceeds the temporal gap
-        // is physically unroutable; penalise it regardless of what the
-        // (possibly inaccurate) labels suggest.
-        let infeasible = |spatial: f64, temporal: f64| {
-            if spatial > temporal {
-                100.0 * (spatial - temporal)
-            } else {
-                0.0
-            }
-        };
         for &e in dfg.in_edges(node) {
             let edge = dfg.edge(e);
             if let Some(p) = m.placement(edge.src) {
@@ -236,42 +402,31 @@ impl SaPolicy for LabelPolicy<'_> {
             // flag the transition for subsequent calls.
             return VanillaPolicy.choose_candidate(mapping, node, candidates, stats, rng);
         }
-        let mut order: Vec<(f64, usize)> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, &(pe, t))| (self.placement_cost(mapping, node, pe, t), i))
-            .collect();
-        order.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
+        let mut draw = self.draw.borrow_mut();
+        let draw = &mut *draw;
+        draw.gather(self, mapping, node);
+        let acc = mapping.accelerator();
+        draw.order.clear();
+        for (i, &(pe, t)) in candidates.iter().enumerate() {
+            let cost = draw.cost(acc.coord(pe), t);
+            draw.order.push((cost, i));
+        }
         // σ = max{1, α·T − Acc}: low acceptance widens the distribution.
         let sigma =
             (self.config.alpha * f64::from(stats.attempted) - f64::from(stats.accepted)).max(1.0);
-        let draw = sample_normal(rng).abs() * sigma;
-        let idx = (draw.floor() as usize).min(order.len() - 1);
-        order[idx].1
+        let deviation = sample_normal(rng).abs() * sigma;
+        let idx = (deviation.floor() as usize).min(draw.order.len() - 1);
+        nth_by_cost(&mut draw.order, idx)
     }
 
     fn order_edges(&self, mapping: &Mapping<'_>, edges: &mut [EdgeId]) {
-        let dfg = mapping.dfg();
         match self.config.mode {
             LabelMode::InitialOnly if self.initial_done.get() => {
                 VanillaPolicy.order_edges(mapping, edges);
             }
-            _ => {
-                // Route the neediest data first: descending label-4 sum of
-                // the producing node, tie-broken by the edge's own label 4.
-                edges.sort_by(|&a, &b| {
-                    let na = self.labels.node_routing_need(dfg, dfg.edge(a).src);
-                    let nb = self.labels.node_routing_need(dfg, dfg.edge(b).src);
-                    nb.partial_cmp(&na)
-                        .expect("finite needs")
-                        .then_with(|| {
-                            self.labels.temporal[b.index()]
-                                .partial_cmp(&self.labels.temporal[a.index()])
-                                .expect("finite labels")
-                        })
-                        .then(a.index().cmp(&b.index()))
-                });
-            }
+            // Ranks are distinct, so this is the label order restricted
+            // to `edges`.
+            _ => edges.sort_unstable_by_key(|e| self.edge_rank[e.index()]),
         }
         // The first full pass over the edges marks the end of the initial
         // mapping for InitialOnly mode.
@@ -543,6 +698,94 @@ mod tests {
         labels.temporal = vec![2.0, 5.0];
         assert_eq!(labels.node_routing_need(&g, b), 7.0);
         assert_eq!(labels.node_routing_need(&g, a), 2.0);
+    }
+
+    /// The pick before selection replaced the sort: a stable sort by cost,
+    /// then the element at `idx`.
+    fn stable_sort_pick(order: &[(f64, usize)], idx: usize) -> usize {
+        let mut sorted = order.to_vec();
+        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
+        sorted[idx].1
+    }
+
+    /// A random partial mapping of a random DFG (recurrences included) on
+    /// a fabric drawn from three, with random labels. The labels are not
+    /// short binary fractions, so their sums round, and summing the same
+    /// terms in another order would change the low bits.
+    fn random_partial_mapping<'a>(
+        rng: &mut Rng,
+        dfg: &'a Dfg,
+        acc: &'a Accelerator,
+    ) -> (Mapping<'a>, GuidanceLabels) {
+        let ii = rng.gen_range(1..=4u32).min(acc.max_ii());
+        let mut m = Mapping::new(dfg, acc, ii).unwrap();
+        for n in dfg.node_ids() {
+            if rng.gen_bool(0.6) {
+                let pe = PeId::new(rng.gen_range(0..acc.pe_count()));
+                let t = rng.gen_range(0..m.schedule_window());
+                let _ = m.place(n, pe, t);
+            }
+        }
+        let mut labels = GuidanceLabels::initial(dfg);
+        for v in labels.spatial.iter_mut().chain(&mut labels.temporal) {
+            *v = rng.gen_range(0.0..6.0);
+        }
+        for pair in &mut labels.same_level {
+            pair.2 = rng.gen_range(0.0..4.0);
+        }
+        (m, labels)
+    }
+
+    lisa_rng::props! {
+        cases = 64;
+
+        /// Selecting the `idx`-th candidate by `(cost, index)` returns what
+        /// the stable sort returned, at every index, with many ties.
+        fn selection_picks_what_the_stable_sort_picked(
+            len in 1usize..40,
+            distinct in 1u32..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let order: Vec<(f64, usize)> = (0..len)
+                .map(|i| (f64::from(rng.gen_range(0..distinct)) * 0.5, i))
+                .collect();
+            for idx in 0..len {
+                let mut scratch = order.clone();
+                assert_eq!(nth_by_cost(&mut scratch, idx), stable_sort_pick(&order, idx));
+            }
+        }
+
+        /// The gathered-term cost of every candidate equals the
+        /// per-candidate placement cost bit for bit, on random partial
+        /// mappings.
+        fn gathered_cost_equals_placement_cost(
+            fabric in 0usize..3,
+            dfg_seed in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+        ) {
+            let acc = match fabric {
+                0 => Accelerator::standard("4x4").unwrap(),
+                1 => Accelerator::standard("4x4-lm").unwrap(),
+                _ => Accelerator::standard("8x8").unwrap(),
+            };
+            let dfg = lisa_dfg::random::generate_random_dfg(
+                &lisa_dfg::random::RandomDfgConfig::default(),
+                dfg_seed,
+            );
+            let mut rng = Rng::seed_from_u64(seed);
+            let (m, labels) = random_partial_mapping(&mut rng, &dfg, &acc);
+            let policy = LabelPolicy::new(&labels, LabelSaConfig::default(), &dfg);
+            let mut draw = CandidateDraw::default();
+            for node in m.unplaced_nodes() {
+                draw.gather(&policy, &m, node);
+                for (pe, t) in crate::sa::candidate_slots(&m, node) {
+                    let want = policy.placement_cost(&m, node, pe, t);
+                    let got = draw.cost(acc.coord(pe), t);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{node:?} at {pe}@{t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! [`route_edge`](Mapping::route_edge), [`unroute_edge`](Mapping::unroute_edge)
 //! — so resource semantics are enforced in exactly one place.
 
+use std::fmt;
+
 use lisa_arch::power::Activity;
 use lisa_arch::{Accelerator, ArchError, Mrrg, PeId, Resource};
-use lisa_dfg::{Dfg, EdgeId, NodeId};
+use lisa_dfg::{Dfg, EdgeId, NodeId, OpKind};
 
 use crate::router::{self, RouterScratch};
 use crate::MapperError;
@@ -109,26 +111,51 @@ pub struct Mapping<'a> {
     journal: Vec<Delta>,
     txn: bool,
     scratch: RouterScratch,
+    support: SupportTable,
 }
 
-/// Routing cost of placing a step for `value` on `(resource, time)`:
-/// `Some(1)` for a free cell, `Some(0)` when the cell already carries
-/// the same value at the same absolute time (fanout reuse), `None`
-/// otherwise. A free function over the occupancy grid so `route_edge`
-/// can lend the router its scratch and the cost closure simultaneously.
-fn step_cost(
-    cells: &[Cell],
-    mrrg: &Mrrg<'_>,
-    resource: Resource,
-    time: u32,
-    value: NodeId,
-) -> Option<u32> {
-    match cells[mrrg.index_at(resource, time)] {
-        Cell::Free => Some(1),
-        Cell::Op(_) => None,
-        Cell::Route {
-            value: v, time: t, ..
-        } => (v == value && t == time).then_some(0),
+/// The PEs that can execute each node's operation, in PE order, computed
+/// once per mapping so candidate scans skip [`Accelerator::supports`].
+/// Nodes of one operation kind share one list.
+#[derive(Clone)]
+struct SupportTable {
+    pes: Vec<PeId>,
+    /// `pes[span.0..span.1]` per node.
+    spans: Vec<(u32, u32)>,
+}
+
+impl SupportTable {
+    fn new(dfg: &Dfg, acc: &Accelerator) -> Self {
+        let mut pes = Vec::new();
+        let mut kinds: Vec<(OpKind, (u32, u32))> = Vec::new();
+        let spans = dfg
+            .node_ids()
+            .map(|n| {
+                let op = dfg.node(n).op;
+                if let Some(&(_, span)) = kinds.iter().find(|(k, _)| *k == op) {
+                    return span;
+                }
+                let start = pes.len() as u32;
+                pes.extend(
+                    (0..acc.pe_count())
+                        .map(PeId::new)
+                        .filter(|&pe| acc.supports(pe, op)),
+                );
+                let span = (start, pes.len() as u32);
+                kinds.push((op, span));
+                span
+            })
+            .collect();
+        SupportTable { pes, spans }
+    }
+}
+
+impl fmt::Debug for SupportTable {
+    /// Opaque, like `RouterScratch`: the table is derived from the DFG and
+    /// the accelerator, and debug builds render `Mapping` on every
+    /// annealing movement.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SupportTable")
     }
 }
 
@@ -166,6 +193,7 @@ impl<'a> Mapping<'a> {
             journal: Vec::new(),
             txn: false,
             scratch: RouterScratch::default(),
+            support: SupportTable::new(dfg, acc),
         })
     }
 
@@ -206,6 +234,13 @@ impl<'a> Mapping<'a> {
     /// critical-path nodes without recomputing the analysis per movement.
     pub fn alap_level(&self, node: NodeId) -> u32 {
         self.alap[node.index()]
+    }
+
+    /// The PEs that can execute `node`'s operation, in PE order (a table
+    /// built with the mapping).
+    pub(crate) fn supporting_pes(&self, node: NodeId) -> &[PeId] {
+        let (start, end) = self.support.spans[node.index()];
+        &self.support.pes[start as usize..end as usize]
     }
 
     /// Number of nodes without a placement (O(1) running counter).
@@ -418,17 +453,25 @@ impl<'a> Mapping<'a> {
         }
         // Split the field borrows so the router mutates the scratch while
         // the cost closure reads the occupancy grid — no per-call
-        // `mem::take` of the scratch.
-        let (scratch, cells, mrrg) = (&mut self.scratch, &self.cells, &self.mrrg);
+        // `mem::take` of the scratch. A step costs 1 on a free cell, 0 on
+        // a cell this value already holds at the same absolute time
+        // (fanout reuse), and is refused otherwise.
+        let (scratch, cells) = (&mut self.scratch, &self.cells);
+        let value = e.src;
         let found = router::find_route_in(
             scratch,
-            mrrg,
-            e.src,
+            &self.mrrg,
             src.pe,
             src.time,
             dst_pe,
             dst_time,
-            |resource, time| step_cost(cells, mrrg, resource, time, e.src),
+            |cell, time| match cells[cell] {
+                Cell::Free => Some(1),
+                Cell::Op(_) => None,
+                Cell::Route {
+                    value: v, time: t, ..
+                } => (v == value && t == time).then_some(0),
+            },
         );
         let steps = found.ok_or(MapperError::NoRoute(edge))?;
         // Commit: the router guarantees per-cell consistency, but a path

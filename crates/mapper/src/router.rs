@@ -11,18 +11,30 @@
 //! Costs are the number of *newly occupied* cells: reusing a cell the same
 //! value already holds at the same absolute cycle (fanout prefix sharing)
 //! is free, which is what makes multi-consumer nets affordable.
+//!
+//! **State indexing.** A search state is one resource at one layer, named
+//! by the resource's slot offset ([`Mrrg::offset`]) and numbered
+//! `layer << shift | offset`, where `2^shift` is the smallest power of two
+//! not below the resources per slot. That numbering orders states exactly
+//! like the dense `layer * resources_per_slot + offset`, so the heap — one
+//! `u64` key per entry, `cost << 32 | state` — pops states in the total
+//! order on `(cost, dense index)`, and every route and parent choice is
+//! the one the dense numbering makes. An expansion reads successor offsets
+//! from the MRRG's move table ([`Mrrg::move_offsets`]), and the cost
+//! callback receives an occupancy index, its layer's slot base plus the
+//! offset, computed once per layer per search. Resources are built from
+//! offsets only when the path is rebuilt.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
 use lisa_arch::{Mrrg, PeId, Resource};
-use lisa_dfg::NodeId;
 
 use crate::mapping::RouteStep;
 
 /// Sentinel for "no parent" in [`RouterScratch::parent`].
-const NO_PARENT: usize = usize::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Reusable Dijkstra state. The search arrays are epoch-stamped: a cell is
 /// only valid when its epoch matches the current search's, so starting a
@@ -31,16 +43,15 @@ const NO_PARENT: usize = usize::MAX;
 /// annealer's millions of `route_edge` calls stop reallocating.
 #[derive(Clone, Default)]
 pub struct RouterScratch {
-    best: Vec<u32>,
-    parent: Vec<usize>,
-    resource: Vec<Option<Resource>>,
-    epoch: Vec<u32>,
+    /// Per state, `epoch << 32 | best cost`: one load answers both "seen
+    /// in this search?" and "at what cost?".
+    best: Vec<u64>,
+    parent: Vec<u32>,
     cur: u32,
-    // (cost, state index). Indices fit u32 (layers × resources per slot),
-    // and the 8-byte entry keeps the heap's sift loops in fewer cache
-    // lines than a (u32, usize) tuple would.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    moves: Vec<Resource>,
+    /// `cost << 32 | state` keys, popped smallest first.
+    heap: BinaryHeap<Reverse<u64>>,
+    /// Occupancy index of each layer's first resource.
+    layer_base: Vec<usize>,
 }
 
 impl fmt::Debug for RouterScratch {
@@ -55,34 +66,35 @@ impl fmt::Debug for RouterScratch {
 impl RouterScratch {
     /// Starts a new search over `state_count` states.
     fn begin(&mut self, state_count: usize) {
-        if self.epoch.len() < state_count {
-            self.best.resize(state_count, u32::MAX);
+        if self.best.len() < state_count {
+            self.best.resize(state_count, 0);
             self.parent.resize(state_count, NO_PARENT);
-            self.resource.resize(state_count, None);
-            self.epoch.resize(state_count, 0);
         }
         self.heap.clear();
         if self.cur == u32::MAX {
             // Epoch wrap: invalidate everything once, then restart.
-            self.epoch.fill(0);
+            self.best.fill(0);
             self.cur = 0;
         }
         self.cur += 1;
     }
 
-    fn best(&self, idx: usize) -> u32 {
-        if self.epoch[idx] == self.cur {
-            self.best[idx]
+    fn best(&self, state: usize) -> u32 {
+        let stamped = self.best[state];
+        if (stamped >> 32) as u32 == self.cur {
+            stamped as u32
         } else {
             u32::MAX
         }
     }
 
-    fn set(&mut self, idx: usize, cost: u32, resource: Resource, parent: usize) {
-        self.epoch[idx] = self.cur;
-        self.best[idx] = cost;
-        self.resource[idx] = Some(resource);
-        self.parent[idx] = parent;
+    /// Records `cost` (reached from `parent`) as the best for `state` and
+    /// queues it.
+    fn relax(&mut self, state: usize, cost: u32, parent: u32) {
+        self.best[state] = (u64::from(self.cur) << 32) | u64::from(cost);
+        self.parent[state] = parent;
+        self.heap
+            .push(Reverse((u64::from(cost) << 32) | state as u64));
     }
 }
 
@@ -91,18 +103,16 @@ impl RouterScratch {
 /// (the annealer) reuse a scratch instead.
 pub fn find_route(
     mrrg: &Mrrg<'_>,
-    value: NodeId,
     src_pe: PeId,
     src_time: u32,
     dst_pe: PeId,
     dst_time: u32,
-    step_cost: impl Fn(Resource, u32) -> Option<u32>,
+    step_cost: impl Fn(usize, u32) -> Option<u32>,
 ) -> Option<Vec<RouteStep>> {
     let mut scratch = RouterScratch::default();
     find_route_in(
         &mut scratch,
         mrrg,
-        value,
         src_pe,
         src_time,
         dst_pe,
@@ -113,23 +123,23 @@ pub fn find_route(
 
 /// Finds a minimum-new-cost route.
 ///
-/// `step_cost(resource, time)` returns `None` when the cell is unusable
-/// (occupied by an op or a foreign value), `Some(0)` when the value already
-/// holds the cell at the same absolute time (fanout prefix reuse is free),
-/// and `Some(1)` for a fresh occupation.
+/// `step_cost(cell, time)` prices holding the value on the occupancy cell
+/// `cell` (the [`Mrrg::index_at`] of the resource and `time`) during the
+/// absolute cycle `time`: `None` when the cell is unusable (occupied by an
+/// op or a foreign value), `Some(0)` when the value already holds the cell
+/// at the same absolute time (fanout prefix reuse is free), and `Some(1)`
+/// for a fresh occupation.
 ///
 /// Returns the intermediate steps (empty when the consumer is directly
 /// adjacent one cycle later), or `None` if no conflict-free path exists.
-#[allow(clippy::too_many_arguments)]
 pub fn find_route_in(
     scratch: &mut RouterScratch,
     mrrg: &Mrrg<'_>,
-    _value: NodeId,
     src_pe: PeId,
     src_time: u32,
     dst_pe: PeId,
     dst_time: u32,
-    step_cost: impl Fn(Resource, u32) -> Option<u32>,
+    step_cost: impl Fn(usize, u32) -> Option<u32>,
 ) -> Option<Vec<RouteStep>> {
     debug_assert!(dst_time > src_time, "router requires causal timing");
     let hops = dst_time - src_time;
@@ -141,124 +151,219 @@ pub fn find_route_in(
     }
     let layers = (hops - 1) as usize; // intermediate steps
 
-    // Dense state indexing: layer * resources_per_slot + resource offset.
-    let per_slot = mrrg.resources_per_slot();
-    let state_count = layers * per_slot;
-    let resource_offset = |r: Resource| -> usize {
-        match r {
-            Resource::Fu(p) => p.index(),
-            Resource::Reg(p, reg) => {
-                mrrg.accelerator().pe_count()
-                    + p.index() * mrrg.accelerator().regs_per_pe()
-                    + reg as usize
-            }
-        }
-    };
+    // State numbering (module docs): `layer << shift | offset`.
+    let shift = usize::BITS - (mrrg.resources_per_slot() - 1).leading_zeros();
+    let mask = (1usize << shift) - 1;
+    let state_count = layers << shift;
+    assert!(
+        state_count <= NO_PARENT as usize,
+        "router state space exceeds u32"
+    );
     scratch.begin(state_count);
-
-    // The moves buffer is taken out of the scratch so the borrow checker
-    // allows mutating the search arrays while iterating it; `moves_from`
-    // would otherwise allocate on every expansion of the hot loop.
-    let mut moves = std::mem::take(&mut scratch.moves);
+    scratch.layer_base.clear();
+    scratch
+        .layer_base
+        .extend((0..layers as u32).map(|layer| mrrg.slot_base(src_time + 1 + layer)));
 
     // Cone pruning: `hop_distance` is a true lower bound on the link hops
     // a value still needs, so a state at layer `k` whose PE is further
     // than the remaining `layers - k` moves (counting the final consume
     // hop) can never feed the consumer. Pruned states only ever expand to
     // other pruned states, so surviving costs, heap pop order (the total
-    // order on `(cost, idx)`), and the chosen route are exactly what the
+    // order on `(cost, state)`), and the chosen route are exactly what the
     // unpruned search would produce. This holds for *any* true lower
     // bound: on big fabrics `hop_distance` comes from a landmark oracle
     // that may under-estimate far distances, which only admits extra
     // dead-end states — never changes the route (tested below against
     // the dense index).
     let acc = mrrg.accelerator();
-    let reachable =
-        |r: Resource, layer: usize| acc.hop_distance(r.pe(), dst_pe) as usize <= layers - layer;
+    let reachable = |offset: usize, layer: usize| {
+        acc.hop_distance(mrrg.offset_pe(offset), dst_pe) as usize <= layers - layer
+    };
 
     // Seed layer 0 (cycle src_time + 1) from the producer FU.
-    mrrg.moves_from_into(Resource::Fu(src_pe), &mut moves);
-    for &r in &moves {
-        if !reachable(r, 0) {
+    let base = scratch.layer_base[0];
+    for &next in mrrg.move_offsets(mrrg.offset(Resource::Fu(src_pe))) {
+        let next = next as usize;
+        if !reachable(next, 0) {
             continue;
         }
-        let t = src_time + 1;
-        let Some(cost) = step_cost(r, t) else {
+        let Some(cost) = step_cost(base + next, src_time + 1) else {
             continue;
         };
-        let idx = resource_offset(r);
-        if cost < scratch.best(idx) {
-            scratch.set(idx, cost, r, NO_PARENT);
-            scratch.heap.push(Reverse((cost, idx as u32)));
+        if cost < scratch.best(next) {
+            scratch.relax(next, cost, NO_PARENT);
         }
     }
 
     let mut goal: Option<usize> = None;
-    while let Some(Reverse((cost, idx))) = scratch.heap.pop() {
-        let idx = idx as usize;
-        if cost > scratch.best(idx) {
+    while let Some(Reverse(key)) = scratch.heap.pop() {
+        let cost = (key >> 32) as u32;
+        let state = key as u32 as usize;
+        if cost > scratch.best(state) {
             continue;
         }
-        let layer = idx / per_slot;
-        let r = scratch.resource[idx].expect("visited states hold a resource");
-        let time = src_time + 1 + layer as u32;
+        let layer = state >> shift;
+        let offset = state & mask;
         if layer == layers - 1 {
             // Last intermediate layer: can it feed the consumer? Pops
             // come off the heap in nondecreasing cost order, so the first
             // consumable state is optimal — nothing later in the heap can
             // strictly improve on it.
-            if mrrg.can_consume(r, dst_pe) {
-                goal = Some(idx);
+            let pe = mrrg.offset_pe(offset);
+            if pe == dst_pe || acc.linked(pe, dst_pe) {
+                goal = Some(state);
                 break;
             }
             continue;
         }
-        mrrg.moves_from_into(r, &mut moves);
-        for &next in &moves {
-            if !reachable(next, layer + 1) {
+        let next_layer = layer + 1;
+        let base = scratch.layer_base[next_layer];
+        let next_time = src_time + 1 + next_layer as u32;
+        for &next in mrrg.move_offsets(offset) {
+            let next = next as usize;
+            if !reachable(next, next_layer) {
                 continue;
             }
-            let nt = time + 1;
-            let Some(c) = step_cost(next, nt) else {
+            let Some(c) = step_cost(base + next, next_time) else {
                 continue;
             };
-            let nidx = (layer + 1) * per_slot + resource_offset(next);
-            let ncost = cost + c;
-            if ncost < scratch.best(nidx) {
-                scratch.set(nidx, ncost, next, idx);
-                scratch.heap.push(Reverse((ncost, nidx as u32)));
+            let next_state = (next_layer << shift) | next;
+            let next_cost = cost + c;
+            if next_cost < scratch.best(next_state) {
+                scratch.relax(next_state, next_cost, state as u32);
             }
         }
     }
-
-    scratch.moves = moves;
 
     let goal = goal?;
     // Reconstruct.
     let mut steps = Vec::with_capacity(layers);
     let mut cur = goal;
     loop {
-        let layer = cur / per_slot;
-        let r = scratch.resource[cur].expect("path states hold a resource");
         steps.push(RouteStep {
-            resource: r,
-            time: src_time + 1 + layer as u32,
+            resource: mrrg.resource(cur & mask),
+            time: src_time + 1 + (cur >> shift) as u32,
         });
         match scratch.parent[cur] {
             NO_PARENT => break,
-            prev => cur = prev,
+            prev => cur = prev as usize,
         }
     }
     steps.reverse();
     Some(steps)
 }
 
+/// The router as it was before the offset-indexed rewrite, kept as the
+/// oracle the rewrite is tested against: it expands `Resource` successors
+/// with [`Mrrg::moves_from_into`], prices `(resource, time)` pairs, keeps
+/// a resource per state and a `(cost, dense index)` tuple per heap entry.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    const NO_PARENT: usize = usize::MAX;
+
+    pub(super) fn find_route(
+        mrrg: &Mrrg<'_>,
+        src_pe: PeId,
+        src_time: u32,
+        dst_pe: PeId,
+        dst_time: u32,
+        step_cost: impl Fn(Resource, u32) -> Option<u32>,
+    ) -> Option<Vec<RouteStep>> {
+        let hops = dst_time - src_time;
+        if hops == 1 {
+            return mrrg
+                .can_consume(Resource::Fu(src_pe), dst_pe)
+                .then(Vec::new);
+        }
+        let layers = (hops - 1) as usize;
+        let per_slot = mrrg.resources_per_slot();
+        let state_count = layers * per_slot;
+        let mut best = vec![u32::MAX; state_count];
+        let mut parent = vec![NO_PARENT; state_count];
+        let mut resource: Vec<Option<Resource>> = vec![None; state_count];
+        let mut heap = BinaryHeap::new();
+        let mut moves = Vec::new();
+        let acc = mrrg.accelerator();
+        let reachable =
+            |r: Resource, layer: usize| acc.hop_distance(r.pe(), dst_pe) as usize <= layers - layer;
+
+        mrrg.moves_from_into(Resource::Fu(src_pe), &mut moves);
+        for &r in &moves {
+            if !reachable(r, 0) {
+                continue;
+            }
+            let Some(cost) = step_cost(r, src_time + 1) else {
+                continue;
+            };
+            let idx = mrrg.offset(r);
+            if cost < best[idx] {
+                best[idx] = cost;
+                resource[idx] = Some(r);
+                parent[idx] = NO_PARENT;
+                heap.push(Reverse((cost, idx as u32)));
+            }
+        }
+        let mut goal = None;
+        while let Some(Reverse((cost, idx))) = heap.pop() {
+            let idx = idx as usize;
+            if cost > best[idx] {
+                continue;
+            }
+            let layer = idx / per_slot;
+            let r = resource[idx].expect("visited states hold a resource");
+            let time = src_time + 1 + layer as u32;
+            if layer == layers - 1 {
+                if mrrg.can_consume(r, dst_pe) {
+                    goal = Some(idx);
+                    break;
+                }
+                continue;
+            }
+            mrrg.moves_from_into(r, &mut moves);
+            for &next in &moves {
+                if !reachable(next, layer + 1) {
+                    continue;
+                }
+                let Some(c) = step_cost(next, time + 1) else {
+                    continue;
+                };
+                let nidx = (layer + 1) * per_slot + mrrg.offset(next);
+                let ncost = cost + c;
+                if ncost < best[nidx] {
+                    best[nidx] = ncost;
+                    resource[nidx] = Some(next);
+                    parent[nidx] = idx;
+                    heap.push(Reverse((ncost, nidx as u32)));
+                }
+            }
+        }
+        let mut cur = goal?;
+        let mut steps = Vec::with_capacity(layers);
+        loop {
+            steps.push(RouteStep {
+                resource: resource[cur].expect("path states hold a resource"),
+                time: src_time + 1 + (cur / per_slot) as u32,
+            });
+            match parent[cur] {
+                NO_PARENT => break,
+                prev => cur = prev,
+            }
+        }
+        steps.reverse();
+        Some(steps)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lisa_arch::Accelerator;
+    use lisa_rng::Rng;
 
-    fn any_usable(_r: Resource, _t: u32) -> Option<u32> {
+    fn any_usable(_cell: usize, _t: u32) -> Option<u32> {
         Some(1)
     }
 
@@ -266,16 +371,7 @@ mod tests {
     fn adjacent_direct_route_is_empty() {
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 2).unwrap();
-        let steps = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(1),
-            1,
-            any_usable,
-        )
-        .unwrap();
+        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(1), 1, any_usable).unwrap();
         assert!(steps.is_empty());
     }
 
@@ -284,15 +380,7 @@ mod tests {
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 2).unwrap();
         // PE0 and PE3 are diagonal: not linked.
-        let r = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(3),
-            1,
-            any_usable,
-        );
+        let r = find_route(&mrrg, PeId::new(0), 0, PeId::new(3), 1, any_usable);
         assert!(r.is_none());
     }
 
@@ -300,16 +388,7 @@ mod tests {
     fn two_cycle_route_crosses_diagonal() {
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 4).unwrap();
-        let steps = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(3),
-            2,
-            any_usable,
-        )
-        .unwrap();
+        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(3), 2, any_usable).unwrap();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].time, 1);
         // Intermediate must be FU(1) or FU(2) (a register on PE0 cannot
@@ -325,16 +404,7 @@ mod tests {
         // Same source and destination PE, 3 cycles apart: hold in regs.
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 8).unwrap();
-        let steps = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(0),
-            3,
-            any_usable,
-        )
-        .unwrap();
+        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(0), 3, any_usable).unwrap();
         assert_eq!(steps.len(), 2);
     }
 
@@ -343,30 +413,13 @@ mod tests {
         let acc = Accelerator::cgra("1x3", 1, 3).with_regs_per_pe(0);
         let mrrg = Mrrg::new(&acc, 4).unwrap();
         // 0 -> 2 in 2 cycles must pass FU(1)@1; block it.
-        let blocked =
-            |r: Resource, t: u32| (!(r == Resource::Fu(PeId::new(1)) && t == 1)).then_some(1);
-        let route = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(2),
-            2,
-            blocked,
-        );
+        let fu1 = mrrg.index_at(Resource::Fu(PeId::new(1)), 1);
+        let blocked = |cell: usize, t: u32| (!(cell == fu1 && t == 1)).then_some(1);
+        let route = find_route(&mrrg, PeId::new(0), 0, PeId::new(2), 2, blocked);
         assert!(route.is_none());
         // With 3 cycles there is still no path avoiding FU(1)@1? The value
         // can wait on FU(0)@1 then FU(1)@2 then consume at 3.
-        let route3 = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(2),
-            3,
-            blocked,
-        )
-        .unwrap();
+        let route3 = find_route(&mrrg, PeId::new(0), 0, PeId::new(2), 3, blocked).unwrap();
         assert_eq!(route3.len(), 2);
     }
 
@@ -375,16 +428,7 @@ mod tests {
         let acc = Accelerator::cgra("3x3", 3, 3);
         let mrrg = Mrrg::new(&acc, 8).unwrap();
         // 0 -> 8 in 4 cycles: exactly Manhattan distance, 3 intermediates.
-        let steps = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(8),
-            4,
-            any_usable,
-        )
-        .unwrap();
+        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(8), 4, any_usable).unwrap();
         assert_eq!(steps.len(), 3);
         // All steps must be FU hops on a monotone staircase.
         for s in &steps {
@@ -409,8 +453,11 @@ mod tests {
         let mrrg_d = Mrrg::new(&dense, 4).unwrap();
 
         // Congestion pattern: scattered FUs unusable at odd cycles.
-        let congested = |r: Resource, t: u32| {
-            (!(matches!(r, Resource::Fu(p) if p.index() % 7 == 3) && t % 2 == 1)).then_some(1)
+        let per_slot = mrrg_o.resources_per_slot();
+        let congested = |cell: usize, t: u32| {
+            let fu_blocked =
+                matches!(mrrg_o.resource(cell % per_slot), Resource::Fu(p) if p.index() % 7 == 3);
+            (!(fu_blocked && t % 2 == 1)).then_some(1)
         };
         // (src, dst, latency): corner-to-corner crosses Manhattan 22,
         // far beyond the oracle's exact radius; the tight case gives the
@@ -426,27 +473,12 @@ mod tests {
         ];
         for (src, dst, latency) in cases {
             for cost in [
-                &any_usable as &dyn Fn(Resource, u32) -> Option<u32>,
+                &any_usable as &dyn Fn(usize, u32) -> Option<u32>,
                 &congested,
             ] {
-                let ro = find_route(
-                    &mrrg_o,
-                    NodeId::new(0),
-                    PeId::new(src),
-                    0,
-                    PeId::new(dst),
-                    latency,
-                    cost,
-                );
-                let rd = find_route(
-                    &mrrg_d,
-                    NodeId::new(0),
-                    PeId::new(src),
-                    0,
-                    PeId::new(dst),
-                    latency,
-                    cost,
-                );
+                let (src, dst) = (PeId::new(src), PeId::new(dst));
+                let ro = find_route(&mrrg_o, src, 0, dst, latency, cost);
+                let rd = find_route(&mrrg_d, src, 0, dst, latency, cost);
                 assert_eq!(ro, rd, "route diverged for {src}->{dst}@{latency}");
             }
         }
@@ -458,26 +490,91 @@ mod tests {
         let mrrg = Mrrg::new(&acc, 1).unwrap();
         // Leftward route is impossible at any latency (links forward-only,
         // and at II=1 every wait slot collides with itself; use latency 2).
-        let back = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(1),
-            0,
-            PeId::new(0),
-            2,
-            any_usable,
-        );
+        let back = find_route(&mrrg, PeId::new(1), 0, PeId::new(0), 2, any_usable);
         assert!(back.is_none());
         // Forward works.
-        let fwd = find_route(
-            &mrrg,
-            NodeId::new(0),
-            PeId::new(0),
-            0,
-            PeId::new(1),
-            1,
-            any_usable,
-        );
+        let fwd = find_route(&mrrg, PeId::new(0), 0, PeId::new(1), 1, any_usable);
         assert!(fwd.is_some());
+    }
+
+    /// Occupancy of one MRRG cell, as the router's cost callback sees it.
+    #[derive(Debug, Clone, Copy)]
+    enum Occupant {
+        Free,
+        /// The routed value already holds the cell at this absolute time.
+        Same(u32),
+        Foreign,
+        Op,
+    }
+
+    fn price(occupant: Occupant, time: u32) -> Option<u32> {
+        match occupant {
+            Occupant::Free => Some(1),
+            Occupant::Same(t) => (t == time).then_some(0),
+            Occupant::Foreign | Occupant::Op => None,
+        }
+    }
+
+    lisa_rng::props! {
+        cases = 48;
+
+        /// The offset-indexed router returns byte for byte what the
+        /// reference router returns, `None` included, over random
+        /// occupancy, endpoints and latencies on five fabrics (the 12×12
+        /// one on the landmark distance oracle).
+        fn router_matches_the_reference_router(
+            fabric in 0usize..5,
+            ii in 1u32..7,
+            free_weight in 2u32..12,
+            seed in 0u64..u64::MAX,
+        ) {
+            let acc = match fabric {
+                0 => Accelerator::standard("4x4").unwrap(),
+                1 => Accelerator::standard("4x4-lm").unwrap(),
+                2 => Accelerator::standard("8x8").unwrap(),
+                3 => Accelerator::systolic("systolic", 4, 4),
+                _ => Accelerator::cgra("12x12", 12, 12),
+            };
+            assert_eq!(acc.distance_index_kind() == "oracle", fabric == 4);
+            let ii = ii.min(acc.max_ii());
+            let mrrg = Mrrg::new(&acc, ii).unwrap();
+            let mut rng = Rng::seed_from_u64(seed);
+            let per_slot = mrrg.resources_per_slot();
+            let cells: Vec<Occupant> = (0..mrrg.resource_count())
+                .map(|cell| match rng.gen_range(0..free_weight + 3) {
+                    0 => {
+                        // A time in this cell's slot, near the routes drawn below.
+                        let slot = (cell / per_slot) as u32;
+                        Occupant::Same(slot + ii * rng.gen_range(0..8u32))
+                    }
+                    1 => Occupant::Foreign,
+                    2 => Occupant::Op,
+                    _ => Occupant::Free,
+                })
+                .collect();
+            let pes = acc.pe_count();
+            let mut scratch = RouterScratch::default();
+            for _ in 0..24 {
+                let src = PeId::new(rng.gen_range(0..pes));
+                let dst = PeId::new(rng.gen_range(0..pes));
+                let src_time = rng.gen_range(0..2 * ii + 2);
+                // Latencies past the fabric's span and below the hop
+                // distance both occur, so infeasible searches are drawn.
+                let latency = rng.gen_range(1..(acc.rows() + acc.cols()) as u32 + 4);
+                let got = find_route_in(
+                    &mut scratch,
+                    &mrrg,
+                    src,
+                    src_time,
+                    dst,
+                    src_time + latency,
+                    |cell, t| price(cells[cell], t),
+                );
+                let want = reference::find_route(&mrrg, src, src_time, dst, src_time + latency, |r, t| {
+                    price(cells[mrrg.index_at(r, t)], t)
+                });
+                assert_eq!(got, want, "{src}@{src_time} -> {dst}@{}", src_time + latency);
+            }
+        }
     }
 }

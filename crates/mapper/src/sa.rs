@@ -188,7 +188,6 @@ pub(crate) fn candidate_slots(m: &Mapping<'_>, node: NodeId) -> Vec<(PeId, u32)>
 fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)>) {
     out.clear();
     let dfg = m.dfg();
-    let acc = m.accelerator();
     // A node can never execute before its data depth; this keeps
     // placements causal even when a policy orders children first.
     let mut lo = m.asap_level(node);
@@ -206,17 +205,12 @@ fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)
     if lo > hi {
         hi = m.schedule_window() - 1;
     }
-    let op = dfg.node(node).op;
-    for pe in 0..acc.pe_count() {
-        let pe = PeId::new(pe);
-        if !acc.supports(pe, op) {
-            continue;
-        }
-        // Times fold modulo II, so sweeping 2·II consecutive cycles visits
-        // every slot of the PE twice; keep only the earliest two free times
-        // per PE so schedules stay compact (late placements starve their
-        // successors of causal slots and deadlock the annealer).
-        let span_hi = hi.min(lo + m.ii().max(2) * 2);
+    // Times fold modulo II, so sweeping 2·II consecutive cycles visits
+    // every slot of the PE twice; keep only the earliest two free times
+    // per PE so schedules stay compact (late placements starve their
+    // successors of causal slots and deadlock the annealer).
+    let span_hi = hi.min(lo + m.ii().max(2) * 2);
+    for &pe in m.supporting_pes(node) {
         let mut kept = 0;
         for t in lo..=span_hi {
             if m.fu_free(pe, t) {

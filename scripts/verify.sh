@@ -33,8 +33,9 @@ echo "verify: lisa-benchmark tests pass against the public API"
 
 # Bench smoke: run the micro-benches once each (heavy tier is skipped),
 # which writes target/bench/BENCH_<suite>.json; bench_check fails if
-# BENCH_mapping.json, BENCH_gnn.json, BENCH_pipeline.json, or
-# BENCH_serve.json is missing, malformed, or lacks the required entries.
+# BENCH_mapping.json, BENCH_router.json, BENCH_gnn.json,
+# BENCH_pipeline.json, or BENCH_serve.json is missing, malformed, or
+# lacks the required entries.
 cargo test -q --offline -p lisa-bench --benches
 cargo run -q --offline -p lisa-bench --bin bench_check
 

@@ -317,23 +317,43 @@ fn dataset_checkpoint_bytes_do_not_depend_on_parallelism() {
 fn epoch_loss_stream_does_not_depend_on_parallelism() {
     // The four networks train side by side, but their epoch losses reach
     // the observer in network order, epochs ascending, at any worker
-    // count.
+    // count. The DFGs' labels are generated side by side too, and their
+    // progress events reach it in DFG order.
     let acc = Accelerator::cgra("3x3", 3, 3);
-    let epoch_losses_at = |parallelism: usize| {
+    let streams_at = |parallelism: usize| {
         let recorder = Arc::new(RecordingObserver::default());
         Pipeline::new(&acc, tiny_config_at(parallelism))
             .with_observer(EventSink::new(recorder.clone()))
             .run()
             .unwrap()
             .unwrap();
-        recorder
+        let (epoch_losses, label_gen): (Vec<_>, Vec<_>) = recorder
             .take()
             .into_iter()
-            .filter(|e| matches!(e, PipelineEvent::EpochLoss { .. }))
-            .collect::<Vec<_>>()
+            .filter(|e| {
+                matches!(
+                    e,
+                    PipelineEvent::EpochLoss { .. }
+                        | PipelineEvent::LabelGenRound { .. }
+                        | PipelineEvent::LabelGenFinished { .. }
+                )
+            })
+            .partition(|e| matches!(e, PipelineEvent::EpochLoss { .. }));
+        (epoch_losses, label_gen)
     };
-    let sequential = epoch_losses_at(1);
-    assert_eq!(sequential, epoch_losses_at(4));
+    let (sequential, label_gen) = streams_at(1);
+    assert_eq!((sequential.clone(), label_gen.clone()), streams_at(4));
+    let finished: Vec<usize> = label_gen
+        .iter()
+        .filter_map(|e| match e {
+            PipelineEvent::LabelGenFinished { dfg_index, .. } => Some(*dfg_index),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        finished,
+        (0..tiny_config().training_dfgs).collect::<Vec<_>>()
+    );
 
     let epochs = tiny_config().train.epochs;
     let order: Vec<(&str, usize)> = sequential

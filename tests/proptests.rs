@@ -231,15 +231,16 @@ lisa_rng::props! {
         let src_pe = PeId::new(src);
         let dst_pe = PeId::new(dst);
         // Pseudorandomly block some FU cells (never the endpoints).
-        let cost = |r: Resource, t: u32| -> Option<u32> {
-            let idx = mrrg.index_at(r, t) as u64 % 64;
-            if blocked_mask & (1 << idx) != 0 && r.is_fu() {
+        let cost = |cell: usize, _t: u32| -> Option<u32> {
+            let idx = cell as u64 % 64;
+            let is_fu = mrrg.resource(cell % mrrg.resources_per_slot()).is_fu();
+            if blocked_mask & (1 << idx) != 0 && is_fu {
                 None
             } else {
                 Some(1)
             }
         };
-        if let Some(steps) = find_route(&mrrg, lisa::dfg::NodeId::new(0), src_pe, 0, dst_pe, latency, cost) {
+        if let Some(steps) = find_route(&mrrg, src_pe, 0, dst_pe, latency, cost) {
             assert_eq!(steps.len() as u32, latency - 1);
             let mut prev = Resource::Fu(src_pe);
             for (k, s) in steps.iter().enumerate() {
