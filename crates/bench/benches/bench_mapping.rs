@@ -19,8 +19,8 @@ use lisa_mapper::exact::{ExactMapper, ExactParams};
 use lisa_mapper::sa::{movement_throughput, MovementEngine};
 use lisa_mapper::schedule::{IiMapper, IiSearch};
 use lisa_mapper::{
-    anneal_chain, ConstructiveStrategy, FilterStats, GuidanceLabels, LabelSaMapper, SaMapper,
-    SaParams, StrategySpec,
+    anneal_chain, ConstructiveStrategy, FilterStats, GuidanceLabels, LabelSaMapper, SaParams,
+    StrategySpec,
 };
 
 /// The paper's Fig. 4 DFG (A..J, dense region around B) — the running
@@ -126,7 +126,7 @@ fn main() {
     // as metrics, so the reduction is machine-checkable from
     // `target/bench`; the timing pair measures the wall-clock effect.
     let recorder = Arc::new(MovementRecorder::new());
-    let observed = SaMapper::new(SaParams::fast(), 42)
+    let observed = LabelSaMapper::vanilla(SaParams::fast(), 42)
         .with_observer(EventSink::new(Arc::clone(&recorder) as Arc<dyn Observer>));
     let _ = IiSearch { max_ii: Some(4) }.run(&observed, &fig4, &acc3, 1);
     let (predictor, _) = MovementPredictor::train(
@@ -178,7 +178,7 @@ fn main() {
     let two_lanes = StrategySpec::parse("sa,sa").expect("two SA lanes");
     for (lanes, spec) in [(1, &one_lane), (4, &four_lanes)] {
         suite.bench(&format!("race/fig4_3x3/lanes{lanes}"), || {
-            let sa = SaMapper::new(SaParams::fast(), 42).with_strategy(spec.clone());
+            let sa = LabelSaMapper::vanilla(SaParams::fast(), 42).with_strategy(spec.clone());
             std::hint::black_box(IiSearch { max_ii: Some(4) }.run(&sa, &fig4, &acc3, 1).0);
         });
     }
@@ -203,9 +203,9 @@ fn main() {
     let (mut mapped_sa, mut mapped_mixed) = (0u64, 0u64);
     let (mut wins_constructive, mut wins_sa) = (0u64, 0u64);
     for dfg in &fig9 {
-        let mut a = SaMapper::new(SaParams::fast(), 7).with_strategy(two_lanes.clone());
+        let mut a = LabelSaMapper::vanilla(SaParams::fast(), 7).with_strategy(two_lanes.clone());
         mapped_sa += u64::from(a.map_at_ii(dfg, &acc, 8).is_some());
-        let mut b = SaMapper::new(SaParams::fast(), 7)
+        let mut b = LabelSaMapper::vanilla(SaParams::fast(), 7)
             .with_strategy(mixed_spec.clone())
             .with_observer(sink.clone());
         mapped_mixed += u64::from(b.map_at_ii(dfg, &acc, 8).is_some());
@@ -256,7 +256,7 @@ fn main() {
 
     for (tag, spec) in [("sa", &two_lanes), ("mixed", &mixed_spec)] {
         suite.bench(&format!("strategy/doitgen_4x4/{tag}"), || {
-            let mut sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
+            let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 7).with_strategy(spec.clone());
             std::hint::black_box(sa.map_at_ii(&doitgen, &acc, 3));
         });
     }
@@ -264,7 +264,7 @@ fn main() {
         let fig9 = &fig9;
         suite.bench_heavy(&format!("strategy/fig9_4x4/{tag}"), || {
             for dfg in fig9 {
-                let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
+                let sa = LabelSaMapper::vanilla(SaParams::fast(), 7).with_strategy(spec.clone());
                 std::hint::black_box(search.run(&sa, dfg, &acc, 1).0);
             }
         });
@@ -275,7 +275,7 @@ fn main() {
         let mut seed = 0;
         suite.bench_heavy(&format!("sa/{name}"), || {
             seed += 1;
-            let sa = SaMapper::new(SaParams::fast(), seed);
+            let sa = LabelSaMapper::vanilla(SaParams::fast(), seed);
             std::hint::black_box(search.run(&sa, &dfg, &acc, 1).0);
         });
         let mut seed = 0;
@@ -292,7 +292,7 @@ fn main() {
     let doitgen = polybench::kernel("doitgen").unwrap();
     for (lanes, spec) in [(1, &one_lane), (4, &four_lanes)] {
         suite.bench_heavy(&format!("race/doitgen_4x4/lanes{lanes}"), || {
-            let sa = SaMapper::new(SaParams::fast(), 7).with_strategy(spec.clone());
+            let sa = LabelSaMapper::vanilla(SaParams::fast(), 7).with_strategy(spec.clone());
             std::hint::black_box(search.run(&sa, &doitgen, &acc, 1).0);
         });
     }

@@ -8,7 +8,7 @@
 use lisa_arch::{Accelerator, Interconnect};
 use lisa_bench::Harness;
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::SaMapper;
+use lisa_mapper::LabelSaMapper;
 
 fn main() {
     let harness = Harness::from_env();
@@ -24,9 +24,9 @@ fn main() {
     let mut mesh_sum = 0u32;
     let mut hop_sum = 0u32;
     for dfg in lisa_dfg::polybench::all_kernels() {
-        let sa1 = SaMapper::new(harness.sa_params(), harness.seed());
+        let sa1 = LabelSaMapper::vanilla(harness.sa_params(), harness.seed());
         let m = search.run(&sa1, &dfg, &mesh, 1).0;
-        let sa2 = SaMapper::new(harness.sa_params(), harness.seed());
+        let sa2 = LabelSaMapper::vanilla(harness.sa_params(), harness.seed());
         let h = search.run(&sa2, &dfg, &hycube, 1).0;
         println!(
             "{:<12} {:>8} {:>8}",

@@ -7,7 +7,7 @@
 use lisa_bench::Harness;
 use lisa_mapper::exact::ExactMapper;
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::SaMapper;
+use lisa_mapper::LabelSaMapper;
 
 fn main() {
     let harness = Harness::from_env();
@@ -23,7 +23,7 @@ fn main() {
         let ilp = ExactMapper::new(harness.exact_params());
         let ilp_outcome = search.run(&ilp, &dfg, &acc, 1).0;
 
-        let sa = SaMapper::new(harness.sa_params(), harness.seed());
+        let sa = LabelSaMapper::vanilla(harness.sa_params(), harness.seed());
         let sa_outcome = search.run(&sa, &dfg, &acc, 1).0;
 
         let lisa = harness.train_lisa(&acc);

@@ -35,7 +35,7 @@ use lisa_events::{EventSink, Observer};
 use lisa_gnn::TrainConfig;
 use lisa_labels::movement::{MovementPredictor, MovementRecorder, MovementSet};
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::{FilterStats, FilterTotals, MovementScorer, SaMapper};
+use lisa_mapper::{FilterStats, FilterTotals, LabelSaMapper, MovementScorer};
 
 fn main() {
     let arch_key = std::env::args().nth(1).unwrap_or_else(|| "4x4".to_string());
@@ -62,7 +62,7 @@ fn main() {
     let mut predictors: Vec<Arc<MovementPredictor>> = Vec::new();
     for dfg in &benches {
         let recorder = Arc::new(MovementRecorder::new());
-        let sa = SaMapper::new(harness.sa_params(), capture_seed)
+        let sa = LabelSaMapper::vanilla(harness.sa_params(), capture_seed)
             .with_observer(EventSink::new(Arc::clone(&recorder) as Arc<dyn Observer>));
         let _ = search.run(&sa, dfg, &acc, 1);
         let set: MovementSet = recorder.snapshot();
@@ -99,7 +99,8 @@ fn main() {
     let mut ok = true;
     for (dfg, predictor) in benches.iter().zip(&predictors) {
         let run = |seed: u64, filter: Option<Arc<dyn MovementScorer>>| {
-            let mut sa = SaMapper::new(harness.sa_params(), seed).with_observer(sink.clone());
+            let mut sa =
+                LabelSaMapper::vanilla(harness.sa_params(), seed).with_observer(sink.clone());
             if let Some(f) = filter {
                 sa = sa.with_movement_filter(f);
             }

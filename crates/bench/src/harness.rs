@@ -11,7 +11,7 @@ use lisa_gnn::TrainConfig;
 use lisa_labels::{FilterConfig, IterGenConfig};
 use lisa_mapper::exact::{ExactMapper, ExactParams};
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::{MappingOutcome, SaMapper, SaParams};
+use lisa_mapper::{LabelSaMapper, MappingOutcome, SaParams};
 
 /// Experiment scale, selected by the `LISA_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,7 +246,7 @@ impl Harness {
         };
         let mut outcomes: Vec<MappingOutcome> = (0..3)
             .map(|run| {
-                let sa = SaMapper::new(params.clone(), self.seed + run * 101);
+                let sa = LabelSaMapper::vanilla(params.clone(), self.seed + run * 101);
                 search.run(&sa, dfg, acc, 1).0
             })
             .collect();

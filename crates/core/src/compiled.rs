@@ -16,7 +16,7 @@ use lisa_mapper::GuidanceLabels;
 
 /// The four label networks frozen into compiled inference plans.
 #[derive(Debug, Clone)]
-pub struct CompiledModel {
+pub(crate) struct CompiledModel {
     schedule: CompiledScheduleOrder,
     same_level: CompiledEdgeMlp,
     spatial: CompiledSpatial,
@@ -44,7 +44,7 @@ impl CompiledModel {
     /// Predictions are post-processed for mapper consumption: spatial
     /// distances are clamped to ≥ 0 and temporal distances to ≥ 1
     /// (causality).
-    pub fn predict(&self, dfg: &Dfg) -> GuidanceLabels {
+    pub(crate) fn predict(&self, dfg: &Dfg) -> GuidanceLabels {
         // One warm scratch serves every prediction of this call; its
         // buffers are sized by the first prediction per shape and
         // reused thereafter.

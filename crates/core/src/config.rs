@@ -43,11 +43,6 @@ pub struct LisaConfig {
     pub parallelism: usize,
     /// Master seed; all stages derive their seeds from it.
     pub seed: u64,
-    /// Path of a serialised movement predictor (`lisa-movement-predictor
-    /// v1`) to gate the annealer's router with; `None` maps exactly as
-    /// the pre-filter binary did. Loaded by
-    /// [`Lisa::load_movement_filter`](crate::Lisa::load_movement_filter).
-    pub predictor: Option<std::path::PathBuf>,
 }
 
 impl Default for LisaConfig {
@@ -63,7 +58,6 @@ impl Default for LisaConfig {
             strategy: StrategySpec::default(),
             parallelism: lisa_mapper::portfolio::available_parallelism(),
             seed: 2022,
-            predictor: None,
         }
     }
 }

@@ -7,7 +7,6 @@
 //! new DFG, [`Lisa::predict_labels`] derives the labels in milliseconds
 //! and [`Lisa::map`] runs the label-aware simulated annealing with them.
 
-use std::fmt;
 use std::sync::Arc;
 
 use lisa_arch::Accelerator;
@@ -17,7 +16,6 @@ use lisa_gnn::metrics::{try_accuracy, LabelKind};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
 use lisa_gnn::PlanScratch;
 use lisa_labels::attributes::{DUMMY_ATTR_DIM, EDGE_ATTR_DIM, NODE_ATTR_DIM};
-use lisa_labels::movement::MovementPredictor;
 use lisa_labels::TrainingSet;
 use lisa_mapper::schedule::IiSearch;
 use lisa_mapper::{GuidanceLabels, LabelSaMapper, Mapping, MappingOutcome, MovementScorer};
@@ -129,32 +127,6 @@ impl Lisa {
         self
     }
 
-    /// Loads and attaches the movement predictor named by
-    /// [`LisaConfig::predictor`], if any. Returns whether a filter is
-    /// attached afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be read or is not a valid
-    /// `lisa-movement-predictor v1` document; the instance is unchanged
-    /// on error.
-    pub fn load_movement_filter(&mut self) -> Result<bool, MovementFilterError> {
-        let Some(path) = &self.config.predictor else {
-            return Ok(self.movement_filter.is_some());
-        };
-        let text = std::fs::read_to_string(path).map_err(|source| MovementFilterError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        let predictor =
-            MovementPredictor::parse(&text).map_err(|source| MovementFilterError::Parse {
-                path: path.clone(),
-                source,
-            })?;
-        self.movement_filter = Some(Arc::new(predictor));
-        Ok(true)
-    }
-
     /// Name of the accelerator this instance was trained for.
     pub fn accelerator_name(&self) -> &str {
         &self.accelerator_name
@@ -176,21 +148,15 @@ impl Lisa {
 
     /// Derives the four guidance labels for a new DFG with the trained
     /// GNNs (Fig. 2 right: milliseconds instead of the iterative method's
-    /// minutes). Runs on the frozen [`CompiledModel`] — no tape, no
-    /// graph dispatch — with output bit-identical to the networks'
-    /// training forward.
+    /// minutes). Runs on the networks' compiled plans, frozen when the
+    /// instance was built — no tape, no graph dispatch — with output
+    /// bit-identical to the networks' training forward.
     ///
     /// Predictions are post-processed for mapper consumption: spatial
     /// distances are clamped to ≥ 0 and temporal distances to ≥ 1
     /// (causality).
     pub fn predict_labels(&self, dfg: &Dfg) -> GuidanceLabels {
         self.compiled.predict(dfg)
-    }
-
-    /// The four label networks frozen into tape-free inference plans at
-    /// construction time (see [`CompiledModel`]).
-    pub fn compiled(&self) -> &CompiledModel {
-        &self.compiled
     }
 
     /// Maps a DFG with GNN-predicted labels and the label-aware SA, driving
@@ -340,47 +306,6 @@ impl Lisa {
     }
 }
 
-/// Errors from [`Lisa::load_movement_filter`].
-#[derive(Debug)]
-pub enum MovementFilterError {
-    /// The predictor file could not be read.
-    Io {
-        /// The configured predictor path.
-        path: std::path::PathBuf,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// The file is not a valid `lisa-movement-predictor v1` document.
-    Parse {
-        /// The configured predictor path.
-        path: std::path::PathBuf,
-        /// The underlying parse error.
-        source: lisa_labels::movement::MovementPredictorParseError,
-    },
-}
-
-impl fmt::Display for MovementFilterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MovementFilterError::Io { path, source } => {
-                write!(f, "reading predictor {}: {source}", path.display())
-            }
-            MovementFilterError::Parse { path, source } => {
-                write!(f, "parsing predictor {}: {source}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for MovementFilterError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MovementFilterError::Io { source, .. } => Some(source),
-            MovementFilterError::Parse { source, .. } => Some(source),
-        }
-    }
-}
-
 pub(crate) fn evaluate_accuracy(
     schedule_net: &ScheduleOrderNet,
     same_level_net: &EdgeMlp,
@@ -486,18 +411,6 @@ mod tests {
         let (outcome4, mapping4) = lisa.map_request(&dfg, &acc, 2022, 8, &Default::default(), 4);
         assert_eq!(outcome.ii, outcome4.ii);
         assert_eq!(format!("{seq:?}"), format!("{:?}", mapping4.unwrap()));
-    }
-
-    #[test]
-    fn load_movement_filter_honours_the_config() {
-        let (mut lisa, _) = trained_fast();
-        assert!(!lisa.load_movement_filter().unwrap(), "no path configured");
-
-        lisa.config.predictor = Some(std::path::PathBuf::from("/nonexistent/predictor.txt"));
-        assert!(matches!(
-            lisa.load_movement_filter(),
-            Err(MovementFilterError::Io { .. })
-        ));
     }
 
     #[test]

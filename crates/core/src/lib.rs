@@ -38,8 +38,6 @@
 //! to stream progress events, checkpoint artifacts to a directory, and
 //! resume an interrupted label-generation run.
 
-use std::fmt;
-
 mod compiled;
 mod config;
 mod framework;
@@ -49,51 +47,10 @@ mod registry;
 mod report;
 pub mod request;
 
-pub use compiled::CompiledModel;
 pub use config::LisaConfig;
-pub use framework::{Lisa, MovementFilterError};
+pub use framework::Lisa;
 pub use model_io::ModelImportError;
 pub use pipeline::{Pipeline, Stage, TrainError, DATASET_FILE, DFGS_FILE, MODEL_FILE};
 pub use registry::{ModelRegistry, RegistryError};
 pub use report::{LabelAccuracy, TrainingStats};
 pub use request::{MapRequest, RequestParseError};
-
-/// Any failure the framework can produce: training or model import.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum Error {
-    /// The training pipeline failed.
-    Train(TrainError),
-    /// A serialised model failed to import.
-    ModelImport(ModelImportError),
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::Train(e) => write!(f, "training failed: {e}"),
-            Error::ModelImport(e) => write!(f, "model import failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Train(e) => Some(e),
-            Error::ModelImport(e) => Some(e),
-        }
-    }
-}
-
-impl From<TrainError> for Error {
-    fn from(e: TrainError) -> Self {
-        Error::Train(e)
-    }
-}
-
-impl From<ModelImportError> for Error {
-    fn from(e: ModelImportError) -> Self {
-        Error::ModelImport(e)
-    }
-}

@@ -4,9 +4,8 @@
 //! read-only behind an `Arc` — [`crate::Lisa`]'s inference and mapping
 //! entry points take `&self`, so one resident model serves any number of
 //! concurrent requests without cloning the networks. Import also freezes
-//! the networks into [`crate::CompiledModel`] plans, so every label
-//! prediction a resident model serves is tape-free from the first
-//! request.
+//! the networks into compiled plans, so every label prediction a
+//! resident model serves is tape-free from the first request.
 
 use std::collections::BTreeMap;
 use std::fmt;

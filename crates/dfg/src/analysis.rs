@@ -82,11 +82,6 @@ impl NodeSet {
         }
         out
     }
-
-    /// Whether the two sets share at least one node.
-    pub fn intersects(&self, other: &NodeSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
 }
 
 /// As-Soon-As-Possible level of every node over data edges.
@@ -432,7 +427,6 @@ mod tests {
         a.insert(NodeId::new(5));
         b.insert(NodeId::new(5));
         b.insert(NodeId::new(7));
-        assert!(a.intersects(&b));
         let i = a.intersection(&b);
         assert_eq!(i.count(), 1);
         assert!(i.contains(NodeId::new(5)));

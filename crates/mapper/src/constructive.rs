@@ -67,7 +67,9 @@ fn place_pass(m: &mut Mapping<'_>, nodes: &[NodeId], stats: &mut FilterStats) {
         }
         let dfg = m.dfg();
         let mut candidates = candidate_slots(m, node);
-        candidates.sort_by_key(|&(pe, t)| {
+        // Each key walks the placed neighbours, so compute it once per
+        // candidate; the sort is stable like `sort_by_key`.
+        candidates.sort_by_cached_key(|&(pe, t)| {
             let mut dist = 0u32;
             for p in dfg.predecessors(node).chain(dfg.successors(node)) {
                 if let Some(pp) = m.placement(p) {

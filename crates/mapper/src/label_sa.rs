@@ -1,7 +1,11 @@
-//! Label-aware simulated annealing — the paper's Algorithm 1.
+//! The annealing mapper: the paper's SA baseline and the label-aware
+//! simulated annealing of Algorithm 1, one mapper with optional labels.
 //!
-//! The four labels of Table I steer the three policy points of the SA
-//! core:
+//! The two differ only in three decisions of the annealing core
+//! ([`crate::sa`]); the lane's policy makes them. Without labels each
+//! is vanilla SA's choice: ASAP placement order, a uniformly random PE
+//! candidate, edge-id routing order. With labels the four labels of
+//! Table I steer them:
 //!
 //! 1. **Schedule order** (label 1) sorts unmapped nodes for placement
 //!    (line 3).
@@ -16,8 +20,8 @@
 //!    routing (line 9): edges that need many routing resources are routed
 //!    while resources are still plentiful.
 //!
-//! The labels are fixed for a lane, so the routing order is ranked once
-//! when the lane's policy is built. A candidate draw gathers the placed
+//! The labels are fixed for a map, so the routing order is ranked once
+//! when the policy is built. A candidate draw gathers the placed
 //! neighbours' terms once per node, prices every candidate from them with
 //! the floating-point operations of the per-candidate formula in the same
 //! order (so each cost is bit-identical to it), and selects the drawn
@@ -25,7 +29,7 @@
 //! would put there. One buffer per lane holds both lists, so a draw
 //! allocates nothing.
 
-use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use lisa_rng::Rng;
 
@@ -33,8 +37,10 @@ use lisa_arch::{Accelerator, Coord, PeId};
 use lisa_dfg::{analysis, same_level, Dfg, EdgeId, NodeId};
 use lisa_events::EventSink;
 
-use crate::sa::{MoveStats, SaParams, SaPolicy, VanillaPolicy};
+use crate::predictor::MovementScorer;
+use crate::sa::{MoveStats, SaParams};
 use crate::schedule::IiMapper;
+use crate::strategy::{race_lanes, StrategySpec};
 use crate::Mapping;
 
 /// The four mapping-guidance labels of paper Table I, in the exact form
@@ -101,9 +107,9 @@ impl GuidanceLabels {
     }
 }
 
-/// Which parts of the label guidance are active.
+/// Which decisions the labels steer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LabelMode {
+enum LabelMode {
     /// Full Algorithm 1 (placement order, placement cost, routing order).
     Full,
     /// Only label 4's routing priority on top of vanilla SA — the
@@ -115,38 +121,24 @@ pub enum LabelMode {
     InitialOnly,
 }
 
-/// Parameters specific to the label-aware mapper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LabelSaConfig {
-    /// α of the deviation schedule σ = max{1, α·T − Acc}.
-    pub alpha: f64,
-    /// Which label-guidance mode to run.
-    pub mode: LabelMode,
-}
+/// α of the deviation schedule σ = max{1, α·T − Acc}.
+const ALPHA: f64 = 0.05;
 
-impl Default for LabelSaConfig {
-    fn default() -> Self {
-        LabelSaConfig {
-            alpha: 0.05,
-            mode: LabelMode::Full,
-        }
-    }
-}
-
-/// The label-aware policy implementing Algorithm 1's decision points.
-struct LabelPolicy<'l> {
-    labels: &'l GuidanceLabels,
-    config: LabelSaConfig,
+/// The three decisions of one annealing lane: placement order
+/// (Algorithm 1 line 3), PE-candidate choice (lines 5–8) and routing
+/// order (line 9). Wherever the labels do not steer a decision, it makes
+/// vanilla SA's choice.
+#[derive(Debug, Clone)]
+pub(crate) struct Policy<'l> {
+    /// The labels and which decisions they steer; `None` is vanilla SA.
+    guide: Option<(&'l GuidanceLabels, LabelMode)>,
     /// Same-level partners per node, precomputed for the placement cost.
     partners: Vec<Vec<(NodeId, f64)>>,
     /// Each edge's position in the label routing order (Algorithm 1
     /// line 9), ranked once: the labels do not change within a lane.
     edge_rank: Vec<u32>,
     /// Scratch of every candidate draw of the lane.
-    draw: RefCell<CandidateDraw>,
-    /// Whether the annealer is past the initial mapping (used by
-    /// [`LabelMode::InitialOnly`]).
-    initial_done: Cell<bool>,
+    draw: CandidateDraw,
 }
 
 /// One placed neighbour's share of a candidate's placement cost, with
@@ -179,7 +171,7 @@ enum Timing {
 }
 
 /// Reusable buffers of the label policy's `choose_candidate`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CandidateDraw {
     terms: Vec<CostTerm>,
     /// `(placement cost, candidate index)` per candidate.
@@ -201,12 +193,17 @@ impl CandidateDraw {
     /// Collects the cost terms of `node`'s placed neighbours, in the order
     /// the placement cost sums them: in-edges, out-edges, same-level
     /// partners.
-    fn gather(&mut self, policy: &LabelPolicy<'_>, m: &Mapping<'_>, node: NodeId) {
+    fn gather(
+        &mut self,
+        labels: &GuidanceLabels,
+        partners: &[Vec<(NodeId, f64)>],
+        m: &Mapping<'_>,
+        node: NodeId,
+    ) {
         self.terms.clear();
         let dfg = m.dfg();
         let acc = m.accelerator();
         let ii = m.ii();
-        let labels = policy.labels;
         for &e in dfg.in_edges(node) {
             let edge = dfg.edge(e);
             if let Some(p) = m.placement(edge.src) {
@@ -237,7 +234,7 @@ impl CandidateDraw {
                 });
             }
         }
-        for &(partner, expected) in &policy.partners[node.index()] {
+        for &(partner, expected) in &partners[node.index()] {
             if let Some(p) = m.placement(partner) {
                 self.terms.push(CostTerm {
                     at: acc.coord(p.pe),
@@ -285,8 +282,18 @@ fn nth_by_cost(order: &mut [(f64, usize)], idx: usize) -> usize {
     nth.1
 }
 
-impl<'l> LabelPolicy<'l> {
-    fn new(labels: &'l GuidanceLabels, config: LabelSaConfig, dfg: &Dfg) -> Self {
+impl<'l> Policy<'l> {
+    /// Vanilla SA's decisions: the paper's SA baseline.
+    pub(crate) fn vanilla() -> Self {
+        Policy {
+            guide: None,
+            partners: Vec::new(),
+            edge_rank: Vec::new(),
+            draw: CandidateDraw::default(),
+        }
+    }
+
+    fn new(labels: &'l GuidanceLabels, mode: LabelMode, dfg: &Dfg) -> Self {
         let mut partners = vec![Vec::new(); dfg.node_count()];
         for &(a, b, d) in &labels.same_level {
             partners[a.index()].push((b, d));
@@ -315,13 +322,11 @@ impl<'l> LabelPolicy<'l> {
         for (rank, e) in by_priority.iter().enumerate() {
             edge_rank[e.index()] = rank as u32;
         }
-        LabelPolicy {
-            labels,
-            config,
+        Policy {
+            guide: Some((labels, mode)),
             partners,
             edge_rank,
-            draw: RefCell::default(),
-            initial_done: Cell::new(false),
+            draw: CandidateDraw::default(),
         }
     }
 
@@ -329,6 +334,7 @@ impl<'l> LabelPolicy<'l> {
     /// time: the reference the gathered-term draw is tested against.
     #[cfg(test)]
     fn placement_cost(&self, m: &Mapping<'_>, node: NodeId, pe: PeId, t: u32) -> f64 {
+        let labels = self.placing_labels().expect("a label-guided policy");
         let dfg = m.dfg();
         let acc = m.accelerator();
         let ii = m.ii();
@@ -337,9 +343,9 @@ impl<'l> LabelPolicy<'l> {
             let edge = dfg.edge(e);
             if let Some(p) = m.placement(edge.src) {
                 let spatial = f64::from(acc.spatial_distance(pe, p.pe));
-                cost += (spatial - self.labels.spatial[e.index()]).abs();
+                cost += (spatial - labels.spatial[e.index()]).abs();
                 let temporal = f64::from(t + edge.kind.distance() * ii) - f64::from(p.time);
-                cost += (temporal - self.labels.temporal[e.index()]).abs();
+                cost += (temporal - labels.temporal[e.index()]).abs();
                 cost += infeasible(spatial, temporal);
             }
         }
@@ -350,9 +356,9 @@ impl<'l> LabelPolicy<'l> {
             }
             if let Some(c) = m.placement(edge.dst) {
                 let spatial = f64::from(acc.spatial_distance(pe, c.pe));
-                cost += (spatial - self.labels.spatial[e.index()]).abs();
+                cost += (spatial - labels.spatial[e.index()]).abs();
                 let temporal = f64::from(c.time + edge.kind.distance() * ii) - f64::from(t);
-                cost += (temporal - self.labels.temporal[e.index()]).abs();
+                cost += (temporal - labels.temporal[e.index()]).abs();
                 cost += infeasible(spatial, temporal);
             }
         }
@@ -365,46 +371,54 @@ impl<'l> LabelPolicy<'l> {
         cost
     }
 
-    fn label_guided(&self) -> bool {
-        match self.config.mode {
-            LabelMode::Full => true,
-            LabelMode::RoutingPriorityOnly => false,
-            LabelMode::InitialOnly => !self.initial_done.get(),
+    /// The labels, if they steer placement order and candidate choice.
+    fn placing_labels(&self) -> Option<&'l GuidanceLabels> {
+        match self.guide {
+            Some((labels, LabelMode::Full | LabelMode::InitialOnly)) => Some(labels),
+            _ => None,
         }
     }
-}
 
-impl SaPolicy for LabelPolicy<'_> {
-    fn order_nodes(&self, mapping: &Mapping<'_>, nodes: &mut [NodeId]) {
-        if self.label_guided() {
-            nodes.sort_by(|a, b| {
-                let ka = self.labels.schedule_order[a.index()];
-                let kb = self.labels.schedule_order[b.index()];
+    /// Marks the end of the initial mapping: from here on the
+    /// initial-only mode decides like vanilla SA.
+    pub(crate) fn end_initial_mapping(&mut self) {
+        if matches!(self.guide, Some((_, LabelMode::InitialOnly))) {
+            self.guide = None;
+        }
+    }
+
+    /// Orders unmapped nodes for placement (Algorithm 1 line 3): by
+    /// label 1, or by ASAP level.
+    pub(crate) fn order_nodes(&self, mapping: &Mapping<'_>, nodes: &mut [NodeId]) {
+        match self.placing_labels() {
+            Some(labels) => nodes.sort_by(|a, b| {
+                let ka = labels.schedule_order[a.index()];
+                let kb = labels.schedule_order[b.index()];
                 ka.partial_cmp(&kb)
                     .expect("schedule orders are finite")
                     .then(a.index().cmp(&b.index()))
-            });
-        } else {
-            VanillaPolicy.order_nodes(mapping, nodes);
+            }),
+            None => nodes.sort_by_key(|n| (mapping.asap_level(*n), n.index())),
         }
     }
 
-    fn choose_candidate(
-        &self,
+    /// Picks one of `candidates` (all feasible `(pe, time)` slots) for
+    /// `node` (Algorithm 1 lines 5–8) and returns its index: a normal
+    /// draw over the candidates ranked by placement cost, or a uniform
+    /// one.
+    pub(crate) fn choose_candidate(
+        &mut self,
         mapping: &Mapping<'_>,
         node: NodeId,
         candidates: &[(PeId, u32)],
         stats: MoveStats,
         rng: &mut Rng,
     ) -> usize {
-        if !self.label_guided() {
-            // After the initial mapping, InitialOnly degrades to vanilla;
-            // flag the transition for subsequent calls.
-            return VanillaPolicy.choose_candidate(mapping, node, candidates, stats, rng);
-        }
-        let mut draw = self.draw.borrow_mut();
-        let draw = &mut *draw;
-        draw.gather(self, mapping, node);
+        let Some(labels) = self.placing_labels() else {
+            return rng.gen_range(0..candidates.len());
+        };
+        let draw = &mut self.draw;
+        draw.gather(labels, &self.partners, mapping, node);
         let acc = mapping.accelerator();
         draw.order.clear();
         for (i, &(pe, t)) in candidates.iter().enumerate() {
@@ -412,26 +426,19 @@ impl SaPolicy for LabelPolicy<'_> {
             draw.order.push((cost, i));
         }
         // σ = max{1, α·T − Acc}: low acceptance widens the distribution.
-        let sigma =
-            (self.config.alpha * f64::from(stats.attempted) - f64::from(stats.accepted)).max(1.0);
+        let sigma = (ALPHA * f64::from(stats.attempted) - f64::from(stats.accepted)).max(1.0);
         let deviation = sample_normal(rng).abs() * sigma;
         let idx = (deviation.floor() as usize).min(draw.order.len() - 1);
         nth_by_cost(&mut draw.order, idx)
     }
 
-    fn order_edges(&self, mapping: &Mapping<'_>, edges: &mut [EdgeId]) {
-        match self.config.mode {
-            LabelMode::InitialOnly if self.initial_done.get() => {
-                VanillaPolicy.order_edges(mapping, edges);
-            }
+    /// Orders unrouted edges for routing (Algorithm 1 line 9): by label
+    /// rank, or in the edge-id order the mapping lists them in.
+    pub(crate) fn order_edges(&self, edges: &mut [EdgeId]) {
+        if self.guide.is_some() {
             // Ranks are distinct, so this is the label order restricted
             // to `edges`.
-            _ => edges.sort_unstable_by_key(|e| self.edge_rank[e.index()]),
-        }
-        // The first full pass over the edges marks the end of the initial
-        // mapping for InitialOnly mode.
-        if self.config.mode == LabelMode::InitialOnly {
-            self.initial_done.set(true);
+            edges.sort_unstable_by_key(|e| self.edge_rank[e.index()]);
         }
     }
 }
@@ -443,7 +450,8 @@ fn sample_normal(rng: &mut Rng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// The label-aware simulated-annealing mapper (LISA's mapping stage).
+/// The simulated-annealing mapper: LISA's label-aware mapping stage, its
+/// ablations, and, without labels, the paper's SA baseline.
 ///
 /// # Example
 ///
@@ -467,71 +475,90 @@ fn sample_normal(rng: &mut Rng) -> f64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LabelSaMapper {
-    labels: GuidanceLabels,
+    /// The labels and which decisions they steer; `None` is vanilla SA.
+    guide: Option<(GuidanceLabels, LabelMode)>,
     params: SaParams,
-    config: LabelSaConfig,
     seed: u64,
-    name: String,
-    strategy: crate::strategy::StrategySpec,
+    name: &'static str,
+    strategy: StrategySpec,
     sink: EventSink,
-    filter: Option<std::sync::Arc<dyn crate::predictor::MovementScorer>>,
+    filter: Option<Arc<dyn MovementScorer>>,
 }
 
 impl LabelSaMapper {
-    /// Creates a full label-aware mapper (Algorithm 1).
-    pub fn new(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
+    fn build(
+        guide: Option<(GuidanceLabels, LabelMode)>,
+        params: SaParams,
+        seed: u64,
+        name: &'static str,
+    ) -> Self {
         LabelSaMapper {
-            labels,
+            guide,
             params,
-            config: LabelSaConfig::default(),
             seed,
-            name: "LISA".to_string(),
-            strategy: crate::strategy::StrategySpec::default(),
+            name,
+            strategy: StrategySpec::default(),
             sink: EventSink::null(),
             filter: None,
         }
     }
 
+    /// Creates a full label-aware mapper (Algorithm 1).
+    pub fn new(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
+        Self::build(Some((labels, LabelMode::Full)), params, seed, "LISA")
+    }
+
     /// Creates the routing-priority-only ablation of Fig. 12.
     pub fn routing_priority_only(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
-        LabelSaMapper {
-            labels,
-            params,
-            config: LabelSaConfig {
-                mode: LabelMode::RoutingPriorityOnly,
-                ..LabelSaConfig::default()
-            },
-            seed,
-            name: "SA+RP".to_string(),
-            strategy: crate::strategy::StrategySpec::default(),
-            sink: EventSink::null(),
-            filter: None,
-        }
+        let guide = Some((labels, LabelMode::RoutingPriorityOnly));
+        Self::build(guide, params, seed, "SA+RP")
     }
 
     /// Creates the partial label-aware mapper used during training-data
     /// generation: labels guide only the initial mapping (§V-B).
     pub fn initial_only(labels: GuidanceLabels, params: SaParams, seed: u64) -> Self {
-        LabelSaMapper {
-            labels,
-            params,
-            config: LabelSaConfig {
-                mode: LabelMode::InitialOnly,
-                ..LabelSaConfig::default()
-            },
-            seed,
-            name: "LISA-partial".to_string(),
-            strategy: crate::strategy::StrategySpec::default(),
-            sink: EventSink::null(),
-            filter: None,
-        }
+        let guide = Some((labels, LabelMode::InitialOnly));
+        Self::build(guide, params, seed, "LISA-partial")
     }
 
-    /// Selects the lanes raced per II (see [`crate::StrategySpec`]).
-    /// The default, `sa`, is one label-aware annealing chain;
-    /// `sa,sa,sa,sa` races four independently seeded chains and keeps
-    /// the deterministic winner, whose lane 0 is the one-chain mapper.
-    pub fn with_strategy(mut self, strategy: crate::strategy::StrategySpec) -> Self {
+    /// Creates the paper's vanilla SA baseline, which anneals without
+    /// labels. It is named `SA`, or `SA-M` at 10× the paper's movements
+    /// per temperature (Fig. 13).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use lisa_dfg::{Dfg, OpKind};
+    /// use lisa_arch::Accelerator;
+    /// use lisa_mapper::{LabelSaMapper, SaParams, schedule::IiMapper};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut dfg = Dfg::new("pair");
+    /// let a = dfg.add_node(OpKind::Load, "a");
+    /// let b = dfg.add_node(OpKind::Store, "b");
+    /// dfg.add_data_edge(a, b)?;
+    /// let acc = Accelerator::cgra("2x2", 2, 2);
+    /// let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 1);
+    /// assert_eq!(sa.name(), "SA");
+    /// let mapping = sa.map_at_ii(&dfg, &acc, 1).expect("trivially mappable");
+    /// assert!(mapping.is_complete());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn vanilla(params: SaParams, seed: u64) -> Self {
+        let name = if params.moves_per_temp >= 10 * SaParams::paper().moves_per_temp {
+            "SA-M"
+        } else {
+            "SA"
+        };
+        Self::build(None, params, seed, name)
+    }
+
+    /// Selects the lanes raced per II (see [`StrategySpec`]). The
+    /// default, `sa`, is one annealing chain; `sa,sa,sa,sa` races four
+    /// independently seeded chains and keeps the deterministic winner,
+    /// whose lane 0 is the one-chain mapper.
+    pub fn with_strategy(mut self, strategy: StrategySpec) -> Self {
         self.strategy = strategy;
         self
     }
@@ -543,31 +570,19 @@ impl LabelSaMapper {
         self
     }
 
-    /// Attaches a predict-then-verify movement filter (see
-    /// [`crate::SaMapper::with_movement_filter`]); all lanes share the
-    /// one immutable scorer.
-    pub fn with_movement_filter(
-        mut self,
-        filter: std::sync::Arc<dyn crate::predictor::MovementScorer>,
-    ) -> Self {
+    /// Attaches a predict-then-verify movement filter. One immutable
+    /// scorer is shared by every lane; detach by rebuilding the mapper.
+    /// The filter-off mapper is byte-identical to the pre-filter
+    /// annealer.
+    pub fn with_movement_filter(mut self, filter: Arc<dyn MovementScorer>) -> Self {
         self.filter = Some(filter);
         self
-    }
-
-    /// The active label set.
-    pub fn labels(&self) -> &GuidanceLabels {
-        &self.labels
-    }
-
-    /// The active guidance mode.
-    pub fn mode(&self) -> LabelMode {
-        self.config.mode
     }
 }
 
 impl IiMapper for LabelSaMapper {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn map_at_ii<'a>(
@@ -576,15 +591,16 @@ impl IiMapper for LabelSaMapper {
         acc: &'a Accelerator,
         ii: u32,
     ) -> Option<Mapping<'a>> {
-        assert!(
-            self.labels.matches(dfg),
-            "labels do not match the DFG shape"
-        );
-        // Each lane gets a fresh policy: `LabelPolicy` carries the
-        // InitialOnly transition flag, which must not leak across lanes.
-        crate::strategy::race_lanes(
+        let policy = match &self.guide {
+            Some((labels, mode)) => {
+                assert!(labels.matches(dfg), "labels do not match the DFG shape");
+                Policy::new(labels, *mode, dfg)
+            }
+            None => Policy::vanilla(),
+        };
+        race_lanes(
             &self.strategy,
-            || LabelPolicy::new(&self.labels, self.config, dfg),
+            &policy,
             &self.params,
             dfg,
             acc,
@@ -775,10 +791,10 @@ mod tests {
             );
             let mut rng = Rng::seed_from_u64(seed);
             let (m, labels) = random_partial_mapping(&mut rng, &dfg, &acc);
-            let policy = LabelPolicy::new(&labels, LabelSaConfig::default(), &dfg);
+            let policy = Policy::new(&labels, LabelMode::Full, &dfg);
             let mut draw = CandidateDraw::default();
             for node in m.unplaced_nodes() {
-                draw.gather(&policy, &m, node);
+                draw.gather(&labels, &policy.partners, &m, node);
                 for (pe, t) in crate::sa::candidate_slots(&m, node) {
                     let want = policy.placement_cost(&m, node, pe, t);
                     let got = draw.cost(acc.coord(pe), t);

@@ -2,10 +2,12 @@
 //!
 //! This crate implements every mapper the LISA paper evaluates:
 //!
-//! * [`sa`] — vanilla simulated annealing in the CGRA-ME style (the paper's
-//!   SA baseline), including the 10×-movement "SA-M" variant of Fig. 13;
-//! * [`label_sa`] — the label-aware simulated annealing of Algorithm 1,
-//!   plus the routing-priority-only ablation of Fig. 12;
+//! * [`label_sa`] — [`LabelSaMapper`], the one simulated-annealing
+//!   mapper: without labels the paper's SA baseline in the CGRA-ME style
+//!   (and the 10×-movement "SA-M" variant of Fig. 13), with labels the
+//!   label-aware annealing of Algorithm 1 and the routing-priority-only
+//!   ablation of Fig. 12;
+//! * [`sa`] — the annealing core both run on, and its [`SaParams`];
 //! * [`exact`] — an exhaustive branch-and-bound mapper standing in for the
 //!   ILP baseline (see DESIGN.md "Substitutions");
 //! * [`strategy`] — the lane race: [`StrategySpec`] lists the lanes
@@ -29,12 +31,12 @@
 //! ```
 //! use lisa_dfg::polybench;
 //! use lisa_arch::Accelerator;
-//! use lisa_mapper::{schedule::IiSearch, sa::SaMapper, SaParams};
+//! use lisa_mapper::{schedule::IiSearch, LabelSaMapper, SaParams};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dfg = polybench::kernel("doitgen")?;
 //! let acc = Accelerator::cgra("4x4", 4, 4);
-//! let mapper = SaMapper::new(SaParams::fast(), 7);
+//! let mapper = LabelSaMapper::vanilla(SaParams::fast(), 7);
 //! let (outcome, _mapping) = IiSearch::default().run(&mapper, &dfg, &acc, 1);
 //! assert!(outcome.ii.is_some(), "doitgen maps on a 4x4 CGRA");
 //! # Ok(())
@@ -56,10 +58,10 @@ pub mod strategy;
 
 pub use constructive::ConstructiveStrategy;
 pub use error::MapperError;
-pub use label_sa::{GuidanceLabels, LabelMode, LabelSaMapper};
+pub use label_sa::{GuidanceLabels, LabelSaMapper};
 pub use mapping::{Mapping, Placement, RouteStep};
 pub use predictor::{FilterStats, FilterTotals, MovementScorer, MOVEMENT_FEATURE_DIM};
 pub use router::RouterScratch;
-pub use sa::{anneal_chain, SaMapper, SaParams};
+pub use sa::{anneal_chain, SaParams};
 pub use schedule::{IiMapper, IiSearch, MappingOutcome};
 pub use strategy::{LaneKind, ParseStrategyError, StrategySpec};

@@ -1029,110 +1029,3 @@ mod tests {
         m.begin_txn();
     }
 }
-
-/// Per-PE utilisation of a mapping: how many modulo slots of each PE are
-/// busy with computation or routing. High variance indicates hot spots —
-/// the congestion signature constrained architectures exhibit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Utilization {
-    /// Busy FU slots per PE (compute + route-through), indexed by PE.
-    pub busy_fu_slots: Vec<usize>,
-    /// Busy register slots per PE.
-    pub busy_reg_slots: Vec<usize>,
-    /// The initiation interval (slots per FU).
-    pub ii: u32,
-}
-
-impl Utilization {
-    /// Mean FU occupancy over all PEs, in [0, 1].
-    pub fn mean_fu_occupancy(&self) -> f64 {
-        if self.busy_fu_slots.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.busy_fu_slots.iter().sum();
-        total as f64 / (self.busy_fu_slots.len() as f64 * f64::from(self.ii))
-    }
-
-    /// The busiest PE's FU occupancy, in [0, 1].
-    pub fn peak_fu_occupancy(&self) -> f64 {
-        self.busy_fu_slots
-            .iter()
-            .copied()
-            .max()
-            .map_or(0.0, |m| m as f64 / f64::from(self.ii))
-    }
-}
-
-impl Mapping<'_> {
-    /// Computes per-PE utilisation (see [`Utilization`]).
-    pub fn utilization(&self) -> Utilization {
-        let acc = self.accelerator();
-        let mut busy_fu = vec![0usize; acc.pe_count()];
-        let mut busy_reg = vec![0usize; acc.pe_count()];
-        for v in self.dfg.node_ids() {
-            if let Some(p) = self.placement(v) {
-                busy_fu[p.pe.index()] += 1;
-            }
-        }
-        // Ordered set (DET001): utilisation feeds rendered reports.
-        let mut seen = std::collections::BTreeSet::new();
-        for route in self.dfg.edge_ids() {
-            let Some(steps) = self.route(route) else {
-                continue;
-            };
-            for s in steps {
-                let idx = self.mrrg.index_at(s.resource, s.time);
-                if !seen.insert(idx) {
-                    continue;
-                }
-                match s.resource {
-                    Resource::Fu(pe) => busy_fu[pe.index()] += 1,
-                    Resource::Reg(pe, _) => busy_reg[pe.index()] += 1,
-                }
-            }
-        }
-        Utilization {
-            busy_fu_slots: busy_fu,
-            busy_reg_slots: busy_reg,
-            ii: self.ii(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod utilization_tests {
-    use super::*;
-    use lisa_dfg::OpKind;
-
-    #[test]
-    fn utilization_counts_ops_and_routes() {
-        let mut g = Dfg::new("t");
-        let a = g.add_node(OpKind::Load, "a");
-        let b = g.add_node(OpKind::Store, "b");
-        let e = g.add_data_edge(a, b).unwrap();
-        let acc = lisa_arch::Accelerator::cgra("1x3", 1, 3);
-        let mut m = Mapping::new(&g, &acc, 2).unwrap();
-        m.place(a, lisa_arch::PeId::new(0), 0).unwrap();
-        m.place(b, lisa_arch::PeId::new(2), 2).unwrap();
-        m.route_edge(e).unwrap();
-        let u = m.utilization();
-        assert_eq!(u.busy_fu_slots[0], 1); // the load
-        assert_eq!(u.busy_fu_slots[2], 1); // the store
-                                           // The route passes PE1 (FU) or uses a register; either way some
-                                           // middle resource is busy.
-        assert!(u.busy_fu_slots[1] + u.busy_reg_slots.iter().sum::<usize>() >= 1);
-        assert!(u.mean_fu_occupancy() > 0.0);
-        assert!(u.peak_fu_occupancy() <= 1.0);
-    }
-
-    #[test]
-    fn empty_mapping_has_zero_utilization() {
-        let mut g = Dfg::new("t");
-        g.add_node(OpKind::Add, "x");
-        let acc = lisa_arch::Accelerator::cgra("2x2", 2, 2);
-        let m = Mapping::new(&g, &acc, 3).unwrap();
-        let u = m.utilization();
-        assert_eq!(u.mean_fu_occupancy(), 0.0);
-        assert_eq!(u.peak_fu_occupancy(), 0.0);
-    }
-}

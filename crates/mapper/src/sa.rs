@@ -1,13 +1,13 @@
-//! Simulated-annealing mapping: the vanilla SA baseline and the shared
-//! annealing core that the label-aware variant (Algorithm 1) plugs into.
+//! The annealing core of [`crate::LabelSaMapper`], shared by the paper's
+//! SA baseline and the label-aware variant (Algorithm 1).
 //!
 //! The skeleton follows the paper's description of SA-based approaches
 //! (§III-B): create an initial mapping, then repeatedly *unmap* a few nodes
 //! and remap them (a *movement*), accepting worse mappings with a
 //! temperature-controlled probability to escape local minima. The paper's
-//! SA baseline and LISA differ **only** in three policy points — placement
-//! order, PE-candidate choice, and routing order — so those are factored
-//! into the [`SaPolicy`] trait and everything else is shared.
+//! SA baseline and LISA differ **only** in three decisions — placement
+//! order, PE-candidate choice, and routing order — which the lane's
+//! policy ([`crate::label_sa`]) makes; everything else is here.
 
 use std::time::{Duration, Instant};
 
@@ -17,9 +17,9 @@ use lisa_arch::{Accelerator, PeId};
 use lisa_dfg::{Dfg, EdgeId, NodeId};
 use lisa_events::{EventSink, PipelineEvent};
 
+use crate::label_sa::Policy;
 use crate::mapping::Placement;
 use crate::predictor::{movement_features_into, FilterStats, MovementScorer};
-use crate::schedule::IiMapper;
 use crate::Mapping;
 
 /// Tuning parameters of the annealer.
@@ -81,64 +81,14 @@ impl Default for SaParams {
     }
 }
 
-/// Running movement statistics, exposed to policies for the paper's
-/// deviation schedule σ = max{1, α·T − Acc} (Algorithm 1 line 7).
+/// Running movement statistics, read by the label policy's deviation
+/// schedule σ = max{1, α·T − Acc} (Algorithm 1 line 7).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MoveStats {
+pub(crate) struct MoveStats {
     /// Attempted movements so far (the paper's `T`).
-    pub attempted: u32,
+    pub(crate) attempted: u32,
     /// Accepted movements so far (the paper's `Acc`).
-    pub accepted: u32,
-}
-
-/// The three decision points where vanilla SA and label-aware SA differ.
-///
-/// Ordering hooks receive the mapping (not just the DFG) so policies can
-/// use its cached per-node analyses (ASAP/ALAP) instead of recomputing
-/// them on every movement.
-pub trait SaPolicy {
-    /// Orders unmapped nodes for placement (Algorithm 1 line 3).
-    fn order_nodes(&self, mapping: &Mapping<'_>, nodes: &mut [NodeId]);
-
-    /// Picks one of `candidates` (all feasible `(pe, time)` slots) for
-    /// `node` (Algorithm 1 lines 5–8). Returns an index into `candidates`.
-    fn choose_candidate(
-        &self,
-        mapping: &Mapping<'_>,
-        node: NodeId,
-        candidates: &[(PeId, u32)],
-        stats: MoveStats,
-        rng: &mut Rng,
-    ) -> usize;
-
-    /// Orders unrouted edges for routing (Algorithm 1 line 9).
-    fn order_edges(&self, mapping: &Mapping<'_>, edges: &mut [EdgeId]);
-}
-
-/// Vanilla policy: ASAP placement order, uniformly random PE candidate,
-/// edge-id routing order — the paper's SA baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VanillaPolicy;
-
-impl SaPolicy for VanillaPolicy {
-    fn order_nodes(&self, mapping: &Mapping<'_>, nodes: &mut [NodeId]) {
-        nodes.sort_by_key(|n| (mapping.asap_level(*n), n.index()));
-    }
-
-    fn choose_candidate(
-        &self,
-        _mapping: &Mapping<'_>,
-        _node: NodeId,
-        candidates: &[(PeId, u32)],
-        _stats: MoveStats,
-        rng: &mut Rng,
-    ) -> usize {
-        rng.gen_range(0..candidates.len())
-    }
-
-    fn order_edges(&self, _mapping: &Mapping<'_>, edges: &mut [EdgeId]) {
-        edges.sort_by_key(|e| e.index());
-    }
+    pub(crate) accepted: u32,
 }
 
 /// Cost of a (possibly partial) mapping: unplaced nodes and unrouted edges
@@ -307,8 +257,8 @@ const STALL_BURST: u32 = 32;
 /// One burst in every `STALL_PERIOD` is unfiltered while stalled.
 const STALL_PERIOD: u32 = 4;
 
-/// The annealing core shared by [`SaMapper`] and
-/// [`crate::LabelSaMapper`]: one lane of a race, seeded with `seed`.
+/// The annealing core of [`crate::LabelSaMapper`]: one lane of a race,
+/// seeded with `seed`, deciding with its own copy of `policy`.
 /// `lane` tags the emitted [`PipelineEvent::SaSnapshot`]s and
 /// [`PipelineEvent::SaMovementSample`]s; the null sink makes the
 /// instrumentation free. With `filter` attached, proposals are scored
@@ -317,8 +267,8 @@ const STALL_PERIOD: u32 = 4;
 /// every RNG draw — is identical to the pre-filter annealer. Router work
 /// accumulates into `fstats`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn anneal<'a, P: SaPolicy>(
-    policy: &P,
+pub(crate) fn anneal<'a>(
+    mut policy: Policy<'_>,
     params: &SaParams,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
@@ -342,8 +292,9 @@ pub(crate) fn anneal<'a, P: SaPolicy>(
     // iteration). Construction is never gated: with nothing placed there
     // is no movement to score.
     bufs.nodes.extend(dfg.node_ids());
-    place_nodes(policy, &mut mapping, &mut bufs, stats, &mut rng);
-    fstats.router_invocations += route_all(policy, &mut mapping, &mut bufs);
+    place_nodes(&mut policy, &mut mapping, &mut bufs, stats, &mut rng);
+    fstats.router_invocations += route_all(&policy, &mut mapping, &mut bufs);
+    policy.end_initial_mapping();
     let mut cost = mapping_cost(&mapping);
     if mapping.is_complete() {
         return Some(mapping);
@@ -368,7 +319,7 @@ pub(crate) fn anneal<'a, P: SaPolicy>(
             let snapshot = format!("{mapping:?}");
             mapping.begin_txn();
             let verdict = movement(
-                policy,
+                &mut policy,
                 &mut mapping,
                 params,
                 &mut bufs,
@@ -459,8 +410,8 @@ pub(crate) fn anneal<'a, P: SaPolicy>(
 /// after placement and before routing, and consumes no RNG, so the
 /// filter-off RNG stream is bit-identical to the pre-filter annealer.
 #[allow(clippy::too_many_arguments)]
-fn movement<P: SaPolicy>(
-    policy: &P,
+fn movement(
+    policy: &mut Policy<'_>,
     mapping: &mut Mapping<'_>,
     params: &SaParams,
     bufs: &mut MoveBuffers,
@@ -546,8 +497,8 @@ fn movement<P: SaPolicy>(
 
 /// Places the nodes in `bufs.nodes` in policy order, consulting the
 /// policy for each slot. The caller fills `bufs.nodes`.
-fn place_nodes<P: SaPolicy>(
-    policy: &P,
+fn place_nodes(
+    policy: &mut Policy<'_>,
     mapping: &mut Mapping<'_>,
     bufs: &mut MoveBuffers,
     stats: MoveStats,
@@ -572,9 +523,9 @@ fn place_nodes<P: SaPolicy>(
 /// policy order. Failures are left unrouted for the cost function.
 /// Returns the number of `route_edge` invocations — the unit of router
 /// work the movement filter exists to save.
-fn route_all<P: SaPolicy>(policy: &P, mapping: &mut Mapping<'_>, bufs: &mut MoveBuffers) -> u64 {
+fn route_all(policy: &Policy<'_>, mapping: &mut Mapping<'_>, bufs: &mut MoveBuffers) -> u64 {
     mapping.unrouted_edges_into(&mut bufs.edges);
-    policy.order_edges(mapping, &mut bufs.edges);
+    policy.order_edges(&mut bufs.edges);
     let mut invocations = 0;
     for i in 0..bufs.edges.len() {
         let e = bufs.edges[i];
@@ -615,14 +566,14 @@ pub fn movement_throughput(
     engine: MovementEngine,
 ) -> u32 {
     let params = SaParams::paper();
-    let policy = VanillaPolicy;
+    let mut policy = Policy::vanilla();
     let mut rng = Rng::seed_from_u64(seed);
     let mut mapping = Mapping::new(dfg, acc, ii).expect("bench II must be valid");
     let mut stats = MoveStats::default();
     let mut fstats = FilterStats::default();
     let mut bufs = MoveBuffers::default();
     bufs.nodes.extend(dfg.node_ids());
-    place_nodes(&policy, &mut mapping, &mut bufs, stats, &mut rng);
+    place_nodes(&mut policy, &mut mapping, &mut bufs, stats, &mut rng);
     route_all(&policy, &mut mapping, &mut bufs);
     let temp = params.initial_temp;
     let mut improved = 0;
@@ -634,7 +585,7 @@ pub fn movement_throughput(
                 stats.attempted += 1;
                 let snapshot = mapping.clone();
                 movement(
-                    &policy,
+                    &mut policy,
                     &mut mapping,
                     &params,
                     &mut bufs,
@@ -665,7 +616,7 @@ pub fn movement_throughput(
                 stats.attempted += 1;
                 mapping.begin_txn();
                 movement(
-                    &policy,
+                    &mut policy,
                     &mut mapping,
                     &params,
                     &mut bufs,
@@ -695,118 +646,11 @@ pub fn movement_throughput(
     improved
 }
 
-/// The vanilla simulated-annealing mapper (the paper's SA baseline).
-///
-/// # Example
-///
-/// ```
-/// use lisa_dfg::{Dfg, OpKind};
-/// use lisa_arch::Accelerator;
-/// use lisa_mapper::{sa::SaMapper, SaParams, schedule::IiMapper};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut dfg = Dfg::new("pair");
-/// let a = dfg.add_node(OpKind::Load, "a");
-/// let b = dfg.add_node(OpKind::Store, "b");
-/// dfg.add_data_edge(a, b)?;
-/// let acc = Accelerator::cgra("2x2", 2, 2);
-/// let mut sa = SaMapper::new(SaParams::fast(), 1);
-/// let mapping = sa.map_at_ii(&dfg, &acc, 1).expect("trivially mappable");
-/// assert!(mapping.is_complete());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SaMapper {
-    params: SaParams,
-    seed: u64,
-    name: String,
-    strategy: crate::strategy::StrategySpec,
-    sink: EventSink,
-    filter: Option<std::sync::Arc<dyn MovementScorer>>,
-}
-
-impl SaMapper {
-    /// Creates a mapper with the given parameters and RNG seed. Runs a
-    /// single annealing chain; see [`with_strategy`](Self::with_strategy).
-    pub fn new(params: SaParams, seed: u64) -> Self {
-        let name = if params.moves_per_temp >= 10 * SaParams::paper().moves_per_temp {
-            "SA-M".to_string()
-        } else {
-            "SA".to_string()
-        };
-        SaMapper {
-            params,
-            seed,
-            name,
-            strategy: crate::strategy::StrategySpec::default(),
-            sink: EventSink::null(),
-            filter: None,
-        }
-    }
-
-    /// Selects the lanes raced per II (see [`crate::StrategySpec`]).
-    /// The default, `sa`, is one annealing chain; `sa,sa,sa,sa` races
-    /// four independently seeded chains and keeps the deterministic
-    /// winner, whose lane 0 is the one-chain mapper.
-    pub fn with_strategy(mut self, strategy: crate::strategy::StrategySpec) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Streams per-temperature [`PipelineEvent::SaSnapshot`]s into `sink`
-    /// (the replacement for the removed `LISA_SA_DEBUG` env var). Events
-    /// never change the trajectory; the null sink restores silence.
-    pub fn with_observer(mut self, sink: EventSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// Attaches a predict-then-verify movement filter. One immutable
-    /// scorer is shared by every lane; detach by rebuilding
-    /// the mapper. The filter-off mapper is byte-identical to the
-    /// pre-filter annealer.
-    pub fn with_movement_filter(mut self, filter: std::sync::Arc<dyn MovementScorer>) -> Self {
-        self.filter = Some(filter);
-        self
-    }
-
-    /// The annealing parameters.
-    pub fn params(&self) -> &SaParams {
-        &self.params
-    }
-}
-
-impl IiMapper for SaMapper {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn map_at_ii<'a>(
-        &mut self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-        ii: u32,
-    ) -> Option<Mapping<'a>> {
-        crate::strategy::race_lanes(
-            &self.strategy,
-            || VanillaPolicy,
-            &self.params,
-            dfg,
-            acc,
-            ii,
-            self.seed,
-            &self.sink,
-            self.filter.as_deref(),
-        )
-    }
-}
-
 /// Runs one vanilla-policy annealing chain with an optional movement
 /// filter and returns the mapping (if any) together with the router-work
-/// counters. Seeded exactly like lane 0 of [`SaMapper::new`] with the
-/// same `seed`, so `anneal_chain(..., None)` reproduces the one-lane
-/// mapper byte-for-byte. This is the measurement entry point for the
+/// counters. Seeded exactly like lane 0 of [`crate::LabelSaMapper::vanilla`]
+/// with the same `seed`, so `anneal_chain(..., None)` reproduces the
+/// one-lane mapper byte-for-byte. This is the measurement entry point for the
 /// predictor A/B bench and the quality-invariance tests; production
 /// paths read the same counters from [`PipelineEvent::SaFilterSummary`].
 pub fn anneal_chain<'a>(
@@ -819,7 +663,7 @@ pub fn anneal_chain<'a>(
 ) -> (Option<Mapping<'a>>, FilterStats) {
     let mut stats = FilterStats::default();
     let mapping = anneal(
-        &VanillaPolicy,
+        Policy::vanilla(),
         params,
         dfg,
         acc,
@@ -836,6 +680,7 @@ pub fn anneal_chain<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IiMapper, LabelSaMapper};
     use lisa_dfg::{polybench, OpKind};
 
     fn small_chain() -> Dfg {
@@ -854,7 +699,7 @@ mod tests {
     fn sa_maps_small_chain_at_ii1() {
         let dfg = small_chain();
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let mut sa = SaMapper::new(SaParams::fast(), 42);
+        let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 42);
         let m = sa.map_at_ii(&dfg, &acc, 1).expect("should map");
         assert!(m.is_complete());
         m.verify().unwrap();
@@ -889,7 +734,7 @@ mod tests {
             g.add_data_edge(ids[s], ids[d]).unwrap();
         }
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let mut sa = SaMapper::new(SaParams::paper(), 3);
+        let mut sa = LabelSaMapper::vanilla(SaParams::paper(), 3);
         let m = (2..=4)
             .find_map(|ii| sa.map_at_ii(&g, &acc, ii))
             .expect("fig4 fits a 3x3 within II 4");
@@ -900,8 +745,8 @@ mod tests {
     fn sa_is_deterministic_per_seed() {
         let dfg = small_chain();
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let m1 = SaMapper::new(SaParams::fast(), 9).map_at_ii(&dfg, &acc, 1);
-        let m2 = SaMapper::new(SaParams::fast(), 9).map_at_ii(&dfg, &acc, 1);
+        let m1 = LabelSaMapper::vanilla(SaParams::fast(), 9).map_at_ii(&dfg, &acc, 1);
+        let m2 = LabelSaMapper::vanilla(SaParams::fast(), 9).map_at_ii(&dfg, &acc, 1);
         match (m1, m2) {
             (Some(a), Some(b)) => {
                 for n in dfg.node_ids() {
@@ -921,21 +766,21 @@ mod tests {
             g.add_node(OpKind::Add, format!("n{i}"));
         }
         let acc = Accelerator::cgra("1x1", 1, 1);
-        let mut sa = SaMapper::new(SaParams::fast(), 5);
+        let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 5);
         assert!(sa.map_at_ii(&g, &acc, 2).is_none());
     }
 
     #[test]
     fn sa_m_naming() {
-        assert_eq!(SaMapper::new(SaParams::sa_m(), 0).name(), "SA-M");
-        assert_eq!(SaMapper::new(SaParams::paper(), 0).name(), "SA");
+        assert_eq!(LabelSaMapper::vanilla(SaParams::sa_m(), 0).name(), "SA-M");
+        assert_eq!(LabelSaMapper::vanilla(SaParams::paper(), 0).name(), "SA");
     }
 
     #[test]
     fn sa_maps_a_polybench_kernel() {
         let dfg = polybench::kernel("doitgen").unwrap();
         let acc = Accelerator::cgra("4x4", 4, 4);
-        let mut sa = SaMapper::new(SaParams::fast(), 11);
+        let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 11);
         let mut found = None;
         for ii in crate::schedule::mii(&dfg, &acc)..=8 {
             if let Some(m) = sa.map_at_ii(&dfg, &acc, ii) {
@@ -985,7 +830,7 @@ mod tests {
         }
         let acc = Accelerator::cgra("1x1", 1, 1);
         let recorder = Arc::new(RecordingObserver::default());
-        let mut sa = SaMapper::new(SaParams::fast(), 5)
+        let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 5)
             .with_observer(lisa_events::EventSink::new(recorder.clone()));
         assert!(sa.map_at_ii(&g, &acc, 2).is_none());
         let events = recorder.take();
@@ -1027,8 +872,8 @@ mod tests {
         use std::sync::Arc;
         let dfg = small_chain();
         let acc = Accelerator::cgra("2x2", 2, 2);
-        let silent = SaMapper::new(SaParams::fast(), 9).map_at_ii(&dfg, &acc, 1);
-        let observed = SaMapper::new(SaParams::fast(), 9)
+        let silent = LabelSaMapper::vanilla(SaParams::fast(), 9).map_at_ii(&dfg, &acc, 1);
+        let observed = LabelSaMapper::vanilla(SaParams::fast(), 9)
             .with_observer(lisa_events::EventSink::new(Arc::new(
                 RecordingObserver::default(),
             )))
@@ -1043,7 +888,7 @@ mod tests {
     fn anneal_chain_reproduces_the_sequential_mapper() {
         let dfg = polybench::kernel("doitgen").unwrap();
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let via_mapper = SaMapper::new(SaParams::paper(), 7).map_at_ii(&dfg, &acc, 3);
+        let via_mapper = LabelSaMapper::vanilla(SaParams::paper(), 7).map_at_ii(&dfg, &acc, 3);
         let (via_chain, stats) = anneal_chain(&SaParams::paper(), &dfg, &acc, 3, 7, None);
         assert_eq!(
             via_mapper.map(|m| format!("{m:?}")),

@@ -156,9 +156,7 @@ impl IiSearch {
 mod tests {
     use super::*;
     use crate::exact::{ExactMapper, ExactParams};
-    use crate::{
-        ConstructiveStrategy, GuidanceLabels, LabelSaMapper, SaMapper, SaParams, StrategySpec,
-    };
+    use crate::{ConstructiveStrategy, GuidanceLabels, LabelSaMapper, SaParams, StrategySpec};
     use lisa_dfg::OpKind;
 
     #[test]
@@ -303,8 +301,8 @@ mod tests {
             time_limit: Duration::from_secs(3600),
             ..SaParams::fast()
         };
-        let mixed =
-            SaMapper::new(sa.clone(), 7).with_strategy(StrategySpec::parse("mixed").unwrap());
+        let mixed = LabelSaMapper::vanilla(sa.clone(), 7)
+            .with_strategy(StrategySpec::parse("mixed").unwrap());
         assert_thread_count_invariant(&mixed, &doitgen, &acc4);
         let four_lanes = LabelSaMapper::new(GuidanceLabels::initial(&doitgen), sa, 7)
             .with_strategy(StrategySpec::parse("sa,sa,sa,sa").unwrap());

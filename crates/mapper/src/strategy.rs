@@ -37,9 +37,10 @@ use lisa_dfg::Dfg;
 use lisa_events::{EventSink, PipelineEvent};
 
 use crate::constructive::ConstructiveStrategy;
+use crate::label_sa::Policy;
 use crate::portfolio::chain_seed;
 use crate::predictor::{FilterStats, MovementScorer};
-use crate::sa::{anneal, mapping_cost, SaParams, SaPolicy};
+use crate::sa::{anneal, mapping_cost, SaParams};
 use crate::Mapping;
 
 /// Which search algorithm runs in one lane of a race.
@@ -159,12 +160,12 @@ impl StrategySpec {
 
 /// Races the lanes of `spec` for one II under the winner rule of the
 /// module docs and returns the winning mapping. Each annealing lane
-/// gets a fresh policy from `make_policy` (policies may hold per-run
-/// state); lane `i` is seeded with `chain_seed(seed, i, ii)`.
+/// decides with its own copy of `policy`; lane `i` is seeded with
+/// `chain_seed(seed, i, ii)`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn race_lanes<'a, P: SaPolicy>(
+pub(crate) fn race_lanes<'a>(
     spec: &StrategySpec,
-    make_policy: impl Fn() -> P,
+    policy: &Policy<'_>,
     params: &SaParams,
     dfg: &'a Dfg,
     acc: &'a Accelerator,
@@ -178,7 +179,7 @@ pub(crate) fn race_lanes<'a, P: SaPolicy>(
         let mut stats = FilterStats::default();
         let mapping = match lanes[lane] {
             LaneKind::Sa => anneal(
-                &make_policy(),
+                policy.clone(),
                 params,
                 dfg,
                 acc,
@@ -226,7 +227,6 @@ pub(crate) fn race_lanes<'a, P: SaPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sa::VanillaPolicy;
     use lisa_events::RecordingObserver;
     use std::sync::Arc;
 
@@ -243,7 +243,7 @@ mod tests {
         let recorder = Arc::new(RecordingObserver::default());
         let mapping = race_lanes(
             &StrategySpec::parse("mixed").unwrap(),
-            || VanillaPolicy,
+            &Policy::vanilla(),
             &SaParams::fast(),
             &dfg,
             &acc,

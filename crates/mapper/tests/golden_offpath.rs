@@ -15,8 +15,7 @@ use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, Dfg, OpKind};
 use lisa_mapper::exact::{ExactMapper, ExactParams};
 use lisa_mapper::{
-    ConstructiveStrategy, FilterStats, GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaMapper,
-    SaParams,
+    ConstructiveStrategy, FilterStats, GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaParams,
 };
 
 /// FNV-1a over every placement and route step, in id order.
@@ -70,7 +69,7 @@ fn chain_dfg() -> Dfg {
 }
 
 fn sa_digest(dfg: &Dfg, acc: &Accelerator, ii: u32, seed: u64) -> u64 {
-    let mut mapper = SaMapper::new(SaParams::paper(), seed);
+    let mut mapper = LabelSaMapper::vanilla(SaParams::paper(), seed);
     let m = mapper
         .map_at_ii(dfg, acc, ii)
         .expect("golden case must map");
@@ -114,6 +113,57 @@ fn label_sa_trajectories_match_pre_filter_binary() {
         label_sa_digest(&chain, &acc3, 1, 9),
     ];
     assert_eq!(got, GOLDEN_LABEL_SA, "label-aware SA trajectory drifted");
+}
+
+/// Non-uniform labels, so every label term steers a decision: spatial
+/// `(i mod 3)·0.75`, temporal `1 + (i mod 4)·0.5` and same-level
+/// `1 + (i mod 2)` by position; the schedule order stays ASAP.
+fn skewed_labels(dfg: &Dfg) -> GuidanceLabels {
+    let mut labels = GuidanceLabels::initial(dfg);
+    for (i, v) in labels.spatial.iter_mut().enumerate() {
+        *v = (i % 3) as f64 * 0.75;
+    }
+    for (i, v) in labels.temporal.iter_mut().enumerate() {
+        *v = 1.0 + (i % 4) as f64 * 0.5;
+    }
+    for (i, pair) in labels.same_level.iter_mut().enumerate() {
+        pair.2 = 1.0 + (i % 2) as f64;
+    }
+    labels
+}
+
+#[test]
+fn every_label_mode_matches_its_pinned_trajectory() {
+    let acc3 = Accelerator::cgra("3x3", 3, 3);
+    let acc4 = Accelerator::cgra("4x4", 4, 4);
+    let doitgen = polybench::kernel("doitgen").unwrap();
+    let gemm = polybench::kernel("gemm").unwrap();
+    let chain = chain_dfg();
+    let cases = [
+        (&doitgen, &acc3, 3, 1),
+        (&doitgen, &acc3, 3, 42),
+        (&gemm, &acc4, 3, 7),
+        (&chain, &acc3, 1, 9),
+    ];
+    let got: Vec<[Option<u64>; 3]> = cases
+        .into_iter()
+        .map(|(dfg, acc, ii, seed)| {
+            let labels = skewed_labels(dfg);
+            let params = SaParams::paper();
+            [
+                LabelSaMapper::new(labels.clone(), params.clone(), seed),
+                LabelSaMapper::routing_priority_only(labels.clone(), params.clone(), seed),
+                LabelSaMapper::initial_only(labels, params, seed),
+            ]
+            .map(|mut mapper| {
+                mapper.map_at_ii(dfg, acc, ii).map(|m| {
+                    m.verify().unwrap();
+                    digest(&m)
+                })
+            })
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_LABEL_MODES, "a label mode's trajectory drifted");
 }
 
 #[test]
@@ -165,6 +215,28 @@ const GOLDEN_LABEL_SA: [u64; 3] = [
     6850723976941017084,
     10280484549389806084,
     3047957704053923850,
+];
+/// Full, routing-priority-only and initial-only label SA with
+/// [`skewed_labels`], per case: doitgen on the 3x3 at II 3 (seeds 1
+/// and 42), gemm on the 4x4 at II 3 (seed 7) and chain4 on the 3x3 at
+/// II 1 (seed 9). `None`: the mode finds no mapping at that II.
+const GOLDEN_LABEL_MODES: [[Option<u64>; 3]; 4] = [
+    [
+        Some(3547673152523311758),
+        Some(11054732065322721129),
+        Some(16398538448478539527),
+    ],
+    [
+        Some(4323581605048807123),
+        Some(1164974617176085014),
+        Some(6293682701653913751),
+    ],
+    [Some(14550787325410828135), None, Some(16748770195430179392)],
+    [
+        Some(14225589811632017166),
+        Some(14970556677559479370),
+        Some(14225589811632017166),
+    ],
 ];
 /// `(digest, router_invocations)` of the constructive lane on gemm,
 /// doitgen and atax at II 8 on the 4x4.

@@ -16,9 +16,7 @@
 
 use lisa_arch::Accelerator;
 use lisa_dfg::{polybench, Dfg, OpKind};
-use lisa_mapper::{
-    GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaMapper, SaParams, StrategySpec,
-};
+use lisa_mapper::{GuidanceLabels, IiMapper, LabelSaMapper, Mapping, SaParams, StrategySpec};
 
 /// FNV-1a over every placement and route step: byte-level identity of
 /// the mapping, independent of `Debug` formatting.
@@ -115,7 +113,7 @@ fn four_sa_lanes() -> StrategySpec {
 #[test]
 fn four_sa_lanes_match_pre_refactor_golden_digests() {
     for (name, dfg, acc, ii, seed, sa_digest, label_digest) in golden_suite() {
-        let mut sa = SaMapper::new(SaParams::paper(), seed).with_strategy(four_sa_lanes());
+        let mut sa = LabelSaMapper::vanilla(SaParams::paper(), seed).with_strategy(four_sa_lanes());
         let m = sa.map_at_ii(&dfg, &acc, ii).expect("golden case maps");
         assert_eq!(digest(&m), sa_digest, "SA digest drifted on {name}");
 
@@ -130,7 +128,7 @@ fn four_sa_lanes_match_pre_refactor_golden_digests() {
 fn explicit_strategy_sa_is_byte_identical_to_the_default() {
     for (name, dfg, acc, ii, seed, _, _) in golden_suite() {
         let run = |strategy: StrategySpec| {
-            SaMapper::new(SaParams::paper(), seed)
+            LabelSaMapper::vanilla(SaParams::paper(), seed)
                 .with_strategy(strategy)
                 .map_at_ii(&dfg, &acc, ii)
                 .map(|m| digest(&m))
@@ -152,7 +150,7 @@ fn mixed_race_reruns_byte_identically() {
     let mixed = StrategySpec::parse("mixed").unwrap();
     let mut digests = Vec::new();
     for _ in 0..2 {
-        let mut sa = SaMapper::new(SaParams::fast(), 7).with_strategy(mixed.clone());
+        let mut sa = LabelSaMapper::vanilla(SaParams::fast(), 7).with_strategy(mixed.clone());
         let m = sa.map_at_ii(&dfg, &acc, 8).expect("gemm maps at ii 8");
         m.verify().expect("mixed-lane winner verifies");
         digests.push(digest(&m));
@@ -181,7 +179,8 @@ fn every_lane_mix_reruns_byte_identically() {
     ] {
         let strategy = StrategySpec::parse(spec).unwrap();
         let run = || {
-            let mut sa = SaMapper::new(SaParams::fast(), 11).with_strategy(strategy.clone());
+            let mut sa =
+                LabelSaMapper::vanilla(SaParams::fast(), 11).with_strategy(strategy.clone());
             sa.map_at_ii(&dfg, &acc, 8).map(|m| digest(&m))
         };
         assert_eq!(run(), run(), "strategy `{spec}` rerun diverged");
@@ -240,7 +239,7 @@ fn race_event_streams_match_golden_digests() {
     for (spec, kernel, ii, _, _) in GOLDEN_EVENT_STREAMS {
         let dfg = polybench::kernel(kernel).unwrap();
         let recorder = Arc::new(RecordingObserver::default());
-        let _ = SaMapper::new(params.clone(), 7)
+        let _ = LabelSaMapper::vanilla(params.clone(), 7)
             .with_strategy(StrategySpec::parse(spec).unwrap())
             .with_observer(EventSink::new(recorder.clone()))
             .map_at_ii(&dfg, &acc, ii);

@@ -8,7 +8,7 @@ use lisa_arch::Accelerator;
 use lisa_core::{Lisa, LisaConfig};
 use lisa_dfg::{polybench, unroll::unroll};
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::{SaMapper, SaParams};
+use lisa_mapper::{LabelSaMapper, SaParams};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let acc = Accelerator::cgra("4x4", 4, 4);
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let body = polybench::kernel(name)?;
         let dfg = unroll(&body, 2);
 
-        let sa = SaMapper::new(SaParams::paper(), 1);
+        let sa = LabelSaMapper::vanilla(SaParams::paper(), 1);
         let sa_outcome = IiSearch { max_ii: Some(16) }.run(&sa, &dfg, &acc, 1).0;
         let (lisa_outcome, mapping) = lisa.map_capped(&dfg, &acc, 16);
         if let Some(m) = &mapping {

@@ -147,6 +147,35 @@ cargo run -q --release --offline --bin lisa-map -- \
 cmp "$SMOKE_DIR/cold.model" "$SMOKE_DIR/ckpt/model.lisa-model"
 echo "verify: pipeline resume is byte-identical"
 
+# Label-aware filter smoke: --predictor attaches the movement filter to
+# the lisa mapper the same way as to sa. Each gated map of the trained
+# model must verify (lisa-map exits nonzero otherwise) and reject at
+# least one proposal. Router savings are not gated on this path: three
+# seeds are too few to show them on the label-aware trajectories.
+for SEED in 7 8 9; do
+    cargo run -q --release --offline --bin lisa-map -- \
+        gemm --arch 4x4 --seed "$SEED" --verbose --model "$SMOKE_DIR/cold.model" \
+        --predictor "$FILTER_DIR/movement.predictor" >"$FILTER_DIR/lisa$SEED.out"
+    if ! grep -q 'filter: .* rejected=[1-9]' "$FILTER_DIR/lisa$SEED.out"; then
+        echo "verify: movement filter rejected nothing on the lisa mapper (seed $SEED)" >&2
+        exit 1
+    fi
+done
+echo "verify: the movement filter gates the label-aware mapper"
+
+# A predictor file that does not exist is a usage error (exit 2) before
+# the label models train.
+STATUS=0
+target/release/lisa-map gemm --arch 4x4 --predictor "$FILTER_DIR/missing.predictor" \
+    >/dev/null 2>target/cli-smoke/nopredictor.err || STATUS=$?
+if [ "$STATUS" -ne 2 ] || grep -q -e panicked -e 'training label models' \
+    target/cli-smoke/nopredictor.err; then
+    echo "verify: a missing predictor file exited $STATUS:" >&2
+    cat target/cli-smoke/nopredictor.err >&2
+    exit 1
+fi
+echo "verify: a missing predictor file fails before training"
+
 # Serving smoke: start the daemon on an ephemeral port with a disk-backed
 # result cache, map the same kernel twice (the repeat must be a memory-tier
 # hit, byte-identical, without invoking the annealer), then restart the

@@ -58,7 +58,7 @@ use lisa::labels::MovementRecorder;
 use lisa::mapper::display::render;
 use lisa::mapper::exact::{ExactMapper, ExactParams};
 use lisa::mapper::schedule::IiSearch;
-use lisa::mapper::{FilterTotals, SaMapper, SaParams, StrategySpec};
+use lisa::mapper::{FilterTotals, LabelSaMapper, SaParams, StrategySpec};
 
 /// The `--mapper` choice, checked while the flags are parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,17 +356,11 @@ fn build_dfg(spec: &str, factor: u32) -> Result<Dfg, String> {
 }
 
 /// The quick-scale config the `lisa` mapper trains (and imports) with.
-fn mapping_config(
-    acc: &Accelerator,
-    seed: u64,
-    strategy: StrategySpec,
-    predictor: Option<PathBuf>,
-) -> LisaConfig {
+fn mapping_config(acc: &Accelerator, seed: u64, strategy: StrategySpec) -> LisaConfig {
     let mut config = LisaConfig::fast();
     config.training_dfgs = 24;
     config.seed = seed;
     config.strategy = strategy;
-    config.predictor = predictor;
     if acc.is_spatial_only() {
         config = config.for_systolic();
     }
@@ -526,6 +520,15 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // Loaded before anything runs, so a bad path fails before the label
+    // models train.
+    let filter = match opts.predictor.as_ref().map(load_predictor).transpose() {
+        Ok(f) => f,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    };
     let acc = match build_arch(&opts.arch) {
         Ok(a) => a,
         Err(msg) => {
@@ -571,8 +574,12 @@ fn main() {
     } else {
         EventSink::null()
     };
-    if opts.predictor.is_some() && opts.mapper == MapperKind::Ilp {
-        eprintln!("note: --predictor only gates the annealing mappers (lisa, sa); ignored");
+    if let Some(p) = &filter {
+        if opts.mapper == MapperKind::Ilp {
+            eprintln!("note: --predictor only gates the annealing mappers (lisa, sa); ignored");
+        } else {
+            eprintln!("movement filter attached (threshold {:?})", p.threshold());
+        }
     }
     if opts.strategy != StrategySpec::default() && opts.mapper == MapperKind::Ilp {
         eprintln!("note: --strategy only selects the lanes of lisa and sa; ignored");
@@ -583,12 +590,7 @@ fn main() {
     };
     let (outcome, mapping) = match opts.mapper {
         MapperKind::Lisa => {
-            let config = mapping_config(
-                &acc,
-                opts.seed,
-                opts.strategy.clone(),
-                opts.predictor.clone(),
-            );
+            let config = mapping_config(&acc, opts.seed, opts.strategy.clone());
             let mut lisa = if let Some(path) = &opts.model {
                 match load_model(path, &acc, &config) {
                     Ok(l) => l,
@@ -607,32 +609,18 @@ fn main() {
                     }
                 }
             };
-            match lisa.load_movement_filter() {
-                Ok(true) => eprintln!("movement filter attached"),
-                Ok(false) => {}
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
+            if let Some(f) = &filter {
+                lisa = lisa.with_movement_filter(f.clone());
             }
             let lisa = lisa.with_observer(sink.clone());
             lisa.map_capped(&dfg, &acc, opts.max_ii)
         }
         MapperKind::Sa => {
-            let mut sa = SaMapper::new(SaParams::paper(), opts.seed)
+            let mut sa = LabelSaMapper::vanilla(SaParams::paper(), opts.seed)
                 .with_strategy(opts.strategy.clone())
                 .with_observer(sink.clone());
-            if let Some(path) = &opts.predictor {
-                match load_predictor(path) {
-                    Ok(p) => {
-                        eprintln!("movement filter attached (threshold {:?})", p.threshold());
-                        sa = sa.with_movement_filter(p);
-                    }
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                }
+            if let Some(f) = &filter {
+                sa = sa.with_movement_filter(f.clone());
             }
             search.run(&sa, &dfg, &acc, 1)
         }

@@ -6,7 +6,7 @@
 use lisa::arch::Accelerator;
 use lisa::dfg::{generate_random_dfg, polybench, RandomDfgConfig};
 use lisa::mapper::schedule::{IiMapper, IiSearch};
-use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaMapper, SaParams, StrategySpec};
+use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaParams, StrategySpec};
 
 /// Two generator runs with the same seed produce byte-identical DFGs
 /// (compared through their full debug rendering, which covers nodes,
@@ -35,7 +35,7 @@ fn sa_mapper_runs_are_byte_identical() {
     for seed in [3, 17, 2022] {
         let dfg = generate_random_dfg(&cfg, seed);
         let run = |s: u64| {
-            let sa = SaMapper::new(SaParams::fast(), s);
+            let sa = LabelSaMapper::vanilla(SaParams::fast(), s);
             let (outcome, mapping) = IiSearch { max_ii: Some(10) }.run(&sa, &dfg, &acc, 1);
             // `compile_time` is wall-clock and legitimately varies between
             // runs; everything else must be byte-identical.
@@ -75,7 +75,7 @@ fn four_lane_race_is_thread_count_invariant() {
         )
     };
     let sa_run = |threads: usize| {
-        let mapper = SaMapper::new(params.clone(), 2022).with_strategy(four_lanes.clone());
+        let mapper = LabelSaMapper::vanilla(params.clone(), 2022).with_strategy(four_lanes.clone());
         let (outcome, mapping) = search.run(&mapper, &dfg, &acc, threads);
         render(&outcome, &mapping)
     };
@@ -101,7 +101,7 @@ fn seeds_actually_reach_the_mapper() {
     let dfg = generate_random_dfg(&RandomDfgConfig::default(), 42);
     let acc = Accelerator::cgra("4x4", 4, 4);
     let placements = |seed: u64| {
-        let mut sa = SaMapper::new(SaParams::fast(), seed);
+        let mut sa = LabelSaMapper::vanilla(SaParams::fast(), seed);
         (2..=8)
             .find_map(|ii| sa.map_at_ii(&dfg, &acc, ii))
             .map(|m| format!("{m:?}"))

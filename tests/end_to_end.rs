@@ -5,7 +5,7 @@ use lisa::arch::Accelerator;
 use lisa::core::{Lisa, LisaConfig};
 use lisa::dfg::polybench;
 use lisa::mapper::schedule::{mii, IiSearch};
-use lisa::mapper::{SaMapper, SaParams};
+use lisa::mapper::{LabelSaMapper, SaParams};
 
 #[test]
 fn train_predict_map_verify_on_4x4() {
@@ -40,7 +40,7 @@ fn lisa_matches_or_beats_sa_on_small_kernels() {
     for name in ["doitgen", "gemm", "atax", "trmm"] {
         let dfg = polybench::kernel(name).unwrap();
         let (lisa_outcome, _) = lisa.map_capped(&dfg, &acc, 12);
-        let sa = SaMapper::new(SaParams::fast(), 5);
+        let sa = LabelSaMapper::vanilla(SaParams::fast(), 5);
         let sa_outcome = search.run(&sa, &dfg, &acc, 1).0;
         lisa_total += lisa_outcome.ii.unwrap_or(13);
         sa_total += sa_outcome.ii.unwrap_or(13);

@@ -6,7 +6,7 @@ use lisa::arch::Accelerator;
 use lisa::dfg::{Dfg, OpKind};
 use lisa::mapper::exact::{ExactMapper, ExactParams};
 use lisa::mapper::schedule::{mii, IiSearch};
-use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaMapper, SaParams};
+use lisa::mapper::{GuidanceLabels, LabelSaMapper, SaParams};
 
 fn tiny_graphs() -> Vec<Dfg> {
     let mut graphs = Vec::new();
@@ -54,7 +54,7 @@ fn exact_ii_is_a_lower_bound_for_heuristics() {
             .ii
             .unwrap_or_else(|| panic!("exact mapper must solve the tiny graph {}", dfg.name()));
 
-        let sa = SaMapper::new(SaParams::paper(), 3);
+        let sa = LabelSaMapper::vanilla(SaParams::paper(), 3);
         let sa_outcome = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1).0;
         if let Some(sa_ii) = sa_outcome.ii {
             assert!(
@@ -77,7 +77,7 @@ fn exact_ii_is_a_lower_bound_for_heuristics() {
 fn outcome_metrics_agree_with_mapping_state() {
     let acc = Accelerator::cgra("3x3", 3, 3);
     for dfg in tiny_graphs() {
-        let sa = SaMapper::new(SaParams::paper(), 1);
+        let sa = LabelSaMapper::vanilla(SaParams::paper(), 1);
         let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
         let m = mapping.expect("tiny graphs map");
         assert_eq!(outcome.ii, Some(m.ii()));
@@ -105,7 +105,7 @@ fn search_starts_at_mii() {
         }
     }
     assert_eq!(mii(&g, &acc), 3);
-    let sa = SaMapper::new(SaParams::paper(), 2);
+    let sa = LabelSaMapper::vanilla(SaParams::paper(), 2);
     let outcome = IiSearch { max_ii: Some(12) }.run(&sa, &g, &acc, 1).0;
     if let Some(ii) = outcome.ii {
         assert!(ii >= 3);
@@ -117,7 +117,7 @@ fn memory_constrained_cgra_keeps_loads_on_left_column() {
     let acc =
         Accelerator::cgra("4x4-lm", 4, 4).with_memory(lisa::arch::MemoryConnectivity::LeftColumn);
     let dfg = lisa::dfg::polybench::kernel("doitgen").unwrap();
-    let sa = SaMapper::new(SaParams::paper(), 4);
+    let sa = LabelSaMapper::vanilla(SaParams::paper(), 4);
     let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
     assert!(outcome.mapped(), "doitgen maps on the left-column CGRA");
     let m = mapping.unwrap();
@@ -144,13 +144,13 @@ fn systolic_maps_only_supported_shapes() {
     let s = g.add_node(OpKind::Store, "s");
     g.add_data_edge(a, d).unwrap();
     g.add_data_edge(d, s).unwrap();
-    let sa = SaMapper::new(SaParams::paper(), 0);
+    let sa = LabelSaMapper::vanilla(SaParams::paper(), 0);
     let outcome = IiSearch::default().run(&sa, &g, &acc, 1).0;
     assert!(!outcome.mapped());
 
     // The doitgen compute core does map.
     let core = lisa::dfg::polybench::kernel_core("doitgen").unwrap();
-    let sa = SaMapper::new(SaParams::paper(), 0);
+    let sa = LabelSaMapper::vanilla(SaParams::paper(), 0);
     let (outcome, mapping) = IiSearch::default().run(&sa, &core, &acc, 1);
     assert!(outcome.mapped(), "doitgen-core maps on the systolic array");
     mapping.unwrap().verify().unwrap();
@@ -161,7 +161,7 @@ fn heterogeneous_cgra_places_muls_on_capable_pes() {
     use lisa::arch::Heterogeneity;
     let acc = Accelerator::cgra("4x4-het", 4, 4).with_heterogeneity(Heterogeneity::CheckerboardMul);
     let dfg = lisa::dfg::polybench::kernel("gemm").unwrap();
-    let sa = SaMapper::new(SaParams::paper(), 8);
+    let sa = LabelSaMapper::vanilla(SaParams::paper(), 8);
     let (outcome, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
     assert!(outcome.mapped(), "gemm maps on the heterogeneous 4x4");
     let m = mapping.unwrap();
@@ -182,7 +182,7 @@ fn multihop_interconnect_reduces_or_preserves_ii() {
     let hop = Accelerator::cgra("h", 4, 4).with_interconnect(Interconnect::MultiHop { radius: 2 });
     let dfg = lisa::dfg::polybench::kernel("syr2k").unwrap();
     let run = |acc: &Accelerator| {
-        let sa = SaMapper::new(SaParams::paper(), 3);
+        let sa = LabelSaMapper::vanilla(SaParams::paper(), 3);
         IiSearch { max_ii: Some(12) }.run(&sa, &dfg, acc, 1).0
     };
     let (m, h) = (run(&mesh), run(&hop));
@@ -190,18 +190,4 @@ fn multihop_interconnect_reduces_or_preserves_ii() {
     // Strictly more routing reach can only help (same seed, same budget,
     // aggregate comparison would be noisy: allow a 1-II tolerance).
     assert!(h.ii.unwrap() <= m.ii.unwrap() + 1);
-}
-
-#[test]
-fn utilization_reflects_mapping_density() {
-    let acc = Accelerator::cgra("4x4", 4, 4);
-    let dfg = lisa::dfg::polybench::kernel("syr2k").unwrap();
-    let sa = SaMapper::new(SaParams::paper(), 5);
-    let (_, mapping) = IiSearch { max_ii: Some(12) }.run(&sa, &dfg, &acc, 1);
-    let m = mapping.expect("syr2k maps");
-    let u = m.utilization();
-    let total_fu: usize = u.busy_fu_slots.iter().sum();
-    // Every node occupies one FU slot; routes may add more.
-    assert!(total_fu >= dfg.node_count());
-    assert!(u.mean_fu_occupancy() > 0.0 && u.peak_fu_occupancy() <= 1.0);
 }

@@ -13,7 +13,7 @@ use lisa::dfg::{analysis, generate_random_dfg, unroll::unroll, RandomDfgConfig};
 use lisa::labels::attributes::{DfgAttributes, EDGE_ATTR_DIM, NODE_ATTR_DIM};
 use lisa::labels::extract::labels_from_mapping;
 use lisa::mapper::schedule::IiSearch;
-use lisa::mapper::{SaMapper, SaParams};
+use lisa::mapper::{LabelSaMapper, SaParams};
 
 fn small_dfg_config() -> RandomDfgConfig {
     RandomDfgConfig {
@@ -105,7 +105,7 @@ lisa_rng::props! {
     fn sa_mappings_verify_and_labels_are_physical(seed in 0u64..500) {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = LabelSaMapper::vanilla(SaParams::fast(), seed);
         let (outcome, mapping) =
             IiSearch { max_ii: Some(10) }.run(&sa, &dfg, &acc, 1);
         if let Some(m) = mapping {
@@ -132,7 +132,7 @@ lisa_rng::props! {
 
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = LabelSaMapper::vanilla(SaParams::fast(), seed);
         let (_, mapping) =
             IiSearch { max_ii: Some(8) }.run(&sa, &dfg, &acc, 1);
         if let Some(mut m) = mapping {
@@ -188,7 +188,7 @@ lisa_rng::props! {
     fn unplace_restores_empty_state(seed in 0u64..500) {
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = LabelSaMapper::vanilla(SaParams::fast(), seed);
         let (_, mapping) =
             IiSearch { max_ii: Some(10) }.run(&sa, &dfg, &acc, 1);
         if let Some(mut m) = mapping {
@@ -268,7 +268,7 @@ lisa_rng::props! {
 
         let dfg = generate_random_dfg(&small_dfg_config(), seed);
         let acc = Accelerator::cgra("3x3", 3, 3);
-        let sa = SaMapper::new(SaParams::fast(), seed);
+        let sa = LabelSaMapper::vanilla(SaParams::fast(), seed);
         let (_, mapping) =
             IiSearch { max_ii: Some(8) }.run(&sa, &dfg, &acc, 1);
         if let Some(m) = mapping {
