@@ -5,6 +5,7 @@ use std::fmt;
 use lisa_dfg::OpKind;
 
 use crate::distance::{DistanceIndex, DENSE_DISTANCE_LIMIT};
+use crate::mrrg::MoveTable;
 use crate::{Coord, DistanceMode, PeId};
 
 /// Which PEs may access the on-chip memory (CGRA variants of §VI).
@@ -85,7 +86,7 @@ pub enum AcceleratorKind {
 /// assert!(lm.supports(PeId::new(0), OpKind::Load));  // col 0
 /// assert!(!lm.supports(PeId::new(1), OpKind::Load)); // col 1
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Accelerator {
     name: String,
     rows: usize,
@@ -103,6 +104,10 @@ pub struct Accelerator {
     /// a radius, true lower bound beyond) on large ones. Derived from
     /// `neighbors`; rebuilt whenever the interconnect changes.
     dist: DistanceIndex,
+    /// Every MRRG resource's successors ([`crate::Mrrg::move_offsets`]).
+    /// Derived from `neighbors` and `regs_per_pe`; rebuilt whenever
+    /// either changes, and shared by the MRRGs of every II.
+    moves: MoveTable,
 }
 
 impl Accelerator {
@@ -139,7 +144,9 @@ impl Accelerator {
             neighbors,
             dist_mode: DistanceMode::Auto,
             dist,
+            moves: MoveTable::default(),
         }
+        .with_move_table()
     }
 
     /// Creates a systolic array of the given grid size. PEs keep one
@@ -166,13 +173,21 @@ impl Accelerator {
             neighbors,
             dist_mode: DistanceMode::Auto,
             dist,
+            moves: MoveTable::default(),
         }
+        .with_move_table()
+    }
+
+    /// Rebuilds the move table from the current links and registers.
+    fn with_move_table(mut self) -> Self {
+        self.moves = MoveTable::build(&self);
+        self
     }
 
     /// Overrides the number of registers per PE (builder style).
     pub fn with_regs_per_pe(mut self, regs: usize) -> Self {
         self.regs_per_pe = regs;
-        self
+        self.with_move_table()
     }
 
     /// Overrides the memory connectivity (builder style; CGRA only).
@@ -259,7 +274,7 @@ impl Accelerator {
             Interconnect::MultiHop { radius } => multihop_neighbors(self.rows, self.cols, radius),
         };
         self.dist = DistanceIndex::build(&self.neighbors, self.dist_mode);
-        self
+        self.with_move_table()
     }
 
     /// Overrides how hop distances are indexed (builder style). The
@@ -379,6 +394,11 @@ impl Accelerator {
         self.dist.kind()
     }
 
+    /// The move table every MRRG of this accelerator reads.
+    pub(crate) fn move_table(&self) -> &MoveTable {
+        &self.moves
+    }
+
     /// Whether the PE can execute the operation.
     ///
     /// * CGRA: every PE executes every ALU op; memory ops additionally
@@ -418,6 +438,24 @@ impl Accelerator {
                 _ => false,
             },
         }
+    }
+}
+
+impl fmt::Debug for Accelerator {
+    /// Leaves out the hop-distance index and the move table: both are
+    /// derived from the fields shown, and debug builds render `Mapping`,
+    /// which holds the accelerator, on every annealing movement.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Accelerator")
+            .field("name", &self.name)
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("regs_per_pe", &self.regs_per_pe)
+            .field("max_ii", &self.max_ii)
+            .field("kind", &self.kind)
+            .field("neighbors", &self.neighbors)
+            .field("dist_mode", &self.dist_mode)
+            .finish_non_exhaustive()
     }
 }
 

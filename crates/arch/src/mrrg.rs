@@ -16,10 +16,9 @@
 //!
 //! The MRRG is purely structural; the occupancy tables live in the mapper.
 //! It numbers each slot's resources by a dense *offset*
-//! ([`Mrrg::offset`]) and precomputes every offset's successor offsets
-//! ([`Mrrg::move_offsets`]), which is what the router expands.
-
-use std::fmt;
+//! ([`Mrrg::offset`]) and reads every offset's successor offsets
+//! ([`Mrrg::move_offsets`]), which is what the router expands, from a
+//! table the accelerator builds once for all IIs.
 
 use lisa_dfg::OpKind;
 
@@ -65,7 +64,7 @@ impl Resource {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Mrrg<'a> {
     acc: &'a Accelerator,
     ii: u32,
@@ -74,28 +73,16 @@ pub struct Mrrg<'a> {
     /// [`slot`](Self::slot)) — `slot_base` runs once per router layer
     /// and per placement probe, where a hardware divide dominates.
     slot_magic: u64,
-    moves: MoveTable,
-}
-
-impl fmt::Debug for Mrrg<'_> {
-    /// The move table is a pure function of the accelerator, so it is
-    /// left out: `Mapping`'s debug rendering, which debug builds snapshot
-    /// on every annealing movement, stays as small as it was.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mrrg")
-            .field("acc", &self.acc)
-            .field("ii", &self.ii)
-            .field("slot_magic", &self.slot_magic)
-            .finish()
-    }
 }
 
 /// [`Mrrg::moves_from`] for every resource, precomputed over resource
 /// offsets (see [`Mrrg::offset`]) so the router expands a search state
-/// without building resources or re-deriving their offsets. It does not
-/// depend on the II; its size is linear in the resources per slot.
-#[derive(Clone, Default)]
-struct MoveTable {
+/// without building resources or re-deriving their offsets. It depends
+/// only on the links and the register count, not on the II, so the
+/// accelerator builds it once and every MRRG of that accelerator reads
+/// it; its size is linear in the resources per slot.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub(crate) struct MoveTable {
     /// CSR row starts: the successors of offset `o` are
     /// `succ[start[o]..start[o + 1]]`.
     start: Vec<u32>,
@@ -107,8 +94,10 @@ struct MoveTable {
 
 impl MoveTable {
     /// Builds the table from [`Mrrg::moves_from_into`], the one statement
-    /// of the move rules, in offset order.
-    fn build(mrrg: &Mrrg<'_>) -> Self {
+    /// of the move rules, in offset order. Reads only `acc`'s links and
+    /// register count, never its (possibly stale) table.
+    pub(crate) fn build(acc: &Accelerator) -> Self {
+        let mrrg = Mrrg::at(acc, 1);
         let per_slot = mrrg.resources_per_slot();
         let mut table = MoveTable {
             start: Vec::with_capacity(per_slot + 1),
@@ -147,14 +136,16 @@ impl<'a> Mrrg<'a> {
                 max_ii: acc.max_ii(),
             });
         }
-        let mut mrrg = Mrrg {
+        Ok(Mrrg::at(acc, ii))
+    }
+
+    /// The MRRG at a nonzero `ii`, without the configuration-depth check.
+    fn at(acc: &'a Accelerator, ii: u32) -> Self {
+        Mrrg {
             acc,
             ii,
             slot_magic: (1u64 << 32) / u64::from(ii) + 1,
-            moves: MoveTable::default(),
-        };
-        mrrg.moves = MoveTable::build(&mrrg);
-        Ok(mrrg)
+        }
     }
 
     /// The accelerator this MRRG was built for.
@@ -233,13 +224,13 @@ impl<'a> Mrrg<'a> {
 
     /// The PE owning the resource at a slot offset (a table read).
     pub fn offset_pe(&self, offset: usize) -> PeId {
-        self.moves.pe[offset]
+        self.acc.move_table().pe[offset]
     }
 
     /// Offsets of [`moves_from`](Self::moves_from)`(self.resource(offset))`,
-    /// in the same order, read from a table built with the MRRG.
-    pub fn move_offsets(&self, offset: usize) -> &[u32] {
-        let t = &self.moves;
+    /// in the same order, read from the table the accelerator built.
+    pub fn move_offsets(&self, offset: usize) -> &'a [u32] {
+        let t = self.acc.move_table();
         &t.succ[t.start[offset] as usize..t.start[offset + 1] as usize]
     }
 
@@ -262,8 +253,8 @@ impl<'a> Mrrg<'a> {
 
     /// Allocation-free variant of [`moves_from`](Self::moves_from):
     /// clears `out` and fills it with the successor resources in the same
-    /// order. [`Mrrg::new`] builds the [`move_offsets`](Self::move_offsets)
-    /// table with it.
+    /// order. The accelerator builds the
+    /// [`move_offsets`](Self::move_offsets) table with it.
     pub fn moves_from_into(&self, r: Resource, out: &mut Vec<Resource>) {
         out.clear();
         match r {
@@ -369,11 +360,15 @@ mod tests {
 
     #[test]
     fn offsets_round_trip_and_move_table_matches_moves_from() {
+        // The register and interconnect builders run after the table is
+        // first built, so a table they failed to rebuild mismatches here.
         let accs = [
             Accelerator::cgra("3x3", 3, 3).with_regs_per_pe(2),
             Accelerator::cgra("4x4", 4, 4),
             Accelerator::systolic("sys", 3, 3),
             Accelerator::cgra("2x2", 2, 2).with_regs_per_pe(0),
+            Accelerator::cgra("4x4-mh", 4, 4)
+                .with_interconnect(crate::Interconnect::MultiHop { radius: 2 }),
         ];
         for acc in &accs {
             let mrrg = Mrrg::new(acc, 1).unwrap();
@@ -392,6 +387,67 @@ mod tests {
                 mrrg.index_at(Resource::Fu(PeId::new(1)), 0),
                 mrrg.slot_base(0) + 1
             );
+        }
+    }
+
+    #[test]
+    fn mrrgs_of_one_accelerator_share_its_move_table() {
+        let acc = Accelerator::cgra("4x4", 4, 4);
+        let (a, b) = (Mrrg::new(&acc, 1).unwrap(), Mrrg::new(&acc, 5).unwrap());
+        for offset in 0..a.resources_per_slot() {
+            assert!(std::ptr::eq(a.move_offsets(offset), b.move_offsets(offset)));
+        }
+        // A corner FU: 2 neighbours, itself and its registers.
+        let corner_row = |acc: &Accelerator| Mrrg::new(acc, 3).unwrap().move_offsets(0).len();
+        assert_eq!(corner_row(&acc), 7);
+        assert_eq!(corner_row(&acc.clone().with_regs_per_pe(1)), 4);
+        let multihop = acc.with_interconnect(crate::Interconnect::MultiHop { radius: 2 });
+        assert_eq!(corner_row(&multihop), 5 + 1 + 4);
+    }
+
+    /// The router skips search states by three properties of the move
+    /// rules (`lisa_mapper::router`, "What a search skips"): all states of
+    /// a PE share their FU successors, a register's only register
+    /// successor is itself and an FU's are its own registers, and FUs are
+    /// numbered before registers, each at its PE's index. A move rule that
+    /// breaks one must fail here rather than silently change routes.
+    #[test]
+    fn move_rules_keep_the_properties_the_router_prunes_by() {
+        let mut accs: Vec<Accelerator> = Accelerator::STANDARD_KEYS
+            .iter()
+            .map(|key| Accelerator::standard(key).unwrap())
+            .collect();
+        accs.push(Accelerator::cgra("4x4-r0", 4, 4).with_regs_per_pe(0));
+        accs.push(Accelerator::cgra("4x4-r2", 4, 4).with_regs_per_pe(2));
+        accs.push(Accelerator::cgra("12x12", 12, 12));
+        for acc in &accs {
+            let mrrg = Mrrg::new(acc, 1).unwrap();
+            let pes = acc.pe_count();
+            let split = |row: &[u32]| {
+                let (mut fus, regs): (Vec<u32>, Vec<u32>) =
+                    row.iter().partition(|&&o| (o as usize) < pes);
+                fus.sort_unstable();
+                (fus, regs)
+            };
+            for offset in 0..mrrg.resources_per_slot() {
+                let pe = mrrg.offset_pe(offset);
+                let (fus, regs) = split(mrrg.move_offsets(offset));
+                let (own_fus, _) = split(mrrg.move_offsets(mrrg.offset(Resource::Fu(pe))));
+                assert_eq!(fus, own_fus, "{} offset {offset}", acc.name());
+                let want: Vec<u32> = match mrrg.resource(offset) {
+                    Resource::Fu(_) => (0..acc.regs_per_pe())
+                        .map(|reg| mrrg.offset(Resource::Reg(pe, reg as u8)) as u32)
+                        .collect(),
+                    Resource::Reg(..) => vec![offset as u32],
+                };
+                assert_eq!(regs, want, "{} offset {offset}", acc.name());
+            }
+            for p in (0..pes).map(PeId::new) {
+                assert_eq!(mrrg.offset(Resource::Fu(p)), p.index());
+                for reg in 0..acc.regs_per_pe() {
+                    assert!(mrrg.offset(Resource::Reg(p, reg as u8)) >= pes);
+                }
+            }
         }
     }
 

@@ -64,5 +64,19 @@ fn main() {
         std::hint::black_box(route);
     });
 
+    // A value with slack: one hop to cover in 12 cycles on an all-free
+    // 8x8, so the search spreads over every register and FU it can
+    // still wait in before the consumer.
+    suite.bench("slack_wait_8x8", || {
+        std::hint::black_box(find_route(
+            &mrrg8,
+            PeId::new(27),
+            0,
+            PeId::new(28),
+            12,
+            |_cell, _t| Some(1),
+        ));
+    });
+
     suite.finish();
 }

@@ -47,12 +47,13 @@ const REQUIRED_MAPPING_METRICS: &[&str] = &[
 ];
 
 /// Router-suite entries every run must produce: direct, long-haul,
-/// detouring and infeasible (cone-exhausting) searches.
+/// detouring, infeasible (cone-exhausting) and slack-waiting searches.
 const REQUIRED_ROUTER: &[&str] = &[
     "adjacent_4x4",
     "corner_to_corner_8x8",
     "congested_4x4",
     "congested_8x8_fail",
+    "slack_wait_8x8",
 ];
 
 /// GNN-suite entries every run must produce: compiled-plan inference

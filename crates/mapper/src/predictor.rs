@@ -67,7 +67,10 @@ pub struct FilterStats {
     /// Audited rejects the annealer would in fact have accepted.
     pub false_rejects: u64,
     /// `route_edge` invocations on the admitted path, including the
-    /// initial mapping construction.
+    /// initial mapping construction. Unobserved, a movement's routing
+    /// stops once the accept test is sure to reject it, while an observed
+    /// lane routes every admitted movement to the end, so an unobserved
+    /// count can be lower than the observed one for the same trajectory.
     pub router_invocations: u64,
     /// `route_edge` invocations spent on the audit. Kept separate so A/B
     /// comparisons of admitted-path router work stay fair.

@@ -24,6 +24,28 @@
 //! callback receives an occupancy index, its layer's slot base plus the
 //! offset, computed once per layer per search. Resources are built from
 //! offsets only when the path is rebuilt.
+//!
+//! **What a search skips.** Two rules drop work that cannot change the
+//! answer; the routes, parents and `None`s stay those of the full search
+//! (`router::reference`, compared byte for byte by a property test).
+//!
+//! 1. *One FU fan-out per PE and layer.* Every state of PE `p` has the
+//!    same FU successors, `FU(p)` and the FUs of `p`'s out-neighbours
+//!    (pinned in `lisa_arch`'s MRRG tests). Pops come in `(cost, state)`
+//!    order, so the first state of `p` popped at a layer is `p`'s
+//!    cheapest there, and a later one cannot strictly lower those
+//!    successors' costs, which a relax needs. Only the first pop expands
+//!    them; an epoch-stamped mark per PE and layer in [`RouterScratch`]
+//!    records it.
+//! 2. *Registers their own FU dominates.* `FU(p)` at a layer reaches
+//!    everything `Reg(p, r)` at that layer reaches — its successors hold
+//!    the register and share the FU fan-out — and can feed every
+//!    consumer the register can. Its offset is lower, so at equal cost
+//!    it pops first. A register relax whose cost is not below `FU(p)`'s
+//!    best at that layer is skipped: such a state could set no best
+//!    cost, no parent and no goal. Each expansion relaxes its FU
+//!    successors before its register successors (a register's table row
+//!    lists its hold first), so the FU is queued when the check runs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -47,6 +69,10 @@ pub struct RouterScratch {
     /// in this search?" and "at what cost?".
     best: Vec<u64>,
     parent: Vec<u32>,
+    /// Per layer and PE, at `layer * pes + pe`: the epoch of the last
+    /// search that expanded the PE's FU successors at that layer (module
+    /// docs, "What a search skips").
+    fanned: Vec<u32>,
     cur: u32,
     /// `cost << 32 | state` keys, popped smallest first.
     heap: BinaryHeap<Reverse<u64>>,
@@ -64,16 +90,21 @@ impl fmt::Debug for RouterScratch {
 }
 
 impl RouterScratch {
-    /// Starts a new search over `state_count` states.
-    fn begin(&mut self, state_count: usize) {
+    /// Starts a new search over `state_count` states and `fan_count`
+    /// (layer, PE) pairs.
+    fn begin(&mut self, state_count: usize, fan_count: usize) {
         if self.best.len() < state_count {
             self.best.resize(state_count, 0);
             self.parent.resize(state_count, NO_PARENT);
+        }
+        if self.fanned.len() < fan_count {
+            self.fanned.resize(fan_count, 0);
         }
         self.heap.clear();
         if self.cur == u32::MAX {
             // Epoch wrap: invalidate everything once, then restart.
             self.best.fill(0);
+            self.fanned.fill(0);
             self.cur = 0;
         }
         self.cur += 1;
@@ -89,12 +120,114 @@ impl RouterScratch {
     }
 
     /// Records `cost` (reached from `parent`) as the best for `state` and
-    /// queues it.
+    /// queues it, if that is strictly cheaper than its best so far.
     fn relax(&mut self, state: usize, cost: u32, parent: u32) {
-        self.best[state] = (u64::from(self.cur) << 32) | u64::from(cost);
-        self.parent[state] = parent;
-        self.heap
-            .push(Reverse((u64::from(cost) << 32) | state as u64));
+        if cost < self.best(state) {
+            self.best[state] = (u64::from(self.cur) << 32) | u64::from(cost);
+            self.parent[state] = parent;
+            self.heap
+                .push(Reverse((u64::from(cost) << 32) | state as u64));
+        }
+    }
+
+    /// Marks the FU successors of a PE at a layer (`layer * pes + pe`)
+    /// as expanded; false if this search already did.
+    fn first_fan_out(&mut self, layer_pe: usize) -> bool {
+        let first = self.fanned[layer_pe] != self.cur;
+        self.fanned[layer_pe] = self.cur;
+        first
+    }
+}
+
+/// What one search holds fixed: the fabric, the endpoints, the layer
+/// count, the state numbering and the cost callback.
+struct Search<'m, 'a, F> {
+    mrrg: &'m Mrrg<'a>,
+    dst_pe: PeId,
+    src_time: u32,
+    /// Intermediate layers; layer `k` is cycle `src_time + 1 + k`.
+    layers: usize,
+    shift: u32,
+    /// FU offsets are `0..pes`; each PE has `regs` registers.
+    pes: usize,
+    regs: usize,
+    step_cost: F,
+}
+
+impl<F: Fn(usize, u32) -> Option<u32>> Search<'_, '_, F> {
+    /// Cone pruning: `hop_distance` is a true lower bound on the link
+    /// hops a value still needs, so a state at layer `k` whose PE is
+    /// further than the remaining `layers - k` moves (counting the final
+    /// consume hop) can never feed the consumer. Pruned states only ever
+    /// expand to other pruned states, so surviving costs, heap pop order
+    /// (the total order on `(cost, state)`), and the chosen route are
+    /// exactly what the unpruned search would produce. This holds for
+    /// *any* true lower bound: on big fabrics `hop_distance` comes from a
+    /// landmark oracle that may under-estimate far distances, which only
+    /// admits extra dead-end states — never changes the route (tested
+    /// below against the dense index).
+    fn reachable(&self, pe: PeId, layer: usize) -> bool {
+        self.mrrg.accelerator().hop_distance(pe, self.dst_pe) as usize <= self.layers - layer
+    }
+
+    /// Relaxes into `layer` the successors of the resource at `offset`,
+    /// owned by `pe` and reached at `cost` from search state `parent`:
+    /// its FU successors when `fan_out` holds (rule 1 of the module
+    /// docs), then its register successors that their own FU does not
+    /// dominate (rule 2).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn expand(
+        &self,
+        scratch: &mut RouterScratch,
+        offset: usize,
+        pe: PeId,
+        cost: u32,
+        parent: u32,
+        layer: usize,
+        fan_out: bool,
+    ) {
+        let mrrg = self.mrrg;
+        let base = scratch.layer_base[layer];
+        let time = self.src_time + 1 + layer as u32;
+        // An FU's row lists its FU successors first and its registers
+        // last; a register's lists its hold first.
+        let row = mrrg.move_offsets(offset);
+        let (fus, regs) = if offset < self.pes {
+            row.split_at(row.len() - self.regs)
+        } else {
+            let (hold, fus) = row.split_at(1);
+            (fus, hold)
+        };
+        if fan_out {
+            for &next in fus {
+                let next = next as usize;
+                if !self.reachable(mrrg.offset_pe(next), layer) {
+                    continue;
+                }
+                if let Some(c) = (self.step_cost)(base + next, time) {
+                    scratch.relax((layer << self.shift) | next, cost + c, parent);
+                }
+            }
+        }
+        // Every register successor belongs to `pe`, whose FU at `layer`
+        // this pop or an earlier pop of `pe` has relaxed: a register at
+        // no lower cost than that FU's best is dominated.
+        if !self.reachable(pe, layer) {
+            return;
+        }
+        let fu_best = scratch.best((layer << self.shift) | pe.index());
+        if fu_best <= cost {
+            return;
+        }
+        for &next in regs {
+            let next = next as usize;
+            if let Some(c) = (self.step_cost)(base + next, time) {
+                if cost + c < fu_best {
+                    scratch.relax((layer << self.shift) | next, cost + c, parent);
+                }
+            }
+        }
     }
 }
 
@@ -159,43 +292,28 @@ pub fn find_route_in(
         state_count <= NO_PARENT as usize,
         "router state space exceeds u32"
     );
-    scratch.begin(state_count);
+    let pes = mrrg.accelerator().pe_count();
+    scratch.begin(state_count, layers * pes);
     scratch.layer_base.clear();
     scratch
         .layer_base
         .extend((0..layers as u32).map(|layer| mrrg.slot_base(src_time + 1 + layer)));
-
-    // Cone pruning: `hop_distance` is a true lower bound on the link hops
-    // a value still needs, so a state at layer `k` whose PE is further
-    // than the remaining `layers - k` moves (counting the final consume
-    // hop) can never feed the consumer. Pruned states only ever expand to
-    // other pruned states, so surviving costs, heap pop order (the total
-    // order on `(cost, state)`), and the chosen route are exactly what the
-    // unpruned search would produce. This holds for *any* true lower
-    // bound: on big fabrics `hop_distance` comes from a landmark oracle
-    // that may under-estimate far distances, which only admits extra
-    // dead-end states — never changes the route (tested below against
-    // the dense index).
-    let acc = mrrg.accelerator();
-    let reachable = |offset: usize, layer: usize| {
-        acc.hop_distance(mrrg.offset_pe(offset), dst_pe) as usize <= layers - layer
+    let search = Search {
+        mrrg,
+        dst_pe,
+        src_time,
+        layers,
+        shift,
+        pes,
+        regs: mrrg.accelerator().regs_per_pe(),
+        step_cost,
     };
 
     // Seed layer 0 (cycle src_time + 1) from the producer FU.
-    let base = scratch.layer_base[0];
-    for &next in mrrg.move_offsets(mrrg.offset(Resource::Fu(src_pe))) {
-        let next = next as usize;
-        if !reachable(next, 0) {
-            continue;
-        }
-        let Some(cost) = step_cost(base + next, src_time + 1) else {
-            continue;
-        };
-        if cost < scratch.best(next) {
-            scratch.relax(next, cost, NO_PARENT);
-        }
-    }
+    let src = mrrg.offset(Resource::Fu(src_pe));
+    search.expand(scratch, src, src_pe, 0, NO_PARENT, 0, true);
 
+    let acc = mrrg.accelerator();
     let mut goal: Option<usize> = None;
     while let Some(Reverse(key)) = scratch.heap.pop() {
         let cost = (key >> 32) as u32;
@@ -205,35 +323,20 @@ pub fn find_route_in(
         }
         let layer = state >> shift;
         let offset = state & mask;
+        let pe = mrrg.offset_pe(offset);
         if layer == layers - 1 {
             // Last intermediate layer: can it feed the consumer? Pops
             // come off the heap in nondecreasing cost order, so the first
             // consumable state is optimal — nothing later in the heap can
             // strictly improve on it.
-            let pe = mrrg.offset_pe(offset);
             if pe == dst_pe || acc.linked(pe, dst_pe) {
                 goal = Some(state);
                 break;
             }
             continue;
         }
-        let next_layer = layer + 1;
-        let base = scratch.layer_base[next_layer];
-        let next_time = src_time + 1 + next_layer as u32;
-        for &next in mrrg.move_offsets(offset) {
-            let next = next as usize;
-            if !reachable(next, next_layer) {
-                continue;
-            }
-            let Some(c) = step_cost(base + next, next_time) else {
-                continue;
-            };
-            let next_state = (next_layer << shift) | next;
-            let next_cost = cost + c;
-            if next_cost < scratch.best(next_state) {
-                scratch.relax(next_state, next_cost, state as u32);
-            }
-        }
+        let fan_out = scratch.first_fan_out(layer * pes + pe.index());
+        search.expand(scratch, offset, pe, cost, state as u32, layer + 1, fan_out);
     }
 
     let goal = goal?;
@@ -516,14 +619,16 @@ mod tests {
     }
 
     lisa_rng::props! {
-        cases = 48;
+        cases = 160;
 
         /// The offset-indexed router returns byte for byte what the
         /// reference router returns, `None` included, over random
-        /// occupancy, endpoints and latencies on five fabrics (the 12×12
-        /// one on the landmark distance oracle).
+        /// occupancy, endpoints and latencies on eight fabrics: 0, 1, 2
+        /// and 4 registers per PE, reduced memory, a systolic array, and
+        /// the 12×12 on the landmark distance oracle. Latencies reach
+        /// twice the fabric's span, so values wait in registers.
         fn router_matches_the_reference_router(
-            fabric in 0usize..5,
+            fabric in 0usize..8,
             ii in 1u32..7,
             free_weight in 2u32..12,
             seed in 0u64..u64::MAX,
@@ -533,19 +638,26 @@ mod tests {
                 1 => Accelerator::standard("4x4-lm").unwrap(),
                 2 => Accelerator::standard("8x8").unwrap(),
                 3 => Accelerator::systolic("systolic", 4, 4),
-                _ => Accelerator::cgra("12x12", 12, 12),
+                4 => Accelerator::cgra("12x12", 12, 12),
+                5 => Accelerator::standard("4x4-lr").unwrap(),
+                6 => Accelerator::cgra("3x3-r0", 3, 3).with_regs_per_pe(0),
+                _ => Accelerator::cgra("5x5-r2", 5, 5).with_regs_per_pe(2),
             };
             assert_eq!(acc.distance_index_kind() == "oracle", fabric == 4);
             let ii = ii.min(acc.max_ii());
             let mrrg = Mrrg::new(&acc, ii).unwrap();
             let mut rng = Rng::seed_from_u64(seed);
             let per_slot = mrrg.resources_per_slot();
+            // Latencies past twice the fabric's span and below the hop
+            // distance both occur, so infeasible searches are drawn.
+            let max_latency = 2 * (acc.rows() + acc.cols()) as u32 + 8;
+            let max_time = 2 * ii + 2 + max_latency;
             let cells: Vec<Occupant> = (0..mrrg.resource_count())
                 .map(|cell| match rng.gen_range(0..free_weight + 3) {
                     0 => {
-                        // A time in this cell's slot, near the routes drawn below.
+                        // A time in this cell's slot, within the routes drawn below.
                         let slot = (cell / per_slot) as u32;
-                        Occupant::Same(slot + ii * rng.gen_range(0..8u32))
+                        Occupant::Same(slot + ii * rng.gen_range(0..max_time / ii + 1))
                     }
                     1 => Occupant::Foreign,
                     2 => Occupant::Op,
@@ -558,9 +670,7 @@ mod tests {
                 let src = PeId::new(rng.gen_range(0..pes));
                 let dst = PeId::new(rng.gen_range(0..pes));
                 let src_time = rng.gen_range(0..2 * ii + 2);
-                // Latencies past the fabric's span and below the hop
-                // distance both occur, so infeasible searches are drawn.
-                let latency = rng.gen_range(1..(acc.rows() + acc.cols()) as u32 + 4);
+                let latency = rng.gen_range(1..max_latency + 1);
                 let got = find_route_in(
                     &mut scratch,
                     &mrrg,

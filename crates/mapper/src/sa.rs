@@ -97,10 +97,65 @@ pub(crate) struct MoveStats {
 /// successors of causal slots). O(1): every term is a running counter the
 /// `Mapping` maintains through its mutators.
 pub(crate) fn mapping_cost(m: &Mapping<'_>) -> f64 {
+    cost_with_free_routes(m, 0)
+}
+
+/// [`mapping_cost`] with `free` of the unrouted edges counted as routed
+/// on no new cell: a lower bound on the cost once they are routed, since
+/// routing changes no placement and frees no cell. The same expression
+/// as `mapping_cost`, so equal counters give equal costs.
+fn cost_with_free_routes(m: &Mapping<'_>, free: usize) -> f64 {
     1000.0 * m.unplaced_count() as f64
-        + 100.0 * m.unrouted_count() as f64
+        + 100.0 * (m.unrouted_count() - free) as f64
         + m.routing_cells() as f64
         + 0.01 * m.lateness() as f64
+}
+
+/// The Metropolis test of one movement: accept a cost of `new_cost` when
+/// `new_cost <= cost`, else with probability `exp((cost − new_cost) /
+/// temp)`, drawing one uniform variate for that. The variate is drawn
+/// where the test first needs it: at the test, or earlier, when the
+/// movement's routing pass proves the test will draw it (see
+/// [`route_all`]). Routing draws no random number, so either way it is
+/// the same draw of the same stream.
+struct AcceptTest {
+    cost: f64,
+    temp: f64,
+    variate: Option<f64>,
+}
+
+impl AcceptTest {
+    fn new(cost: f64, temp: f64) -> Self {
+        AcceptTest {
+            cost,
+            temp,
+            variate: None,
+        }
+    }
+
+    fn probability(&self, new_cost: f64) -> f64 {
+        ((self.cost - new_cost) / self.temp).exp().clamp(0.0, 1.0)
+    }
+
+    /// Whether a movement that cannot complete, and whose cost will be
+    /// at least `lower_bound`, is sure to be rejected. Such a movement
+    /// reaches the test, and when `lower_bound > cost` the test draws its
+    /// variate `u`, so it is drawn here; the movement is rejected for
+    /// sure when `u` fails even the bound's (larger) probability.
+    fn rejects_from(&mut self, lower_bound: f64, rng: &mut Rng) -> bool {
+        if lower_bound <= self.cost {
+            return false;
+        }
+        let u = *self.variate.get_or_insert_with(|| rng.gen());
+        u >= self.probability(lower_bound)
+    }
+
+    /// The test itself: `new_cost <= cost || rng.gen_bool(p)`, with the
+    /// variate drawn early if [`rejects_from`](Self::rejects_from) drew it.
+    fn accepts(&mut self, new_cost: f64, rng: &mut Rng) -> bool {
+        new_cost <= self.cost
+            || self.variate.take().unwrap_or_else(|| rng.gen()) < self.probability(new_cost)
+    }
 }
 
 /// The pre-journal cost function: identical value to [`mapping_cost`] but
@@ -229,8 +284,12 @@ struct MoveBuffers {
 /// What the movement loop decided before the accept test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MovementVerdict {
-    /// Routed and ready for exact pricing (always, with no filter).
+    /// Routed and ready for exact pricing (always, with no filter and no
+    /// accept test handed to the routing pass).
     Admitted,
+    /// Admitted, but the routing pass stopped where the accept test was
+    /// sure to reject; the caller rolls back without pricing.
+    CertainReject,
     /// Predictor-rejected before routing; the caller rolls back without
     /// pricing. `audited` marks the deterministic 1-in-16 of rejects that
     /// were routed anyway, measure-only, for the false-reject counter.
@@ -293,7 +352,7 @@ pub(crate) fn anneal<'a>(
     // is no movement to score.
     bufs.nodes.extend(dfg.node_ids());
     place_nodes(&mut policy, &mut mapping, &mut bufs, stats, &mut rng);
-    fstats.router_invocations += route_all(&policy, &mut mapping, &mut bufs);
+    fstats.router_invocations += route_all(&policy, &mut mapping, &mut bufs, None).0;
     policy.end_initial_mapping();
     let mut cost = mapping_cost(&mapping);
     if mapping.is_complete() {
@@ -318,6 +377,10 @@ pub(crate) fn anneal<'a>(
             #[cfg(debug_assertions)]
             let snapshot = format!("{mapping:?}");
             mapping.begin_txn();
+            // Unobserved, the routing pass may stop at a certain reject;
+            // an observed movement routes to the end, because its
+            // `SaMovementSample` carries the exact Δcost.
+            let mut test = AcceptTest::new(cost, temp);
             let verdict = movement(
                 &mut policy,
                 &mut mapping,
@@ -329,40 +392,38 @@ pub(crate) fn anneal<'a>(
                 gate,
                 fstats,
                 want_features,
+                (!sink.is_active()).then_some(&mut test),
             );
-            if let MovementVerdict::Rejected { audited } = verdict {
-                // Predictor reject: no routing happened (audits route
-                // measure-only), no pricing, no accept-test RNG draw —
-                // this is exactly the work the filter saves.
-                if audited && mapping_cost(&mapping) <= cost {
-                    fstats.false_rejects += 1;
+            let accepted = match verdict {
+                MovementVerdict::Rejected { audited } => {
+                    // Predictor reject: no routing happened (audits route
+                    // measure-only), no pricing, no accept-test RNG draw —
+                    // this is exactly the work the filter saves.
+                    if audited && mapping_cost(&mapping) <= cost {
+                        fstats.false_rejects += 1;
+                    }
+                    None
                 }
-                stall = stall.saturating_add(1);
-                mapping.rollback();
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    snapshot,
-                    format!("{mapping:?}"),
-                    "journal rollback diverged from the pre-movement snapshot"
-                );
-                continue;
-            }
-            let new_cost = mapping_cost(&mapping);
-            if want_features && sink.is_active() {
-                sink.emit(PipelineEvent::SaMovementSample {
-                    chain: lane,
-                    ii,
-                    features: bufs.features.clone(),
-                    delta_cost: new_cost - cost,
-                });
-            }
-            if mapping.is_complete() {
-                mapping.commit();
-                return Some(mapping);
-            }
-            let accept =
-                new_cost <= cost || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
-            if accept {
+                // The accept test drew its variate and rejects.
+                MovementVerdict::CertainReject => None,
+                MovementVerdict::Admitted => {
+                    let new_cost = mapping_cost(&mapping);
+                    if want_features && sink.is_active() {
+                        sink.emit(PipelineEvent::SaMovementSample {
+                            chain: lane,
+                            ii,
+                            features: bufs.features.clone(),
+                            delta_cost: new_cost - cost,
+                        });
+                    }
+                    if mapping.is_complete() {
+                        mapping.commit();
+                        return Some(mapping);
+                    }
+                    test.accepts(new_cost, &mut rng).then_some(new_cost)
+                }
+            };
+            if let Some(new_cost) = accepted {
                 mapping.commit();
                 // The deviation schedule counts only strict improvements:
                 // plateau moves must not mask a stuck search, or sigma
@@ -406,9 +467,10 @@ pub(crate) fn anneal<'a>(
 
 /// One SA movement: unmap a few (biased towards problematic) nodes, remap
 /// them in policy order, then — unless the filter rejects the re-placed
-/// state — retry every unrouted edge in policy order. The filter runs
-/// after placement and before routing, and consumes no RNG, so the
-/// filter-off RNG stream is bit-identical to the pre-filter annealer.
+/// state — retry every unrouted edge in policy order, stopping early if
+/// `test` is given and sure to reject. The filter runs after placement
+/// and before routing, and consumes no RNG, so the filter-off RNG stream
+/// is bit-identical to the pre-filter annealer.
 #[allow(clippy::too_many_arguments)]
 fn movement(
     policy: &mut Policy<'_>,
@@ -421,6 +483,7 @@ fn movement(
     filter: Option<&dyn MovementScorer>,
     fstats: &mut FilterStats,
     want_features: bool,
+    test: Option<&mut AcceptTest>,
 ) -> MovementVerdict {
     let dfg = mapping.dfg();
     // Problematic nodes: endpoints of unrouted edges, plus unplaced nodes.
@@ -484,15 +547,20 @@ fn movement(
             // The caller prices and rolls back; no RNG is drawn.
             if fstats.rejected % AUDIT_PERIOD == 1 {
                 fstats.audited += 1;
-                fstats.audit_router_invocations += route_all(policy, mapping, bufs);
+                fstats.audit_router_invocations += route_all(policy, mapping, bufs, None).0;
                 return MovementVerdict::Rejected { audited: true };
             }
             return MovementVerdict::Rejected { audited: false };
         }
     }
     fstats.admitted += 1;
-    fstats.router_invocations += route_all(policy, mapping, bufs);
-    MovementVerdict::Admitted
+    let (invocations, certain_reject) = route_all(policy, mapping, bufs, test.map(|t| (t, rng)));
+    fstats.router_invocations += invocations;
+    if certain_reject {
+        MovementVerdict::CertainReject
+    } else {
+        MovementVerdict::Admitted
+    }
 }
 
 /// Places the nodes in `bufs.nodes` in policy order, consulting the
@@ -521,22 +589,40 @@ fn place_nodes(
 
 /// Attempts to route every unrouted edge whose endpoints are placed, in
 /// policy order. Failures are left unrouted for the cost function.
+///
+/// With `cut`, the pass stops once the accept test is sure to reject the
+/// movement. A movement with an unplaced node or a failed route cannot
+/// complete, so it reaches the test; before each further route, the cost
+/// with every remaining edge routed on no new cell bounds its cost from
+/// below, and [`AcceptTest::rejects_from`] decides on that bound.
+///
 /// Returns the number of `route_edge` invocations — the unit of router
-/// work the movement filter exists to save.
-fn route_all(policy: &Policy<'_>, mapping: &mut Mapping<'_>, bufs: &mut MoveBuffers) -> u64 {
+/// work the movement filter exists to save — and whether the pass
+/// stopped at a certain reject.
+fn route_all(
+    policy: &Policy<'_>,
+    mapping: &mut Mapping<'_>,
+    bufs: &mut MoveBuffers,
+    mut cut: Option<(&mut AcceptTest, &mut Rng)>,
+) -> (u64, bool) {
     mapping.unrouted_edges_into(&mut bufs.edges);
     policy.order_edges(&mut bufs.edges);
-    let mut invocations = 0;
+    let dfg = mapping.dfg();
+    bufs.edges.retain(|&e| {
+        let edge = dfg.edge(e);
+        mapping.placement(edge.src).is_some() && mapping.placement(edge.dst).is_some()
+    });
+    let mut doomed = mapping.unplaced_count() > 0;
     for i in 0..bufs.edges.len() {
-        let e = bufs.edges[i];
-        let edge = mapping.dfg().edge(e);
-        if mapping.placement(edge.src).is_none() || mapping.placement(edge.dst).is_none() {
-            continue;
+        if let Some((test, rng)) = cut.as_mut().filter(|_| doomed) {
+            let remaining = bufs.edges.len() - i;
+            if test.rejects_from(cost_with_free_routes(mapping, remaining), rng) {
+                return (i as u64, true);
+            }
         }
-        invocations += 1;
-        let _ = mapping.route_edge(e);
+        doomed |= mapping.route_edge(bufs.edges[i]).is_err();
     }
-    invocations
+    (bufs.edges.len() as u64, false)
 }
 
 /// Rejected-movement restoration strategy driven by
@@ -554,9 +640,12 @@ pub enum MovementEngine {
 
 /// Runs `moves` SA movements at a fixed temperature and returns the number
 /// of strict improvements accepted. Both engines consume the RNG
-/// identically and price movements to the same values, so for a given seed
+/// identically and make the same accept decisions, so for a given seed
 /// they follow byte-identical trajectories — a unit test pins the
-/// equivalence, and the movement benches time the journal engine.
+/// equivalence, and the movement benches time the journal engine. Like
+/// the unobserved annealer, the journal engine stops a movement's routing
+/// at a certain reject; the snapshot engine routes every movement to the
+/// end.
 pub fn movement_throughput(
     dfg: &Dfg,
     acc: &Accelerator,
@@ -574,7 +663,7 @@ pub fn movement_throughput(
     let mut bufs = MoveBuffers::default();
     bufs.nodes.extend(dfg.node_ids());
     place_nodes(&mut policy, &mut mapping, &mut bufs, stats, &mut rng);
-    route_all(&policy, &mut mapping, &mut bufs);
+    route_all(&policy, &mut mapping, &mut bufs, None);
     let temp = params.initial_temp;
     let mut improved = 0;
     match engine {
@@ -595,6 +684,7 @@ pub fn movement_throughput(
                     None,
                     &mut fstats,
                     false,
+                    None,
                 );
                 let new_cost = mapping_cost_scan(&mapping);
                 let accept = new_cost <= cost
@@ -615,7 +705,8 @@ pub fn movement_throughput(
             for _ in 0..moves {
                 stats.attempted += 1;
                 mapping.begin_txn();
-                movement(
+                let mut test = AcceptTest::new(cost, temp);
+                let verdict = movement(
                     &mut policy,
                     &mut mapping,
                     &params,
@@ -626,11 +717,10 @@ pub fn movement_throughput(
                     None,
                     &mut fstats,
                     false,
+                    Some(&mut test),
                 );
                 let new_cost = mapping_cost(&mapping);
-                let accept = new_cost <= cost
-                    || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
-                if accept {
+                if verdict == MovementVerdict::Admitted && test.accepts(new_cost, &mut rng) {
                     mapping.commit();
                     if new_cost < cost {
                         stats.accepted += 1;
