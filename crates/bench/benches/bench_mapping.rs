@@ -1,10 +1,11 @@
 //! Benches for the three mappers — the kernel behind the compilation-time
 //! comparison of Fig. 11 — plus the annealer's inner-loop microbenches:
-//! movement throughput (the undo-journal engine) and races of one and
-//! four annealing lanes. Mapper runs take seconds, so they register as
-//! heavy benches: fewer samples, skipped in `cargo test` smoke mode. The
-//! movement and race entries are cheap and run (once) even in smoke
-//! mode, so `scripts/verify.sh` can check the suite's JSON end to end.
+//! movement throughput (the undo-journal engine), the label-aware
+//! candidate draw, and races of one and four annealing lanes. Mapper
+//! runs take seconds, so they register as heavy benches: fewer samples,
+//! skipped in `cargo test` smoke mode. The movement, label-draw and race
+//! entries are cheap and run (once) even in smoke mode, so
+//! `scripts/verify.sh` can check the suite's JSON end to end.
 
 use std::sync::Arc;
 
@@ -73,6 +74,24 @@ fn main() {
             MOVES,
             MovementEngine::Journal,
         ));
+    });
+
+    // Label pricing: the label-aware annealer (initial labels) on the
+    // unrolled gemm over the 8x8 at II 2, which it cannot meet, so the
+    // lane runs its whole schedule and every remap lists and prices
+    // up to 128 candidates (two free times on each of 64 PEs).
+    let gemm_x2 = lisa_dfg::unroll::unroll(&polybench::kernel("gemm").unwrap(), 2);
+    let acc8 = Accelerator::cgra("8x8", 8, 8);
+    let gemm_labels = GuidanceLabels::initial(&gemm_x2);
+    let no_deadline = SaParams {
+        time_limit: std::time::Duration::from_secs(3600),
+        ..SaParams::fast()
+    };
+    suite.bench("label_draw/gemm_x2_8x8_ii2", || {
+        let mut lisa = LabelSaMapper::new(gemm_labels.clone(), no_deadline.clone(), 7);
+        let mapped = lisa.map_at_ii(&gemm_x2, &acc8, 2);
+        assert!(mapped.is_none(), "the unrolled gemm must not map at II 2");
+        std::hint::black_box(mapped);
     });
 
     // Big-fabric scaling: beyond 128 PEs the accelerator swaps its dense

@@ -1,16 +1,22 @@
 //! Benches for the Dijkstra router over the time-expanded MRRG.
+//!
+//! Every row searches through one reused `RouterScratch`, as the
+//! annealer does through its mapping's, so a row times the search and
+//! not the allocation of a fresh scratch.
 
 use lisa_arch::{Accelerator, Mrrg, PeId, Resource};
 use lisa_bench::timing::Suite;
-use lisa_mapper::router::find_route;
+use lisa_mapper::router::{find_route_in, RouterScratch};
 
 fn main() {
     let mut suite = Suite::from_args("router");
+    let mut scratch = RouterScratch::default();
 
     let acc = Accelerator::cgra("4x4", 4, 4);
     let mrrg = Mrrg::new(&acc, 4).unwrap();
     suite.bench("adjacent_4x4", || {
-        std::hint::black_box(find_route(
+        std::hint::black_box(find_route_in(
+            &mut scratch,
             &mrrg,
             PeId::new(5),
             0,
@@ -23,7 +29,8 @@ fn main() {
     let acc8 = Accelerator::cgra("8x8", 8, 8);
     let mrrg8 = Mrrg::new(&acc8, 8).unwrap();
     suite.bench("corner_to_corner_8x8", || {
-        std::hint::black_box(find_route(
+        std::hint::black_box(find_route_in(
+            &mut scratch,
             &mrrg8,
             PeId::new(0),
             0,
@@ -41,7 +48,8 @@ fn main() {
         _ => Some(1),
     };
     suite.bench("congested_4x4", || {
-        std::hint::black_box(find_route(
+        std::hint::black_box(find_route_in(
+            &mut scratch,
             &mrrg6,
             PeId::new(0),
             0,
@@ -59,7 +67,15 @@ fn main() {
     let wall =
         |cell: usize, _t: u32| (mrrg8.offset_pe(cell % per_slot8).index() % 8 != 4).then_some(1);
     suite.bench("congested_8x8_fail", || {
-        let route = find_route(&mrrg8, PeId::new(24), 0, PeId::new(31), 12, wall);
+        let route = find_route_in(
+            &mut scratch,
+            &mrrg8,
+            PeId::new(24),
+            0,
+            PeId::new(31),
+            12,
+            wall,
+        );
         debug_assert!(route.is_none());
         std::hint::black_box(route);
     });
@@ -68,7 +84,8 @@ fn main() {
     // 8x8, so the search spreads over every register and FU it can
     // still wait in before the consumer.
     suite.bench("slack_wait_8x8", || {
-        std::hint::black_box(find_route(
+        std::hint::black_box(find_route_in(
+            &mut scratch,
             &mrrg8,
             PeId::new(27),
             0,

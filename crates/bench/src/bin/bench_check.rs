@@ -15,6 +15,7 @@ use lisa_bench::timing::bench_dir;
 /// (cheap tier).
 const REQUIRED_MAPPING: &[&str] = &[
     "movement/fig4_3x3/journal",
+    "label_draw/gemm_x2_8x8_ii2",
     "race/fig4_3x3/lanes1",
     "race/fig4_3x3/lanes4",
     "movement/fig4_16x16/journal",

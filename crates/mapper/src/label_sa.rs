@@ -21,19 +21,23 @@
 //!    while resources are still plentiful.
 //!
 //! The labels are fixed for a map, so the routing order is ranked once
-//! when the policy is built. A candidate draw gathers the placed
-//! neighbours' terms once per node, prices every candidate from them with
-//! the floating-point operations of the per-candidate formula in the same
-//! order (so each cost is bit-identical to it), and selects the drawn
-//! index by `(cost, candidate index)`: the element a stable sort by cost
-//! would put there. One buffer per lane holds both lists, so a draw
-//! allocates nothing.
+//! when the policy is built. A candidate draw first draws its normal
+//! variate (pricing draws no random number, so this is the draw the
+//! per-candidate code made after pricing). It gathers the placed
+//! neighbours' terms once per node and prices the candidates term by
+//! term over candidate columns, grid positions read from the mapping's
+//! coordinate table; each candidate still adds its terms with the
+//! floating-point operations of the per-candidate formula in the same
+//! order, so each cost is bit-identical to it. It then takes the drawn
+//! index by `(cost, candidate index)`, the element a stable sort by cost
+//! would put there: one scan at either end, selection elsewhere. One
+//! buffer per lane holds the lists, so a draw allocates nothing.
 
 use std::sync::Arc;
 
 use lisa_rng::Rng;
 
-use lisa_arch::{Accelerator, Coord, PeId};
+use lisa_arch::{Accelerator, PeId};
 use lisa_dfg::{analysis, same_level, Dfg, EdgeId, NodeId};
 use lisa_events::EventSink;
 
@@ -145,8 +149,8 @@ pub(crate) struct Policy<'l> {
 /// everything that does not depend on the candidate looked up once.
 #[derive(Debug, Clone, Copy)]
 struct CostTerm {
-    /// The neighbour's grid position.
-    at: Coord,
+    /// The neighbour's grid position, `(row, column)`.
+    at: (u32, u32),
     /// Expected spatial distance: label 3 of the edge, or label 2 of a
     /// same-level pair.
     spatial: f64,
@@ -174,7 +178,13 @@ enum Timing {
 #[derive(Debug, Clone, Default)]
 struct CandidateDraw {
     terms: Vec<CostTerm>,
-    /// `(placement cost, candidate index)` per candidate.
+    /// Grid position `(row, column)` of each candidate's PE.
+    at: Vec<(u32, u32)>,
+    /// Time of each candidate.
+    times: Vec<u32>,
+    /// Placement cost of each candidate.
+    costs: Vec<f64>,
+    /// `(placement cost, candidate index)` per candidate, for selection.
     order: Vec<(f64, usize)>,
 }
 
@@ -202,13 +212,13 @@ impl CandidateDraw {
     ) {
         self.terms.clear();
         let dfg = m.dfg();
-        let acc = m.accelerator();
+        let coords = m.pe_coords();
         let ii = m.ii();
         for &e in dfg.in_edges(node) {
             let edge = dfg.edge(e);
             if let Some(p) = m.placement(edge.src) {
                 self.terms.push(CostTerm {
-                    at: acc.coord(p.pe),
+                    at: coords[p.pe.index()],
                     spatial: labels.spatial[e.index()],
                     timing: Timing::Producer {
                         shift: edge.kind.distance() * ii,
@@ -225,7 +235,7 @@ impl CandidateDraw {
             }
             if let Some(c) = m.placement(edge.dst) {
                 self.terms.push(CostTerm {
-                    at: acc.coord(c.pe),
+                    at: coords[c.pe.index()],
                     spatial: labels.spatial[e.index()],
                     timing: Timing::Consumer {
                         due: f64::from(c.time + edge.kind.distance() * ii),
@@ -237,7 +247,7 @@ impl CandidateDraw {
         for &(partner, expected) in &partners[node.index()] {
             if let Some(p) = m.placement(partner) {
                 self.terms.push(CostTerm {
-                    at: acc.coord(p.pe),
+                    at: coords[p.pe.index()],
                     spatial: expected,
                     timing: Timing::Partner,
                 });
@@ -245,27 +255,80 @@ impl CandidateDraw {
         }
     }
 
-    /// Placement cost of a candidate at grid position `at`, time `t`, from
-    /// the gathered terms: Σ |actual − expected| over labels 2, 3, 4
-    /// (Algorithm 1 line 6) plus the infeasibility penalty.
-    fn cost(&self, at: Coord, t: u32) -> f64 {
-        let mut cost = 0.0;
-        for term in &self.terms {
-            let spatial = f64::from(at.manhattan(term.at));
-            cost += (spatial - term.spatial).abs();
-            let (temporal, expected) = match term.timing {
+    /// Prices every candidate into `costs` from the gathered terms:
+    /// Σ |actual − expected| over labels 2, 3, 4 (Algorithm 1 line 6) plus
+    /// the infeasibility penalty. Term by term, each adds its share to
+    /// every candidate's cost, so every candidate still adds its terms'
+    /// shares in the order, and with the operations, of the
+    /// per-candidate formula.
+    fn price(&mut self, coords: &[(u32, u32)], candidates: &[(PeId, u32)]) {
+        let CandidateDraw {
+            terms,
+            at,
+            times,
+            costs,
+            ..
+        } = self;
+        at.clear();
+        times.clear();
+        for &(pe, t) in candidates {
+            at.push(coords[pe.index()]);
+            times.push(t);
+        }
+        costs.clear();
+        costs.resize(candidates.len(), 0.0);
+        for term in terms.iter() {
+            let (row, col) = term.at;
+            let spatial = |&(r, c): &(u32, u32)| f64::from(r.abs_diff(row) + c.abs_diff(col));
+            let columns = at.iter().zip(times.iter()).zip(costs.iter_mut());
+            match term.timing {
                 Timing::Producer {
                     shift,
                     time,
                     expected,
-                } => (f64::from(t + shift) - time, expected),
-                Timing::Consumer { due, expected } => (due - f64::from(t), expected),
-                Timing::Partner => continue,
-            };
-            cost += (temporal - expected).abs();
-            cost += infeasible(spatial, temporal);
+                } => {
+                    for ((at, &t), cost) in columns {
+                        let spatial = spatial(at);
+                        let temporal = f64::from(t + shift) - time;
+                        *cost += (spatial - term.spatial).abs();
+                        *cost += (temporal - expected).abs();
+                        *cost += infeasible(spatial, temporal);
+                    }
+                }
+                Timing::Consumer { due, expected } => {
+                    for ((at, &t), cost) in columns {
+                        let spatial = spatial(at);
+                        let temporal = due - f64::from(t);
+                        *cost += (spatial - term.spatial).abs();
+                        *cost += (temporal - expected).abs();
+                        *cost += infeasible(spatial, temporal);
+                    }
+                }
+                Timing::Partner => {
+                    for ((at, _), cost) in columns {
+                        *cost += (spatial(at) - term.spatial).abs();
+                    }
+                }
+            }
         }
-        cost
+    }
+
+    /// The candidate a stable sort of the priced candidates by cost puts
+    /// at position `idx`: the `idx`-th smallest by `(cost, candidate
+    /// index)`. At either end that is the first of the cheapest or the
+    /// last of the dearest, which one scan finds; elsewhere selection.
+    fn pick(&mut self, idx: usize) -> usize {
+        let costs = &self.costs;
+        debug_assert!(costs.iter().all(|c| c.is_finite()), "finite costs");
+        if idx == 0 {
+            (1..costs.len()).fold(0, |best, i| if costs[i] < costs[best] { i } else { best })
+        } else if idx == costs.len() - 1 {
+            (1..costs.len()).fold(0, |best, i| if costs[i] >= costs[best] { i } else { best })
+        } else {
+            self.order.clear();
+            self.order.extend(costs.iter().copied().zip(0..));
+            nth_by_cost(&mut self.order, idx)
+        }
     }
 }
 
@@ -417,19 +480,19 @@ impl<'l> Policy<'l> {
         let Some(labels) = self.placing_labels() else {
             return rng.gen_range(0..candidates.len());
         };
-        let draw = &mut self.draw;
-        draw.gather(labels, &self.partners, mapping, node);
-        let acc = mapping.accelerator();
-        draw.order.clear();
-        for (i, &(pe, t)) in candidates.iter().enumerate() {
-            let cost = draw.cost(acc.coord(pe), t);
-            draw.order.push((cost, i));
-        }
         // σ = max{1, α·T − Acc}: low acceptance widens the distribution.
+        // Pricing draws no random number, so drawing the variate before
+        // it is the same draw.
         let sigma = (ALPHA * f64::from(stats.attempted) - f64::from(stats.accepted)).max(1.0);
         let deviation = sample_normal(rng).abs() * sigma;
-        let idx = (deviation.floor() as usize).min(draw.order.len() - 1);
-        nth_by_cost(&mut draw.order, idx)
+        let idx = (deviation.floor() as usize).min(candidates.len() - 1);
+        if candidates.len() == 1 {
+            return 0;
+        }
+        let draw = &mut self.draw;
+        draw.gather(labels, &self.partners, mapping, node);
+        draw.price(mapping.pe_coords(), candidates);
+        draw.pick(idx)
     }
 
     /// Orders unrouted edges for routing (Algorithm 1 line 9): by label
@@ -755,24 +818,31 @@ mod tests {
     lisa_rng::props! {
         cases = 64;
 
-        /// Selecting the `idx`-th candidate by `(cost, index)` returns what
-        /// the stable sort returned, at every index, with many ties.
+        /// Picking the `idx`-th candidate by `(cost, index)` returns what
+        /// the stable sort returned, at every index (the end scans at 0
+        /// and `len − 1`, selection between), with many ties, ties at
+        /// both ends among them.
         fn selection_picks_what_the_stable_sort_picked(
             len in 1usize..40,
             distinct in 1u32..6,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = Rng::seed_from_u64(seed);
-            let order: Vec<(f64, usize)> = (0..len)
-                .map(|i| (f64::from(rng.gen_range(0..distinct)) * 0.5, i))
-                .collect();
+            let mut draw = CandidateDraw {
+                costs: (0..len)
+                    .map(|_| f64::from(rng.gen_range(0..distinct)) * 0.5)
+                    .collect(),
+                ..CandidateDraw::default()
+            };
+            let order: Vec<(f64, usize)> = draw.costs.iter().copied().zip(0..).collect();
             for idx in 0..len {
+                assert_eq!(draw.pick(idx), stable_sort_pick(&order, idx), "at {idx}");
                 let mut scratch = order.clone();
                 assert_eq!(nth_by_cost(&mut scratch, idx), stable_sort_pick(&order, idx));
             }
         }
 
-        /// The gathered-term cost of every candidate equals the
+        /// The column-wise price of every candidate equals the
         /// per-candidate placement cost bit for bit, on random partial
         /// mappings.
         fn gathered_cost_equals_placement_cost(
@@ -795,9 +865,11 @@ mod tests {
             let mut draw = CandidateDraw::default();
             for node in m.unplaced_nodes() {
                 draw.gather(&labels, &policy.partners, &m, node);
-                for (pe, t) in crate::sa::candidate_slots(&m, node) {
+                let candidates = crate::sa::candidate_slots(&m, node);
+                draw.price(m.pe_coords(), &candidates);
+                assert_eq!(draw.costs.len(), candidates.len());
+                for (&(pe, t), got) in candidates.iter().zip(&draw.costs) {
                     let want = policy.placement_cost(&m, node, pe, t);
-                    let got = draw.cost(acc.coord(pe), t);
                     assert_eq!(got.to_bits(), want.to_bits(), "{node:?} at {pe}@{t}");
                 }
             }

@@ -6,6 +6,14 @@
 //! [`place`](Mapping::place), [`unplace`](Mapping::unplace),
 //! [`route_edge`](Mapping::route_edge), [`unroute_edge`](Mapping::unroute_edge)
 //! — so resource semantics are enforced in exactly one place.
+//!
+//! Besides the occupancy grid, a mapping keeps a free-FU bitset: one bit
+//! per PE and modulo slot, `⌈PEs/64⌉` words per slot, set while that FU
+//! cell is free. Every change of an FU cell between free and occupied
+//! flips its bit: a placement and an unplacement, a route step that
+//! takes a free FU and the release that frees it, and the rollback of
+//! each. Candidate listings read it 64 PEs per word; [`Mapping::verify`]
+//! checks it against the grid.
 
 use std::fmt;
 
@@ -111,51 +119,70 @@ pub struct Mapping<'a> {
     journal: Vec<Delta>,
     txn: bool,
     scratch: RouterScratch,
-    support: SupportTable,
+    // The free-FU bitset (module docs): slot `s` holds PEs
+    // `64·w .. 64·w + 63` in word `s · words + w`.
+    free_fus: Vec<u64>,
+    pes: PeTable,
 }
 
-/// The PEs that can execute each node's operation, in PE order, computed
-/// once per mapping so candidate scans skip [`Accelerator::supports`].
-/// Nodes of one operation kind share one list.
+/// Per-PE facts the candidate listing and pricing read, computed once per
+/// mapping: which PEs can execute each node's operation, and every PE's
+/// grid position.
 #[derive(Clone)]
-struct SupportTable {
-    pes: Vec<PeId>,
-    /// `pes[span.0..span.1]` per node.
-    spans: Vec<(u32, u32)>,
+struct PeTable {
+    /// Words of one slot of a PE bitset: `⌈PEs / 64⌉`.
+    words: usize,
+    /// The supporting-PE bitset of each distinct operation kind, `words`
+    /// words each; nodes of one kind share one.
+    support: Vec<u64>,
+    /// Index into `support`, in words, of each node's bitset.
+    support_at: Vec<u32>,
+    /// `(row, column)` of each PE.
+    coords: Vec<(u32, u32)>,
 }
 
-impl SupportTable {
+impl PeTable {
     fn new(dfg: &Dfg, acc: &Accelerator) -> Self {
-        let mut pes = Vec::new();
-        let mut kinds: Vec<(OpKind, (u32, u32))> = Vec::new();
-        let spans = dfg
+        let words = acc.pe_count().div_ceil(64);
+        let mut support = Vec::new();
+        let mut kinds: Vec<(OpKind, u32)> = Vec::new();
+        let support_at = dfg
             .node_ids()
             .map(|n| {
                 let op = dfg.node(n).op;
-                if let Some(&(_, span)) = kinds.iter().find(|(k, _)| *k == op) {
-                    return span;
+                if let Some(&(_, at)) = kinds.iter().find(|(k, _)| *k == op) {
+                    return at;
                 }
-                let start = pes.len() as u32;
-                pes.extend(
-                    (0..acc.pe_count())
-                        .map(PeId::new)
-                        .filter(|&pe| acc.supports(pe, op)),
-                );
-                let span = (start, pes.len() as u32);
-                kinds.push((op, span));
-                span
+                let at = support.len() as u32;
+                support.resize(support.len() + words, 0);
+                for pe in (0..acc.pe_count()).filter(|&p| acc.supports(PeId::new(p), op)) {
+                    support[at as usize + pe / 64] |= 1 << (pe % 64);
+                }
+                kinds.push((op, at));
+                at
             })
             .collect();
-        SupportTable { pes, spans }
+        let coords = (0..acc.pe_count())
+            .map(|p| {
+                let c = acc.coord(PeId::new(p));
+                (c.row as u32, c.col as u32)
+            })
+            .collect();
+        PeTable {
+            words,
+            support,
+            support_at,
+            coords,
+        }
     }
 }
 
-impl fmt::Debug for SupportTable {
+impl fmt::Debug for PeTable {
     /// Opaque, like `RouterScratch`: the table is derived from the DFG and
     /// the accelerator, and debug builds render `Mapping` on every
     /// annealing movement.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SupportTable")
+        f.write_str("PeTable")
     }
 }
 
@@ -177,6 +204,13 @@ impl<'a> Mapping<'a> {
         let asap = lisa_dfg::analysis::asap(dfg);
         let alap = lisa_dfg::analysis::alap(dfg);
         let window = asap.iter().copied().max().map_or(1, |m| m + 1) + Self::SLACK_IIS * ii;
+        let pes = PeTable::new(dfg, acc);
+        // Every FU starts free; the bits past the last PE stay clear.
+        let mut slot_words = vec![u64::MAX; pes.words];
+        if let Some(last) = slot_words.last_mut() {
+            *last >>= 64 * pes.words - acc.pe_count();
+        }
+        let free_fus = slot_words.repeat(ii as usize);
         Ok(Mapping {
             dfg,
             mrrg,
@@ -193,7 +227,8 @@ impl<'a> Mapping<'a> {
             journal: Vec::new(),
             txn: false,
             scratch: RouterScratch::default(),
-            support: SupportTable::new(dfg, acc),
+            free_fus,
+            pes,
         })
     }
 
@@ -236,11 +271,31 @@ impl<'a> Mapping<'a> {
         self.alap[node.index()]
     }
 
-    /// The PEs that can execute `node`'s operation, in PE order (a table
-    /// built with the mapping).
-    pub(crate) fn supporting_pes(&self, node: NodeId) -> &[PeId] {
-        let (start, end) = self.support.spans[node.index()];
-        &self.support.pes[start as usize..end as usize]
+    /// The PEs that can execute `node`'s operation, as a PE bitset: bit
+    /// `p % 64` of word `p / 64` is set for PE `p` (a table built with the
+    /// mapping).
+    pub(crate) fn support_words(&self, node: NodeId) -> &[u64] {
+        let at = self.pes.support_at[node.index()] as usize;
+        &self.pes.support[at..at + self.pes.words]
+    }
+
+    /// Word `word` of modulo slot `slot`'s free-FU bitset, laid out like
+    /// [`support_words`](Self::support_words).
+    pub(crate) fn free_fu_word(&self, slot: u32, word: usize) -> u64 {
+        self.free_fus[slot as usize * self.pes.words + word]
+    }
+
+    /// `(row, column)` of every PE, by PE index (a table built with the
+    /// mapping, so pricing a candidate divides nothing).
+    pub(crate) fn pe_coords(&self) -> &[(u32, u32)] {
+        &self.pes.coords
+    }
+
+    /// Flips the free bit of `pe`'s FU in `time`'s modulo slot: every
+    /// change of an FU cell between free and occupied calls this.
+    fn flip_fu(&mut self, pe: PeId, time: u32) {
+        let p = pe.index();
+        self.free_fus[self.mrrg.slot(time) as usize * self.pes.words + p / 64] ^= 1 << (p % 64);
     }
 
     /// Number of nodes without a placement (O(1) running counter).
@@ -295,6 +350,7 @@ impl<'a> Mapping<'a> {
                     let idx = self.mrrg.fu_index_at(p.pe, p.time);
                     debug_assert_eq!(self.cells[idx], Cell::Op(node));
                     self.cells[idx] = Cell::Free;
+                    self.flip_fu(p.pe, p.time);
                     self.unplaced += 1;
                     self.lateness -= u64::from(p.time);
                 }
@@ -302,6 +358,7 @@ impl<'a> Mapping<'a> {
                     let idx = self.mrrg.fu_index_at(p.pe, p.time);
                     debug_assert_eq!(self.cells[idx], Cell::Free);
                     self.cells[idx] = Cell::Op(node);
+                    self.flip_fu(p.pe, p.time);
                     self.placements[node.index()] = Some(p);
                     self.unplaced -= 1;
                     self.lateness += u64::from(p.time);
@@ -322,6 +379,9 @@ impl<'a> Mapping<'a> {
                                     refs: 1,
                                 };
                                 self.route_cells += 1;
+                                if let Resource::Fu(pe) = s.resource {
+                                    self.flip_fu(pe, s.time);
+                                }
                             }
                             Cell::Route {
                                 value: v,
@@ -382,6 +442,7 @@ impl<'a> Mapping<'a> {
             return Err(MapperError::SlotOccupied { node, pe, time });
         }
         self.cells[idx] = Cell::Op(node);
+        self.flip_fu(pe, time);
         self.placements[node.index()] = Some(Placement { pe, time });
         self.unplaced -= 1;
         self.lateness += u64::from(time);
@@ -409,6 +470,7 @@ impl<'a> Mapping<'a> {
         let idx = self.mrrg.fu_index_at(p.pe, p.time);
         debug_assert_eq!(self.cells[idx], Cell::Op(node));
         self.cells[idx] = Cell::Free;
+        self.flip_fu(p.pe, p.time);
         self.unplaced += 1;
         self.lateness -= u64::from(p.time);
         if self.txn {
@@ -497,6 +559,9 @@ impl<'a> Mapping<'a> {
                         refs: 1,
                     };
                     new_cells += 1;
+                    if let Resource::Fu(pe) = s.resource {
+                        self.flip_fu(pe, s.time);
+                    }
                 }
                 Cell::Route { value, time, refs } => {
                     debug_assert!(*value == e.src && *time == s.time);
@@ -537,6 +602,9 @@ impl<'a> Mapping<'a> {
                     if *refs == 0 {
                         self.cells[idx] = Cell::Free;
                         self.route_cells -= 1;
+                        if let Resource::Fu(pe) = s.resource {
+                            self.flip_fu(pe, s.time);
+                        }
                     }
                 }
                 other => unreachable!("route step cell in state {other:?}"),
@@ -686,6 +754,22 @@ impl<'a> Mapping<'a> {
         }
         if self.txn || !self.journal.is_empty() {
             return Err("verify called with an open transaction".to_string());
+        }
+        // The free-FU bitset mirrors the FU cells, and no bit past the
+        // last PE is set.
+        let (pes, words) = (self.accelerator().pe_count(), self.pes.words);
+        for slot in 0..self.ii() {
+            for w in 0..words {
+                let scanned = (w * 64..pes.min(w * 64 + 64))
+                    .filter(|&p| self.fu_free(PeId::new(p), slot))
+                    .fold(0u64, |bits, p| bits | 1 << (p % 64));
+                let kept = self.free_fu_word(slot, w);
+                if kept != scanned {
+                    return Err(format!(
+                        "free-FU word {w} of slot {slot} is {kept:#x}, cells say {scanned:#x}"
+                    ));
+                }
+            }
         }
         // Placement capability + uniqueness. Ordered map (DET001): only
         // keyed lookups run here, but `verify` reports the *first*
@@ -1017,6 +1101,18 @@ mod tests {
         assert_eq!(m.routing_cells(), 0);
         assert_eq!(m.lateness(), 5);
         m.verify().unwrap();
+    }
+
+    #[test]
+    fn verify_catches_a_stale_free_fu_bit() {
+        let dfg = chain3();
+        let acc = Accelerator::cgra("2x2", 2, 2);
+        let mut m = Mapping::new(&dfg, &acc, 2).unwrap();
+        m.place(NodeId::new(0), PeId::new(3), 1).unwrap();
+        m.verify().unwrap();
+        m.flip_fu(PeId::new(3), 1);
+        let err = m.verify().unwrap_err();
+        assert!(err.contains("free-FU word 0 of slot 1"), "{err}");
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! SA baseline and LISA differ **only** in three decisions — placement
 //! order, PE-candidate choice, and routing order — which the lane's
 //! policy ([`crate::label_sa`]) makes; everything else is here.
+//!
+//! That includes the candidate listing the policy chooses from, which the
+//! constructive lane and the exact mapper share: each supporting PE's
+//! first two free times in the node's window, by PE and then time. It is
+//! read from the mapping's free-FU bitset a word of 64 PEs at a time;
+//! `reference::candidate_slots`, the per-cell scan it replaced, stays in
+//! tests as its oracle.
 
 use std::time::{Duration, Instant};
 
@@ -187,11 +194,12 @@ pub(crate) fn candidate_slots(m: &Mapping<'_>, node: NodeId) -> Vec<(PeId, u32)>
     out
 }
 
-/// Allocation-free variant of [`candidate_slots`]: clears `out` and
-/// refills it. The annealer evaluates candidates for every remapped node
-/// of every movement, so hot paths reuse one buffer.
-fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)>) {
-    out.clear();
+/// The times `lo..=hi` a candidate of `node` may take. Times fold modulo
+/// II, so sweeping 2·II consecutive cycles visits every slot of a PE
+/// twice; the listing keeps only the earliest two free times per PE so
+/// schedules stay compact (late placements starve their successors of
+/// causal slots and deadlock the annealer).
+fn candidate_window(m: &Mapping<'_>, node: NodeId) -> (u32, u32) {
     let dfg = m.dfg();
     // A node can never execute before its data depth; this keeps
     // placements causal even when a policy orders children first.
@@ -210,22 +218,104 @@ fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)
     if lo > hi {
         hi = m.schedule_window() - 1;
     }
-    // Times fold modulo II, so sweeping 2·II consecutive cycles visits
-    // every slot of the PE twice; keep only the earliest two free times
-    // per PE so schedules stay compact (late placements starve their
-    // successors of causal slots and deadlock the annealer).
-    let span_hi = hi.min(lo + m.ii().max(2) * 2);
-    for &pe in m.supporting_pes(node) {
-        let mut kept = 0;
-        for t in lo..=span_hi {
-            if m.fu_free(pe, t) {
-                out.push((pe, t));
-                kept += 1;
-                if kept == 2 {
-                    break;
+    (lo, hi.min(lo + m.ii().max(2) * 2))
+}
+
+/// Allocation-free variant of [`candidate_slots`]: clears `out` and
+/// refills it. The annealer evaluates candidates for every remapped node
+/// of every movement, so hot paths reuse one buffer.
+///
+/// The list is each supporting PE's first two free times in the window,
+/// by PE and then time. It is read from the mapping's free-FU bitset 64
+/// PEs at a time: walking the window's times in order, a PE's first and
+/// second hit are its first two free times (the window spans up to
+/// 2·max(II, 2) + 1 cycles, so the second may be the first's slot one
+/// period later). `reference::candidate_slots` keeps the per-cell scan
+/// this replaced, and a property holds the two equal.
+fn candidate_slots_into(m: &Mapping<'_>, node: NodeId, out: &mut Vec<(PeId, u32)>) {
+    out.clear();
+    let (lo, hi) = candidate_window(m, node);
+    let ii = m.ii();
+    let lo_slot = m.mrrg().slot(lo);
+    for (w, &support) in m.support_words(node).iter().enumerate() {
+        if support == 0 {
+            continue;
+        }
+        // PEs with a first free time (`one`) and those still short of a
+        // second (`short`); `first`/`second` hold the times by bit.
+        let (mut one, mut short) = (0u64, support);
+        let mut first = [0u32; 64];
+        let mut second = [0u32; 64];
+        let mut slot = lo_slot;
+        for t in lo..=hi {
+            let hits = m.free_fu_word(slot, w) & short;
+            for b in bits(hits & !one) {
+                first[b] = t;
+            }
+            for b in bits(hits & one) {
+                second[b] = t;
+            }
+            short &= !(hits & one);
+            one |= hits;
+            if short == 0 {
+                break;
+            }
+            slot += 1;
+            if slot == ii {
+                slot = 0;
+            }
+        }
+        let two = support & !short;
+        for b in bits(one) {
+            let pe = PeId::new(w * 64 + b);
+            out.push((pe, first[b]));
+            if two >> b & 1 == 1 {
+                out.push((pe, second[b]));
+            }
+        }
+    }
+}
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// The per-cell candidate scan the bitset listing replaced: the oracle
+/// of its property test, like `router::reference` for the router.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Probes every supporting PE's FU cell at each time of the window,
+    /// in PE order, keeping the first two free times.
+    pub(crate) fn candidate_slots(m: &Mapping<'_>, node: NodeId) -> Vec<(PeId, u32)> {
+        let mut out = Vec::new();
+        let (lo, hi) = candidate_window(m, node);
+        let op = m.dfg().node(node).op;
+        let acc = m.accelerator();
+        for pe in (0..acc.pe_count()).map(PeId::new) {
+            if !acc.supports(pe, op) {
+                continue;
+            }
+            let mut kept = 0;
+            for t in lo..=hi {
+                if m.fu_free(pe, t) {
+                    out.push((pe, t));
+                    kept += 1;
+                    if kept == 2 {
+                        break;
+                    }
                 }
             }
         }
+        out
     }
 }
 
@@ -892,6 +982,107 @@ mod tests {
         let cands = candidate_slots(&m, NodeId::new(1));
         assert!(!cands.is_empty());
         assert!(cands.iter().all(|&(_, t)| t >= 3));
+    }
+
+    /// One random mutation: a placement (half of them on a few hot PEs,
+    /// so some FUs fill every slot), an unplacement, a route or an
+    /// unroute.
+    fn random_mutation(m: &mut Mapping<'_>, rng: &mut Rng, hot: usize) {
+        let dfg = m.dfg();
+        let pes = m.accelerator().pe_count();
+        match rng.gen_range(0..4u32) {
+            0 | 1 => {
+                let n = NodeId::new(rng.gen_range(0..dfg.node_count()));
+                let pe = if rng.gen_bool(0.5) {
+                    (hot + rng.gen_range(0..4usize)) % pes
+                } else {
+                    rng.gen_range(0..pes)
+                };
+                let t = rng.gen_range(0..m.schedule_window());
+                let _ = m.place(n, PeId::new(pe), t);
+            }
+            2 => {
+                let placed: Vec<NodeId> = dfg
+                    .node_ids()
+                    .filter(|&n| m.placement(n).is_some())
+                    .collect();
+                if !placed.is_empty() && rng.gen_bool(0.5) {
+                    m.unplace(placed[rng.gen_range(0..placed.len())]);
+                }
+            }
+            _ => {
+                let e = EdgeId::new(rng.gen_range(0..dfg.edge_count().max(1)));
+                if e.index() < dfg.edge_count() {
+                    if m.route(e).is_some() {
+                        m.unroute_edge(e);
+                    } else {
+                        let _ = m.route_edge(e);
+                    }
+                }
+            }
+        }
+    }
+
+    lisa_rng::props! {
+        cases = 48;
+
+        /// The bitset listing equals the per-cell scan for every node,
+        /// through random place / unplace / route / unroute sequences,
+        /// inside transactions that roll back or commit and outside them,
+        /// on one- and four-word fabrics at IIs up to each one's maximum.
+        /// Every settled state verifies, which checks the bitset against
+        /// the FU cells.
+        fn bitset_candidates_equal_the_cell_scan(
+            fabric in 0usize..5,
+            ii_pick in 0u32..u32::MAX,
+            dfg_seed in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+        ) {
+            let acc = match fabric {
+                0 => Accelerator::standard("4x4").unwrap(),
+                1 => Accelerator::standard("4x4-lm").unwrap(),
+                2 => Accelerator::standard("8x8").unwrap(),
+                3 => Accelerator::standard("systolic").unwrap(),
+                _ => Accelerator::cgra("16x16", 16, 16),
+            };
+            let ii = 1 + ii_pick % acc.max_ii();
+            let dfg = lisa_dfg::random::generate_random_dfg(
+                &lisa_dfg::random::RandomDfgConfig::default(),
+                dfg_seed,
+            );
+            let mut rng = Rng::seed_from_u64(seed);
+            let hot = rng.gen_range(0..acc.pe_count());
+            let mut m = Mapping::new(&dfg, &acc, ii).unwrap();
+            let same = |m: &Mapping<'_>| {
+                for node in dfg.node_ids() {
+                    assert_eq!(
+                        candidate_slots(m, node),
+                        reference::candidate_slots(m, node),
+                        "{node:?} at II {ii} on {}",
+                        acc.name()
+                    );
+                }
+            };
+            for _ in 0..8 {
+                let txn = rng.gen_bool(0.5);
+                if txn {
+                    m.begin_txn();
+                }
+                for _ in 0..rng.gen_range(1..40u32) {
+                    random_mutation(&mut m, &mut rng, hot);
+                }
+                same(&m);
+                if txn {
+                    if rng.gen_bool(0.5) {
+                        m.rollback();
+                    } else {
+                        m.commit();
+                    }
+                }
+                m.verify().unwrap();
+                same(&m);
+            }
+        }
     }
 
     #[test]

@@ -72,6 +72,20 @@ if [ "$STATUS" -ne 2 ] || grep -q -e panicked -e '^mapping' target/cli-smoke/zz.
 fi
 echo "verify: an unknown mapper is a clean usage error"
 
+# Decision-stream pin: every RNG draw, placement, route and accept
+# decision of the annealer feeds these two counts. `--mapper sa` runs the
+# II search at parallelism 1 and `--verbose` observes the lane (it routes
+# every movement to the end), so they depend on no host. A change that
+# keeps every decision keeps both numbers.
+target/release/lisa-map doitgen --arch 4x4 --mapper sa --max-ii 8 --seed 7 --verbose \
+    >target/cli-smoke/pin.out 2>target/cli-smoke/pin.err
+if ! grep -q '^filter: proposals=5015 .* router_invocations=21877 ' target/cli-smoke/pin.out; then
+    echo "verify: the doitgen decision stream moved (want proposals=5015 router_invocations=21877):" >&2
+    grep '^filter:' target/cli-smoke/pin.out >&2
+    exit 1
+fi
+echo "verify: the doitgen decision stream is pinned (5015 proposals, 21877 router calls)"
+
 # Strategy-lane smoke: the constructive lane alone must land a verified
 # mapping of doitgen on the 4x4 (it is deterministic and orders of
 # magnitude cheaper than annealing), and the mixed race (constructive,
