@@ -4,9 +4,9 @@ use std::fmt;
 
 use lisa_dfg::OpKind;
 
-use crate::distance::{DistanceIndex, DENSE_DISTANCE_LIMIT};
+use crate::distance::{DistanceIndex, MAX_PES};
 use crate::mrrg::MoveTable;
-use crate::{Coord, DistanceMode, PeId};
+use crate::{Coord, PeId};
 
 /// Which PEs may access the on-chip memory (CGRA variants of §VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,13 +95,9 @@ pub struct Accelerator {
     max_ii: u32,
     kind: AcceleratorKind,
     neighbors: Vec<Vec<PeId>>,
-    /// Distance-index policy chosen by [`Self::with_distance_mode`]
-    /// (default [`DistanceMode::Auto`]); remembered so interconnect
-    /// changes rebuild the same kind of index.
-    dist_mode: DistanceMode,
     /// Minimum link-hop distances over the directed link graph: a dense
-    /// all-pairs table on small fabrics, a landmark oracle (exact within
-    /// a radius, true lower bound beyond) on large ones. Derived from
+    /// all-pairs table up to 128 PEs, a landmark oracle (exact within a
+    /// radius, true lower bound beyond) on larger fabrics. Derived from
     /// `neighbors`; rebuilt whenever the interconnect changes.
     dist: DistanceIndex,
     /// Every MRRG resource's successors ([`crate::Mrrg::move_offsets`]).
@@ -117,23 +113,25 @@ impl Accelerator {
     /// Configuration memory depth on CGRAs (§VI: "Each PE has 24
     /// configuration entries […] which means the maximum possible II is 24").
     pub const DEFAULT_MAX_II: u32 = 24;
-    /// PE count up to which [`DistanceMode::Auto`] keeps the exact dense
-    /// hop-distance table; larger fabrics get the landmark oracle.
-    pub const DENSE_DISTANCE_LIMIT: usize = DENSE_DISTANCE_LIMIT;
+    /// Most PEs a fabric may have (`u16::MAX`): the hop-distance index
+    /// names PEs by 16-bit ids.
+    pub const MAX_PES: usize = MAX_PES;
 
     /// Creates a baseline CGRA of the given grid size.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the grid has more than
+    /// [`Self::MAX_PES`] PEs.
     pub fn cgra(name: impl Into<String>, rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
+        assert_pe_limit(rows, cols);
         let kind = AcceleratorKind::Cgra {
             memory: MemoryConnectivity::All,
             heterogeneity: Heterogeneity::Homogeneous,
         };
         let neighbors = mesh_neighbors(rows, cols);
-        let dist = DistanceIndex::build(&neighbors, DistanceMode::Auto);
+        let dist = DistanceIndex::build(&neighbors);
         Accelerator {
             name: name.into(),
             rows,
@@ -142,7 +140,6 @@ impl Accelerator {
             max_ii: Self::DEFAULT_MAX_II,
             kind,
             neighbors,
-            dist_mode: DistanceMode::Auto,
             dist,
             moves: MoveTable::default(),
         }
@@ -154,15 +151,17 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if there are fewer than 3 columns or zero rows.
+    /// Panics if there are fewer than 3 columns, zero rows, or more than
+    /// [`Self::MAX_PES`] PEs.
     pub fn systolic(name: impl Into<String>, rows: usize, cols: usize) -> Self {
         assert!(rows > 0, "grid dimensions must be positive");
         assert!(
             cols >= 3,
             "systolic array needs load, compute, store columns"
         );
+        assert_pe_limit(rows, cols);
         let neighbors = systolic_neighbors(rows, cols);
-        let dist = DistanceIndex::build(&neighbors, DistanceMode::Auto);
+        let dist = DistanceIndex::build(&neighbors);
         Accelerator {
             name: name.into(),
             rows,
@@ -171,7 +170,6 @@ impl Accelerator {
             max_ii: 1,
             kind: AcceleratorKind::Systolic,
             neighbors,
-            dist_mode: DistanceMode::Auto,
             dist,
             moves: MoveTable::default(),
         }
@@ -273,19 +271,8 @@ impl Accelerator {
             }
             Interconnect::MultiHop { radius } => multihop_neighbors(self.rows, self.cols, radius),
         };
-        self.dist = DistanceIndex::build(&self.neighbors, self.dist_mode);
+        self.dist = DistanceIndex::build(&self.neighbors);
         self.with_move_table()
-    }
-
-    /// Overrides how hop distances are indexed (builder style). The
-    /// default, [`DistanceMode::Auto`], keeps the exact dense table up
-    /// to 128 PEs and switches to the landmark oracle beyond — see
-    /// [`Self::hop_distance`] for the semantics of each. The choice
-    /// persists across later interconnect changes.
-    pub fn with_distance_mode(mut self, mode: DistanceMode) -> Self {
-        self.dist_mode = mode;
-        self.dist = DistanceIndex::build(&self.neighbors, mode);
-        self
     }
 
     /// Accelerator display name (e.g. `"4x4"`).
@@ -372,11 +359,10 @@ impl Accelerator {
     /// link graph, or `u32::MAX` when the index proves unreachability
     /// (e.g. leftward on a systolic array). Precomputed at construction.
     ///
-    /// With the dense index (fabrics up to 128 PEs under
-    /// [`DistanceMode::Auto`]) the value is always exact. With the
-    /// landmark oracle (large fabrics) it is exact within the oracle's
-    /// ball radius and a **true lower bound** beyond — never an
-    /// overestimate. The router relies on exactly this lower-bound
+    /// With the dense index (fabrics up to 128 PEs) the value is always
+    /// exact. With the landmark oracle (larger fabrics) it is exact
+    /// within the oracle's ball radius and a **true lower bound** beyond
+    /// — never an overestimate. The router relies on exactly this lower-bound
     /// contract to prune its search cone, so routing results are
     /// identical under either index.
     pub fn hop_distance(&self, from: PeId, to: PeId) -> u32 {
@@ -454,7 +440,6 @@ impl fmt::Debug for Accelerator {
             .field("max_ii", &self.max_ii)
             .field("kind", &self.kind)
             .field("neighbors", &self.neighbors)
-            .field("dist_mode", &self.dist_mode)
             .finish_non_exhaustive()
     }
 }
@@ -467,6 +452,14 @@ impl fmt::Display for Accelerator {
             self.name, self.rows, self.cols, self.kind, self.regs_per_pe, self.max_ii
         )
     }
+}
+
+/// Panics unless a `rows × cols` grid fits in [`Accelerator::MAX_PES`].
+fn assert_pe_limit(rows: usize, cols: usize) {
+    assert!(
+        rows.checked_mul(cols).is_some_and(|n| n <= MAX_PES),
+        "a {rows}x{cols} grid exceeds {MAX_PES} PEs"
+    );
 }
 
 fn mesh_neighbors(rows: usize, cols: usize) -> Vec<Vec<PeId>> {
@@ -726,15 +719,19 @@ mod heterogeneity_tests {
 #[cfg(test)]
 mod distance_index_tests {
     use super::*;
-    use crate::distance::dense_distances;
+    use crate::distance::{dense_distances, DistanceOracle, EXACT_RADIUS};
+
+    /// An accelerator's live link graph.
+    fn links(acc: &Accelerator) -> Vec<Vec<PeId>> {
+        (0..acc.pe_count())
+            .map(|i| acc.neighbors(PeId::new(i)).to_vec())
+            .collect()
+    }
 
     /// Fresh all-pairs BFS over an accelerator's live link graph — the
     /// ground truth every index must respect.
     fn bfs_truth(acc: &Accelerator, from: PeId, to: PeId) -> u32 {
-        let neighbors: Vec<Vec<PeId>> = (0..acc.pe_count())
-            .map(|i| acc.neighbors(PeId::new(i)).to_vec())
-            .collect();
-        match dense_distances(&neighbors)[from.index() * acc.pe_count() + to.index()] {
+        match dense_distances(&links(acc))[from.index() * acc.pe_count() + to.index()] {
             u16::MAX => u32::MAX,
             d => u32::from(d),
         }
@@ -762,14 +759,15 @@ mod distance_index_tests {
     fn forced_oracle_matches_dense_on_small_mesh() {
         // 4×4 diameter (6) fits in the exact ball, so the oracle must
         // reproduce the dense table on every pair.
-        let dense = Accelerator::cgra("4x4", 4, 4).with_distance_mode(DistanceMode::Dense);
-        let oracle = Accelerator::cgra("4x4", 4, 4).with_distance_mode(DistanceMode::Oracle);
+        let dense = Accelerator::cgra("4x4", 4, 4);
         assert_eq!(dense.distance_index_kind(), "dense");
-        assert_eq!(oracle.distance_index_kind(), "oracle");
+        let oracle = DistanceOracle::build(&links(&dense), EXACT_RADIUS);
         for i in 0..16 {
             for j in 0..16 {
-                let (i, j) = (PeId::new(i), PeId::new(j));
-                assert_eq!(oracle.hop_distance(i, j), dense.hop_distance(i, j));
+                assert_eq!(
+                    oracle.query(i, j),
+                    dense.hop_distance(PeId::new(i), PeId::new(j))
+                );
             }
         }
     }
@@ -829,8 +827,8 @@ mod distance_index_tests {
     }
 
     /// Multi-hop interconnects are non-mesh graphs where hop distance
-    /// diverges from Manhattan distance; the oracle must track the BFS
-    /// truth, and an interconnect change must preserve the index mode.
+    /// diverges from Manhattan distance; the oracle rebuilt from the new
+    /// links must track the BFS truth.
     #[test]
     fn oracle_tracks_multihop_interconnect_changes() {
         let a = Accelerator::cgra("16x16", 16, 16)
@@ -850,11 +848,6 @@ mod distance_index_tests {
                 }
             }
         }
-        // A forced mode survives interconnect rebuilds.
-        let forced = Accelerator::cgra("16x16", 16, 16)
-            .with_distance_mode(DistanceMode::Dense)
-            .with_interconnect(Interconnect::MultiHop { radius: 2 });
-        assert_eq!(forced.distance_index_kind(), "dense");
     }
 }
 

@@ -45,31 +45,21 @@ use std::collections::VecDeque;
 
 use crate::PeId;
 
-/// PE-count threshold for [`DistanceMode::Auto`]: fabrics up to this
-/// size keep the dense table (covers the whole paper suite, ≤ 64 PEs,
-/// where exactness is free); bigger fabrics switch to the oracle.
-pub(crate) const DENSE_DISTANCE_LIMIT: usize = 128;
+/// PE count up to which a fabric keeps the dense table (covers the
+/// whole paper suite, ≤ 64 PEs, where exactness is free); bigger fabrics
+/// get the oracle.
+const DENSE_MAX_PES: usize = 128;
+
+/// Most PEs a fabric may have: the oracle names PEs by `u16`.
+pub(crate) const MAX_PES: usize = u16::MAX as usize;
 
 /// Exact-ball radius of the oracle. Mapper routes span few cycles, so
 /// almost every cone-pruning query lands in the exact regime; the
 /// landmark lower bound only has to cover long-haul queries.
 pub(crate) const EXACT_RADIUS: u8 = 8;
 
-/// How an [`crate::Accelerator`] indexes hop distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DistanceMode {
-    /// Dense table up to 128 PEs, landmark oracle beyond (the default).
-    #[default]
-    Auto,
-    /// Force the dense all-pairs table (exact, quadratic memory).
-    Dense,
-    /// Force the landmark oracle (near-linear memory, lower bounds
-    /// beyond the exact radius).
-    Oracle,
-}
-
-/// The distance index held by an accelerator: either the historical
-/// dense table or the landmark oracle.
+/// The distance index held by an accelerator: the dense table on
+/// fabrics up to 128 PEs, the landmark oracle beyond.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum DistanceIndex {
     Dense { n: usize, table: Vec<u16> },
@@ -77,15 +67,10 @@ pub(crate) enum DistanceIndex {
 }
 
 impl DistanceIndex {
-    /// Builds the index chosen by `mode` for the given link graph.
-    pub(crate) fn build(neighbors: &[Vec<PeId>], mode: DistanceMode) -> Self {
+    /// Builds the index the link graph's PE count calls for.
+    pub(crate) fn build(neighbors: &[Vec<PeId>]) -> Self {
         let n = neighbors.len();
-        let dense = match mode {
-            DistanceMode::Dense => true,
-            DistanceMode::Oracle => false,
-            DistanceMode::Auto => n <= DENSE_DISTANCE_LIMIT,
-        };
-        if dense {
+        if n <= DENSE_MAX_PES {
             DistanceIndex::Dense {
                 n,
                 table: dense_distances(neighbors),
@@ -151,11 +136,11 @@ impl DistanceOracle {
     ///
     /// # Panics
     ///
-    /// Panics on an empty graph or more than `u16::MAX` PEs.
+    /// Panics on an empty graph or more than [`MAX_PES`] PEs.
     pub(crate) fn build(neighbors: &[Vec<PeId>], radius: u8) -> Self {
         let n = neighbors.len();
         assert!(n > 0, "distance oracle needs at least one PE");
-        assert!(n <= usize::from(u16::MAX), "fabric too large for u16 ids");
+        assert!(n <= MAX_PES, "fabric too large for u16 ids");
         let fwd: Vec<Vec<u16>> = neighbors
             .iter()
             .map(|ns| ns.iter().map(|p| p.index() as u16).collect())
@@ -448,23 +433,11 @@ mod tests {
     #[test]
     fn auto_mode_switches_on_pe_count() {
         let small = irregular_digraph(16, 10, 1);
-        let big = irregular_digraph(DENSE_DISTANCE_LIMIT + 1, 10, 1);
-        assert_eq!(
-            DistanceIndex::build(&small, DistanceMode::Auto).kind(),
-            "dense"
-        );
-        assert_eq!(
-            DistanceIndex::build(&big, DistanceMode::Auto).kind(),
-            "oracle"
-        );
-        assert_eq!(
-            DistanceIndex::build(&big, DistanceMode::Dense).kind(),
-            "dense"
-        );
-        assert_eq!(
-            DistanceIndex::build(&small, DistanceMode::Oracle).kind(),
-            "oracle"
-        );
+        let edge = irregular_digraph(DENSE_MAX_PES, 10, 1);
+        let big = irregular_digraph(DENSE_MAX_PES + 1, 10, 1);
+        assert_eq!(DistanceIndex::build(&small).kind(), "dense");
+        assert_eq!(DistanceIndex::build(&edge).kind(), "dense");
+        assert_eq!(DistanceIndex::build(&big).kind(), "oracle");
     }
 
     /// Forcing the oracle on a fabric whose diameter fits in the ball
@@ -472,8 +445,9 @@ mod tests {
     #[test]
     fn forced_oracle_matches_dense_when_ball_covers_fabric() {
         let adj = irregular_digraph(40, 25, 3);
-        let dense = DistanceIndex::build(&adj, DistanceMode::Dense);
-        let oracle = DistanceIndex::build(&adj, DistanceMode::Oracle);
+        let dense = DistanceIndex::build(&adj);
+        assert_eq!(dense.kind(), "dense");
+        let oracle = DistanceIndex::Oracle(DistanceOracle::build(&adj, EXACT_RADIUS));
         let n = adj.len();
         for from in 0..n {
             for to in 0..n {

@@ -30,7 +30,6 @@ pub mod power;
 pub use accelerator::{
     Accelerator, AcceleratorKind, Heterogeneity, Interconnect, MemoryConnectivity,
 };
-pub use distance::DistanceMode;
 pub use error::ArchError;
 pub use mrrg::{Mrrg, Resource};
 pub use pe::{Coord, PeId};

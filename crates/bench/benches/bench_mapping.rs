@@ -17,7 +17,7 @@ use lisa_events::{PipelineEvent, RecordingObserver};
 use lisa_gnn::TrainConfig;
 use lisa_labels::movement::{MovementPredictor, MovementRecorder};
 use lisa_mapper::exact::{ExactMapper, ExactParams};
-use lisa_mapper::sa::{movement_throughput, MovementEngine};
+use lisa_mapper::sa::movement_throughput;
 use lisa_mapper::schedule::{IiMapper, IiSearch};
 use lisa_mapper::{
     anneal_chain, ConstructiveStrategy, FilterStats, GuidanceLabels, LabelSaMapper, SaParams,
@@ -66,14 +66,7 @@ fn main() {
     let acc3 = Accelerator::cgra("3x3", 3, 3);
     const MOVES: u32 = 200;
     suite.bench("movement/fig4_3x3/journal", || {
-        std::hint::black_box(movement_throughput(
-            &fig4,
-            &acc3,
-            3,
-            42,
-            MOVES,
-            MovementEngine::Journal,
-        ));
+        std::hint::black_box(movement_throughput(&fig4, &acc3, 3, 42, MOVES));
     });
 
     // Label pricing: the label-aware annealer (initial labels) on the
@@ -120,14 +113,7 @@ fn main() {
             "bytes",
         );
         suite.bench(&format!("movement/fig4_{key}/journal"), || {
-            std::hint::black_box(movement_throughput(
-                &fig4,
-                &big,
-                3,
-                42,
-                MOVES,
-                MovementEngine::Journal,
-            ));
+            std::hint::black_box(movement_throughput(&fig4, &big, 3, 42, MOVES));
         });
         suite.bench(&format!("e2e/doitgen_{key}/constructive"), || {
             let outcome = IiSearch { max_ii: Some(8) }

@@ -5,14 +5,20 @@
 //! op sequence (`lisa-gnn`'s compiled plans) once, at construction time.
 //! [`CompiledModel::predict`] then derives a DFG's labels with no graph
 //! dispatch and no per-call parameter copies, bit-identical to each
-//! network's training forward (pinned by `lisa-gnn`'s plan tests).
+//! network's training forward (pinned by `lisa-gnn`'s plan tests). The
+//! pipeline scores the Table II holdout with the same plans
+//! ([`CompiledModel::accuracy`]) before it hands them to the instance.
 
 use lisa_dfg::Dfg;
 use lisa_gnn::dataset::{ContextEdgeSample, NodeGraphSample};
+use lisa_gnn::metrics::{try_accuracy, LabelKind};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
 use lisa_gnn::{CompiledEdgeMlp, CompiledScheduleOrder, CompiledSpatial, PlanScratch};
 use lisa_labels::attributes::DfgAttributes;
+use lisa_labels::TrainingSet;
 use lisa_mapper::GuidanceLabels;
+
+use crate::report::LabelAccuracy;
 
 /// The four label networks frozen into compiled inference plans.
 #[derive(Debug, Clone)]
@@ -94,5 +100,46 @@ impl CompiledModel {
                 temporal,
             }
         })
+    }
+    /// The Table II accuracy row of the four networks on `set`, swept
+    /// with one warm scratch. An empty split yields `None` for its
+    /// label, rendered "n/a" instead of a fake 0.0 score.
+    pub(crate) fn accuracy(&self, set: &TrainingSet) -> LabelAccuracy {
+        let (order_preds, order_truths, sl_preds, sp_preds, tp_preds) =
+            PlanScratch::with(|scratch| {
+                let mut order_preds = Vec::new();
+                let mut order_truths = Vec::new();
+                for g in &set.node_graphs {
+                    order_preds.extend(self.schedule.predict(scratch, g));
+                    order_truths.extend(g.targets.iter().copied());
+                }
+                let sl_preds: Vec<f64> = set
+                    .same_level
+                    .iter()
+                    .map(|s| self.same_level.predict(scratch, &s.attrs))
+                    .collect();
+                let sp_preds: Vec<f64> = set
+                    .spatial
+                    .iter()
+                    .map(|s| self.spatial.predict(scratch, s))
+                    .collect();
+                let tp_preds: Vec<f64> = set
+                    .temporal
+                    .iter()
+                    .map(|s| self.temporal.predict(scratch, &s.attrs))
+                    .collect();
+                (order_preds, order_truths, sl_preds, sp_preds, tp_preds)
+            });
+        let sl_truths: Vec<f64> = set.same_level.iter().map(|s| s.target).collect();
+        let sp_truths: Vec<f64> = set.spatial.iter().map(|s| s.target).collect();
+        let tp_truths: Vec<f64> = set.temporal.iter().map(|s| s.target).collect();
+        LabelAccuracy {
+            values: [
+                try_accuracy(LabelKind::ScheduleOrder, &order_preds, &order_truths),
+                try_accuracy(LabelKind::SameLevel, &sl_preds, &sl_truths),
+                try_accuracy(LabelKind::Spatial, &sp_preds, &sp_truths),
+                try_accuracy(LabelKind::Temporal, &tp_preds, &tp_truths),
+            ],
+        }
     }
 }

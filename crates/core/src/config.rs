@@ -21,9 +21,6 @@ pub struct LisaConfig {
     pub filter: FilterConfig,
     /// GNN training recipe (§VI-B).
     pub train: TrainConfig,
-    /// Fraction of labelled DFGs held out for the Table II accuracy
-    /// evaluation (by graph, so no leakage between sample types).
-    pub holdout_fraction: f64,
     /// Annealer parameters used at inference time (the final label-aware
     /// mapping of new DFGs).
     pub sa: SaParams,
@@ -53,7 +50,6 @@ impl Default for LisaConfig {
             iter_gen: IterGenConfig::default(),
             filter: FilterConfig::default(),
             train: TrainConfig::paper(),
-            holdout_fraction: 0.2,
             sa: SaParams::paper(),
             strategy: StrategySpec::default(),
             parallelism: lisa_mapper::portfolio::available_parallelism(),
@@ -99,7 +95,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = LisaConfig::default();
         assert!(c.training_dfgs > 0);
-        assert!(c.holdout_fraction > 0.0 && c.holdout_fraction < 1.0);
         assert_eq!(c.train.epochs, 500);
     }
 

@@ -5,20 +5,15 @@
 //! mapping method, filter them, and train the four GNN label networks.
 //! The resulting [`Lisa`] instance then serves the right column: given a
 //! new DFG, [`Lisa::predict_labels`] derives the labels in milliseconds
-//! and [`Lisa::map`] runs the label-aware simulated annealing with them.
-
-use std::sync::Arc;
+//! and [`Lisa::map_capped`] runs the label-aware simulated annealing with
+//! them.
 
 use lisa_arch::Accelerator;
 use lisa_dfg::Dfg;
-use lisa_events::EventSink;
-use lisa_gnn::metrics::{try_accuracy, LabelKind};
 use lisa_gnn::models::{EdgeMlp, ScheduleOrderNet, SpatialNet};
-use lisa_gnn::PlanScratch;
 use lisa_labels::attributes::{DUMMY_ATTR_DIM, EDGE_ATTR_DIM, NODE_ATTR_DIM};
-use lisa_labels::TrainingSet;
 use lisa_mapper::schedule::IiSearch;
-use lisa_mapper::{GuidanceLabels, LabelSaMapper, Mapping, MappingOutcome, MovementScorer};
+use lisa_mapper::{GuidanceLabels, LabelSaMapper, Mapping, MappingOutcome, StrategySpec};
 
 use crate::compiled::CompiledModel;
 use crate::pipeline::{Pipeline, TrainError};
@@ -39,7 +34,7 @@ use crate::LisaConfig;
 /// let acc = Accelerator::cgra("4x4", 4, 4);
 /// let lisa = Lisa::train_for(&acc, &LisaConfig::default())?;
 /// let dfg = polybench::kernel("gemm")?;
-/// let (outcome, _mapping) = lisa.map(&dfg, &acc);
+/// let (outcome, _mapping) = lisa.map_capped(&dfg, &acc, acc.max_ii());
 /// println!("gemm on 4x4: II = {:?}", outcome.ii);
 /// # Ok(())
 /// # }
@@ -59,12 +54,6 @@ pub struct Lisa {
     /// the instance is built or imported (see [`Lisa::digest`]).
     digest: u64,
     stats: TrainingStats,
-    /// Optional predict-then-verify movement filter, shared read-only by
-    /// every annealing chain this instance drives.
-    movement_filter: Option<Arc<dyn MovementScorer>>,
-    /// Observer for inference-time annealing events (movement samples,
-    /// filter summaries, SA snapshots). Null by default.
-    sink: EventSink,
 }
 
 impl Lisa {
@@ -87,7 +76,8 @@ impl Lisa {
     }
 
     /// Assembles an instance from trained parts (the pipeline's final
-    /// stage) and takes its digest from one export.
+    /// stage), with `compiled` frozen from the four networks, and takes
+    /// its digest from one export.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         accelerator_name: String,
@@ -96,10 +86,9 @@ impl Lisa {
         same_level_net: EdgeMlp,
         spatial_net: SpatialNet,
         temporal_net: EdgeMlp,
+        compiled: CompiledModel,
         stats: TrainingStats,
     ) -> Lisa {
-        let compiled =
-            CompiledModel::freeze(&schedule_net, &same_level_net, &spatial_net, &temporal_net);
         let mut lisa = Lisa {
             accelerator_name,
             config,
@@ -110,21 +99,9 @@ impl Lisa {
             compiled,
             digest: 0,
             stats,
-            movement_filter: None,
-            sink: EventSink::null(),
         };
         lisa.digest = fnv1a64(lisa.export_model().as_bytes());
         lisa
-    }
-
-    /// Attaches a predict-then-verify movement filter; every subsequent
-    /// mapping call gates its router with it (all lanes share the one
-    /// immutable scorer). Quality remains exact-by-construction:
-    /// the filter only skips routing of rejected proposals, every
-    /// accepted state is priced by the exact incremental cost.
-    pub fn with_movement_filter(mut self, filter: Arc<dyn MovementScorer>) -> Lisa {
-        self.movement_filter = Some(filter);
-        self
     }
 
     /// Name of the accelerator this instance was trained for.
@@ -159,42 +136,13 @@ impl Lisa {
         self.compiled.predict(dfg)
     }
 
-    /// Maps a DFG with GNN-predicted labels and the label-aware SA, driving
-    /// the ascending II search. Returns the outcome metrics and, on
-    /// success, the mapping.
-    pub fn map<'a>(
-        &self,
-        dfg: &'a Dfg,
-        acc: &'a Accelerator,
-    ) -> (MappingOutcome, Option<Mapping<'a>>) {
-        let labels = self.predict_labels(dfg);
-        let mapper = self.build_mapper(labels, self.config.seed, &self.config.strategy);
-        IiSearch::default().run(&mapper, dfg, acc, self.config.parallelism)
-    }
-
-    /// Streams inference-time annealing events (movement samples, filter
-    /// summaries, SA snapshots) into `sink`. Events never change the
-    /// trajectory; the null sink restores silence.
-    pub fn with_observer(mut self, sink: EventSink) -> Lisa {
-        self.sink = sink;
-        self
-    }
-
-    /// Builds the inference-time mapper, attaching the strategy mix, the
-    /// movement filter, and the observer when configured.
-    fn build_mapper(
-        &self,
-        labels: GuidanceLabels,
-        seed: u64,
-        strategy: &lisa_mapper::StrategySpec,
-    ) -> LabelSaMapper {
-        let mut mapper = LabelSaMapper::new(labels, self.config.sa.clone(), seed)
+    /// The inference-time mapper for `dfg`: the label-aware annealer on
+    /// the labels this model predicts for it, racing `strategy`'s lanes,
+    /// with the configured annealer parameters and `seed`. Attach a
+    /// movement filter or an observer to it before driving its II search.
+    pub fn mapper(&self, dfg: &Dfg, seed: u64, strategy: &StrategySpec) -> LabelSaMapper {
+        LabelSaMapper::new(self.predict_labels(dfg), self.config.sa.clone(), seed)
             .with_strategy(strategy.clone())
-            .with_observer(self.sink.clone());
-        if let Some(f) = &self.movement_filter {
-            mapper = mapper.with_movement_filter(Arc::clone(f));
-        }
-        mapper
     }
 
     /// Serialises the trained model (the four label networks) to the
@@ -260,13 +208,13 @@ impl Lisa {
                 final_losses: [None; 4],
                 accuracy: LabelAccuracy { values: [None; 4] },
             },
-            movement_filter: None,
-            sink: EventSink::null(),
         })
     }
 
-    /// Maps with an II-search cap (used by the experiment harness to bound
-    /// run times).
+    /// Maps a DFG with GNN-predicted labels and the label-aware SA, driving
+    /// the ascending II search up to `max_ii` with the configured seed,
+    /// strategy and parallelism. Returns the outcome metrics and, on
+    /// success, the mapping.
     pub fn map_capped<'a>(
         &self,
         dfg: &'a Dfg,
@@ -294,11 +242,10 @@ impl Lisa {
         acc: &'a Accelerator,
         seed: u64,
         max_ii: u32,
-        strategy: &lisa_mapper::StrategySpec,
+        strategy: &StrategySpec,
         parallelism: usize,
     ) -> (MappingOutcome, Option<Mapping<'a>>) {
-        let labels = self.predict_labels(dfg);
-        let mapper = self.build_mapper(labels, seed, strategy);
+        let mapper = self.mapper(dfg, seed, strategy);
         IiSearch {
             max_ii: Some(max_ii),
         }
@@ -306,62 +253,13 @@ impl Lisa {
     }
 }
 
-pub(crate) fn evaluate_accuracy(
-    schedule_net: &ScheduleOrderNet,
-    same_level_net: &EdgeMlp,
-    spatial_net: &SpatialNet,
-    temporal_net: &EdgeMlp,
-    set: &TrainingSet,
-) -> LabelAccuracy {
-    // Compiled plans and one warm scratch for the whole holdout sweep.
-    let schedule = schedule_net.compile();
-    let same_level = same_level_net.compile();
-    let spatial = spatial_net.compile();
-    let temporal = temporal_net.compile();
-    let (order_preds, order_truths, sl_preds, sp_preds, tp_preds) = PlanScratch::with(|scratch| {
-        let mut order_preds = Vec::new();
-        let mut order_truths = Vec::new();
-        for g in &set.node_graphs {
-            order_preds.extend(schedule.predict(scratch, g));
-            order_truths.extend(g.targets.iter().copied());
-        }
-        let sl_preds: Vec<f64> = set
-            .same_level
-            .iter()
-            .map(|s| same_level.predict(scratch, &s.attrs))
-            .collect();
-        let sp_preds: Vec<f64> = set
-            .spatial
-            .iter()
-            .map(|s| spatial.predict(scratch, s))
-            .collect();
-        let tp_preds: Vec<f64> = set
-            .temporal
-            .iter()
-            .map(|s| temporal.predict(scratch, &s.attrs))
-            .collect();
-        (order_preds, order_truths, sl_preds, sp_preds, tp_preds)
-    });
-    let sl_truths: Vec<f64> = set.same_level.iter().map(|s| s.target).collect();
-    let sp_truths: Vec<f64> = set.spatial.iter().map(|s| s.target).collect();
-    let tp_truths: Vec<f64> = set.temporal.iter().map(|s| s.target).collect();
-
-    // `try_accuracy` yields None for an empty split: a fully-filtered
-    // holdout renders "n/a" in Table II instead of a fake 0.0 score.
-    LabelAccuracy {
-        values: [
-            try_accuracy(LabelKind::ScheduleOrder, &order_preds, &order_truths),
-            try_accuracy(LabelKind::SameLevel, &sl_preds, &sl_truths),
-            try_accuracy(LabelKind::Spatial, &sp_preds, &sp_truths),
-            try_accuracy(LabelKind::Temporal, &tp_preds, &tp_truths),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lisa_dfg::polybench;
+    use lisa_labels::TrainingSet;
+    use lisa_mapper::MovementScorer;
+    use std::sync::Arc;
 
     fn trained_fast() -> (Lisa, Accelerator) {
         let acc = Accelerator::cgra("4x4", 4, 4);
@@ -402,13 +300,16 @@ mod tests {
     #[test]
     fn filtered_mapping_verifies_and_is_thread_count_invariant() {
         let (lisa, acc) = trained_fast();
-        let lisa = lisa.with_movement_filter(Arc::new(HalfScorer));
         let dfg = polybench::kernel("doitgen").unwrap();
-        let (outcome, mapping) = lisa.map_request(&dfg, &acc, 2022, 8, &Default::default(), 1);
+        let mapper = lisa
+            .mapper(&dfg, 2022, &StrategySpec::default())
+            .with_movement_filter(Arc::new(HalfScorer));
+        let search = IiSearch { max_ii: Some(8) };
+        let (outcome, mapping) = search.run(&mapper, &dfg, &acc, 1);
         assert!(outcome.mapped(), "filtered LISA should still map doitgen");
         let seq = mapping.unwrap();
         seq.verify().unwrap();
-        let (outcome4, mapping4) = lisa.map_request(&dfg, &acc, 2022, 8, &Default::default(), 4);
+        let (outcome4, mapping4) = search.run(&mapper, &dfg, &acc, 4);
         assert_eq!(outcome.ii, outcome4.ii);
         assert_eq!(format!("{seq:?}"), format!("{:?}", mapping4.unwrap()));
     }
@@ -432,7 +333,8 @@ mod tests {
         let spatial = SpatialNet::new(EDGE_ATTR_DIM, 3);
         let temporal = EdgeMlp::new(EDGE_ATTR_DIM, 4);
         let empty = TrainingSet::default();
-        let acc = evaluate_accuracy(&schedule, &same_level, &spatial, &temporal, &empty);
+        let acc =
+            CompiledModel::freeze(&schedule, &same_level, &spatial, &temporal).accuracy(&empty);
         assert_eq!(acc.values, [None; 4]);
         let row = acc.table_row("4x4");
         assert!(row.contains("n/a"), "row was {row:?}");

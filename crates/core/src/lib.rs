@@ -13,7 +13,8 @@
 //!    and routes with a global view of the DFG structure (`lisa-mapper`).
 //!
 //! The central type is [`Lisa`]: train once per accelerator with
-//! [`Lisa::train_for`], then call [`Lisa::map`] for every application DFG.
+//! [`Lisa::train_for`], then call [`Lisa::map_capped`] for every
+//! application DFG.
 //!
 //! # Quickstart
 //!

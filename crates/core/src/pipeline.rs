@@ -58,7 +58,8 @@ use lisa_labels::{filter, generate_labels_with, TrainingSet};
 use lisa_mapper::portfolio::{par_map, par_stream};
 use lisa_mapper::GuidanceLabels;
 
-use crate::framework::{evaluate_accuracy, Lisa};
+use crate::compiled::CompiledModel;
+use crate::framework::Lisa;
 use crate::report::TrainingStats;
 use crate::LisaConfig;
 
@@ -480,8 +481,10 @@ impl<'a> Pipeline<'a> {
             });
         }
 
-        // Split by graph, so no leakage between sample types.
-        let holdout_len = ((labelled.len() as f64) * self.config.holdout_fraction).round() as usize;
+        // Split by graph, so no leakage between sample types. A fifth of
+        // the graphs is held out for the Table II accuracy evaluation.
+        const HOLDOUT_FRACTION: f64 = 0.2;
+        let holdout_len = ((labelled.len() as f64) * HOLDOUT_FRACTION).round() as usize;
         let holdout_len = holdout_len.min(labelled.len().saturating_sub(1));
         let (train_graphs, holdout_graphs) = labelled.split_at(labelled.len() - holdout_len);
 
@@ -579,13 +582,15 @@ impl<'a> Pipeline<'a> {
         } else {
             &split.holdout
         };
-        let accuracy = evaluate_accuracy(
+        // Frozen once: the holdout is scored with the plans the
+        // instance then serves.
+        let compiled = CompiledModel::freeze(
             &nets.schedule_net,
             &nets.same_level_net,
             &nets.spatial_net,
             &nets.temporal_net,
-            eval_set,
         );
+        let accuracy = compiled.accuracy(eval_set);
         let stats = TrainingStats {
             dfgs_generated,
             dfgs_labelled: split.labelled,
@@ -601,6 +606,7 @@ impl<'a> Pipeline<'a> {
             nets.same_level_net,
             nets.spatial_net,
             nets.temporal_net,
+            compiled,
             stats,
         );
         if let Some(dir) = &self.checkpoint {

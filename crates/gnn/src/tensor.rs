@@ -215,7 +215,7 @@ impl Tensor {
 
     /// Accumulates `self += a · bᵀ` (see [`Self::matmul_t`]).
     ///
-    /// Tiled like [`matmul_kernel`]: four rows of `a` are processed per
+    /// Tiled like `matmul_kernel`: four rows of `a` are processed per
     /// pass, so each streamed row of `b` feeds four independent dot-product
     /// accumulators. Every `(r, c)` entry still reduces over the shared
     /// column dimension in ascending order with its own scalar accumulator,

@@ -666,7 +666,7 @@ impl<'a> Mapping<'a> {
 
     /// Routing-cell count recomputed by scanning the occupancy grid: the
     /// independent reference `verify` checks the running counter
-    /// against, and part of [`crate::sa::mapping_cost_scan`].
+    /// against.
     pub fn routing_cells_scan(&self) -> usize {
         self.cells
             .iter()

@@ -9,7 +9,7 @@
 //! finished prefix grows). [`par_map`] collects over it; it backs the
 //! wave-parallel II search ([`crate::schedule::IiSearch::run`]) and the
 //! pipeline's four label networks. A lane race itself runs on the calling
-//! thread ([`crate::strategy`]). [`chain_seed`] derives each lane's RNG
+//! thread ([`crate::strategy`]). `chain_seed` derives each lane's RNG
 //! seed from its index, so a race's outcome is a pure function of its
 //! seed.
 //!

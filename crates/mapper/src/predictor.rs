@@ -27,8 +27,8 @@ use lisa_events::{Observer, PipelineEvent};
 use crate::mapping::Placement;
 use crate::Mapping;
 
-/// Width of the movement feature vector built by
-/// [`movement_features_into`].
+/// Width of the movement feature vector the annealer builds for each
+/// proposed movement (`movement_features_into`).
 pub const MOVEMENT_FEATURE_DIM: usize = 14;
 
 /// Scores a proposed movement from its feature vector, before routing.

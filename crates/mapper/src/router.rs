@@ -165,7 +165,8 @@ impl<F: Fn(usize, u32) -> Option<u32>> Search<'_, '_, F> {
     /// *any* true lower bound: on big fabrics `hop_distance` comes from a
     /// landmark oracle that may under-estimate far distances, which only
     /// admits extra dead-end states — never changes the route (tested
-    /// below against the dense index).
+    /// below against the reference router, which prunes by exact BFS
+    /// distances).
     fn reachable(&self, pe: PeId, layer: usize) -> bool {
         self.mrrg.accelerator().hop_distance(pe, self.dst_pe) as usize <= self.layers - layer
     }
@@ -229,29 +230,6 @@ impl<F: Fn(usize, u32) -> Option<u32>> Search<'_, '_, F> {
             }
         }
     }
-}
-
-/// Finds a minimum-new-cost route with a throwaway scratch. Convenience
-/// wrapper over [`find_route_in`] for one-off calls and tests; hot paths
-/// (the annealer) reuse a scratch instead.
-pub fn find_route(
-    mrrg: &Mrrg<'_>,
-    src_pe: PeId,
-    src_time: u32,
-    dst_pe: PeId,
-    dst_time: u32,
-    step_cost: impl Fn(usize, u32) -> Option<u32>,
-) -> Option<Vec<RouteStep>> {
-    let mut scratch = RouterScratch::default();
-    find_route_in(
-        &mut scratch,
-        mrrg,
-        src_pe,
-        src_time,
-        dst_pe,
-        dst_time,
-        step_cost,
-    )
 }
 
 /// Finds a minimum-new-cost route.
@@ -361,14 +339,43 @@ pub fn find_route_in(
 /// oracle the rewrite is tested against: it expands `Resource` successors
 /// with [`Mrrg::moves_from_into`], prices `(resource, time)` pairs, keeps
 /// a resource per state and a `(cost, dense index)` tuple per heap entry.
+/// It prunes by exact hop distances from [`hop_table`], not by the
+/// accelerator's index, so it also checks that the landmark oracle's
+/// lower bounds change no route.
 #[cfg(test)]
 mod reference {
     use super::*;
+    use lisa_arch::Accelerator;
+    use std::collections::VecDeque;
 
     const NO_PARENT: usize = usize::MAX;
 
-    pub(super) fn find_route(
+    /// All-pairs minimum hop counts over `acc`'s links by BFS, at
+    /// `from * pes + to`, `u32::MAX` when unreachable.
+    pub(super) fn hop_table(acc: &Accelerator) -> Vec<u32> {
+        let pes = acc.pe_count();
+        let mut table = vec![u32::MAX; pes * pes];
+        let mut queue = VecDeque::new();
+        for src in 0..pes {
+            let row = &mut table[src * pes..(src + 1) * pes];
+            row[src] = 0;
+            queue.push_back(PeId::new(src));
+            while let Some(u) = queue.pop_front() {
+                for &v in acc.neighbors(u) {
+                    if row[v.index()] == u32::MAX {
+                        row[v.index()] = row[u.index()] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn route(
         mrrg: &Mrrg<'_>,
+        exact: &[u32],
         src_pe: PeId,
         src_time: u32,
         dst_pe: PeId,
@@ -389,9 +396,10 @@ mod reference {
         let mut resource: Vec<Option<Resource>> = vec![None; state_count];
         let mut heap = BinaryHeap::new();
         let mut moves = Vec::new();
-        let acc = mrrg.accelerator();
-        let reachable =
-            |r: Resource, layer: usize| acc.hop_distance(r.pe(), dst_pe) as usize <= layers - layer;
+        let pes = mrrg.accelerator().pe_count();
+        let reachable = |r: Resource, layer: usize| {
+            exact[r.pe().index() * pes + dst_pe.index()] as usize <= layers - layer
+        };
 
         mrrg.moves_from_into(Resource::Fu(src_pe), &mut moves);
         for &r in &moves {
@@ -470,11 +478,32 @@ mod tests {
         Some(1)
     }
 
+    /// One search on a fresh scratch.
+    fn route(
+        mrrg: &Mrrg<'_>,
+        src_pe: PeId,
+        src_time: u32,
+        dst_pe: PeId,
+        dst_time: u32,
+        step_cost: impl Fn(usize, u32) -> Option<u32>,
+    ) -> Option<Vec<RouteStep>> {
+        let mut scratch = RouterScratch::default();
+        find_route_in(
+            &mut scratch,
+            mrrg,
+            src_pe,
+            src_time,
+            dst_pe,
+            dst_time,
+            step_cost,
+        )
+    }
+
     #[test]
     fn adjacent_direct_route_is_empty() {
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 2).unwrap();
-        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(1), 1, any_usable).unwrap();
+        let steps = route(&mrrg, PeId::new(0), 0, PeId::new(1), 1, any_usable).unwrap();
         assert!(steps.is_empty());
     }
 
@@ -483,7 +512,7 @@ mod tests {
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 2).unwrap();
         // PE0 and PE3 are diagonal: not linked.
-        let r = find_route(&mrrg, PeId::new(0), 0, PeId::new(3), 1, any_usable);
+        let r = route(&mrrg, PeId::new(0), 0, PeId::new(3), 1, any_usable);
         assert!(r.is_none());
     }
 
@@ -491,7 +520,7 @@ mod tests {
     fn two_cycle_route_crosses_diagonal() {
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 4).unwrap();
-        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(3), 2, any_usable).unwrap();
+        let steps = route(&mrrg, PeId::new(0), 0, PeId::new(3), 2, any_usable).unwrap();
         assert_eq!(steps.len(), 1);
         assert_eq!(steps[0].time, 1);
         // Intermediate must be FU(1) or FU(2) (a register on PE0 cannot
@@ -507,7 +536,7 @@ mod tests {
         // Same source and destination PE, 3 cycles apart: hold in regs.
         let acc = Accelerator::cgra("2x2", 2, 2);
         let mrrg = Mrrg::new(&acc, 8).unwrap();
-        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(0), 3, any_usable).unwrap();
+        let steps = route(&mrrg, PeId::new(0), 0, PeId::new(0), 3, any_usable).unwrap();
         assert_eq!(steps.len(), 2);
     }
 
@@ -518,11 +547,11 @@ mod tests {
         // 0 -> 2 in 2 cycles must pass FU(1)@1; block it.
         let fu1 = mrrg.index_at(Resource::Fu(PeId::new(1)), 1);
         let blocked = |cell: usize, t: u32| (!(cell == fu1 && t == 1)).then_some(1);
-        let route = find_route(&mrrg, PeId::new(0), 0, PeId::new(2), 2, blocked);
-        assert!(route.is_none());
+        let route2 = route(&mrrg, PeId::new(0), 0, PeId::new(2), 2, blocked);
+        assert!(route2.is_none());
         // With 3 cycles there is still no path avoiding FU(1)@1? The value
         // can wait on FU(0)@1 then FU(1)@2 then consume at 3.
-        let route3 = find_route(&mrrg, PeId::new(0), 0, PeId::new(2), 3, blocked).unwrap();
+        let route3 = route(&mrrg, PeId::new(0), 0, PeId::new(2), 3, blocked).unwrap();
         assert_eq!(route3.len(), 2);
     }
 
@@ -531,59 +560,11 @@ mod tests {
         let acc = Accelerator::cgra("3x3", 3, 3);
         let mrrg = Mrrg::new(&acc, 8).unwrap();
         // 0 -> 8 in 4 cycles: exactly Manhattan distance, 3 intermediates.
-        let steps = find_route(&mrrg, PeId::new(0), 0, PeId::new(8), 4, any_usable).unwrap();
+        let steps = route(&mrrg, PeId::new(0), 0, PeId::new(8), 4, any_usable).unwrap();
         assert_eq!(steps.len(), 3);
         // All steps must be FU hops on a monotone staircase.
         for s in &steps {
             assert!(s.resource.is_fu());
-        }
-    }
-
-    /// The result-identity contract of cone pruning: on a fabric big
-    /// enough that the landmark oracle is in play (12×12, beyond the
-    /// dense auto-threshold) every route — short, long-haul past the
-    /// oracle's exact radius, congested, or infeasible — must be
-    /// byte-identical to the one found with the exact dense table.
-    #[test]
-    fn oracle_and_dense_indexes_route_identically() {
-        use lisa_arch::DistanceMode;
-
-        let oracle = Accelerator::cgra("12x12", 12, 12);
-        let dense = Accelerator::cgra("12x12", 12, 12).with_distance_mode(DistanceMode::Dense);
-        assert_eq!(oracle.distance_index_kind(), "oracle");
-        assert_eq!(dense.distance_index_kind(), "dense");
-        let mrrg_o = Mrrg::new(&oracle, 4).unwrap();
-        let mrrg_d = Mrrg::new(&dense, 4).unwrap();
-
-        // Congestion pattern: scattered FUs unusable at odd cycles.
-        let per_slot = mrrg_o.resources_per_slot();
-        let congested = |cell: usize, t: u32| {
-            let fu_blocked =
-                matches!(mrrg_o.resource(cell % per_slot), Resource::Fu(p) if p.index() % 7 == 3);
-            (!(fu_blocked && t % 2 == 1)).then_some(1)
-        };
-        // (src, dst, latency): corner-to-corner crosses Manhattan 22,
-        // far beyond the oracle's exact radius; the tight case gives the
-        // route zero slack; the short case stays inside the exact ball.
-        let cases = [
-            (0usize, 143usize, 23u32),
-            (0, 143, 26),
-            (12, 140, 20),
-            (5, 5, 3),
-            (0, 7, 8),
-            (130, 2, 24),
-            (0, 143, 12), // infeasible: latency below Manhattan distance
-        ];
-        for (src, dst, latency) in cases {
-            for cost in [
-                &any_usable as &dyn Fn(usize, u32) -> Option<u32>,
-                &congested,
-            ] {
-                let (src, dst) = (PeId::new(src), PeId::new(dst));
-                let ro = find_route(&mrrg_o, src, 0, dst, latency, cost);
-                let rd = find_route(&mrrg_d, src, 0, dst, latency, cost);
-                assert_eq!(ro, rd, "route diverged for {src}->{dst}@{latency}");
-            }
         }
     }
 
@@ -593,10 +574,10 @@ mod tests {
         let mrrg = Mrrg::new(&acc, 1).unwrap();
         // Leftward route is impossible at any latency (links forward-only,
         // and at II=1 every wait slot collides with itself; use latency 2).
-        let back = find_route(&mrrg, PeId::new(1), 0, PeId::new(0), 2, any_usable);
+        let back = route(&mrrg, PeId::new(1), 0, PeId::new(0), 2, any_usable);
         assert!(back.is_none());
         // Forward works.
-        let fwd = find_route(&mrrg, PeId::new(0), 0, PeId::new(1), 1, any_usable);
+        let fwd = route(&mrrg, PeId::new(0), 0, PeId::new(1), 1, any_usable);
         assert!(fwd.is_some());
     }
 
@@ -625,8 +606,10 @@ mod tests {
         /// reference router returns, `None` included, over random
         /// occupancy, endpoints and latencies on eight fabrics: 0, 1, 2
         /// and 4 registers per PE, reduced memory, a systolic array, and
-        /// the 12×12 on the landmark distance oracle. Latencies reach
-        /// twice the fabric's span, so values wait in registers.
+        /// the 12×12 on the landmark distance oracle, where the reference's
+        /// exact pruning also checks the oracle's lower bounds. Latencies
+        /// reach twice the fabric's span, so values wait in registers and
+        /// routes run past the oracle's exact radius.
         fn router_matches_the_reference_router(
             fabric in 0usize..8,
             ii in 1u32..7,
@@ -646,6 +629,7 @@ mod tests {
             assert_eq!(acc.distance_index_kind() == "oracle", fabric == 4);
             let ii = ii.min(acc.max_ii());
             let mrrg = Mrrg::new(&acc, ii).unwrap();
+            let exact = reference::hop_table(&acc);
             let mut rng = Rng::seed_from_u64(seed);
             let per_slot = mrrg.resources_per_slot();
             // Latencies past twice the fabric's span and below the hop
@@ -680,9 +664,15 @@ mod tests {
                     src_time + latency,
                     |cell, t| price(cells[cell], t),
                 );
-                let want = reference::find_route(&mrrg, src, src_time, dst, src_time + latency, |r, t| {
-                    price(cells[mrrg.index_at(r, t)], t)
-                });
+                let want = reference::route(
+                    &mrrg,
+                    &exact,
+                    src,
+                    src_time,
+                    dst,
+                    src_time + latency,
+                    |r, t| price(cells[mrrg.index_at(r, t)], t),
+                );
                 assert_eq!(got, want, "{src}@{src_time} -> {dst}@{}", src_time + latency);
             }
         }

@@ -44,9 +44,11 @@ pub struct SaParams {
     /// Wall-clock budget per target II ("not exceed time limitation",
     /// Algorithm 1 line 1).
     pub time_limit: Duration,
-    /// Maximum number of nodes unmapped per movement.
-    pub max_unmap: usize,
 }
+
+/// Most nodes one movement unmaps; each movement draws its count from
+/// `1..=MAX_UNMAP`.
+const MAX_UNMAP: usize = 3;
 
 impl SaParams {
     /// Paper-scale parameters: 50 movements per temperature.
@@ -57,7 +59,6 @@ impl SaParams {
             cooling: 0.95,
             min_temp: 0.4,
             time_limit: Duration::from_secs(10),
-            max_unmap: 3,
         }
     }
 
@@ -77,7 +78,6 @@ impl SaParams {
             cooling: 0.85,
             min_temp: 1.0,
             time_limit: Duration::from_secs(2),
-            max_unmap: 3,
         }
     }
 }
@@ -163,25 +163,6 @@ impl AcceptTest {
         new_cost <= self.cost
             || self.variate.take().unwrap_or_else(|| rng.gen()) < self.probability(new_cost)
     }
-}
-
-/// The pre-journal cost function: identical value to [`mapping_cost`] but
-/// recomputed by scanning placements, routes, and the occupancy grid —
-/// exactly what every movement paid before the incremental counters. It
-/// prices the [`MovementEngine::SnapshotClone`] reference engine, whose
-/// trajectory the journal engine must reproduce exactly (pinned by a
-/// unit test).
-pub fn mapping_cost_scan(m: &Mapping<'_>) -> f64 {
-    let lateness: u64 = m
-        .dfg()
-        .node_ids()
-        .filter_map(|n| m.placement(n))
-        .map(|p| u64::from(p.time))
-        .sum();
-    1000.0 * m.unplaced_nodes().len() as f64
-        + 100.0 * m.unrouted_edges().len() as f64
-        + m.routing_cells_scan() as f64
-        + 0.01 * lateness as f64
 }
 
 /// All feasible `(pe, time)` slots for `node`, bounded by its placed data
@@ -287,11 +268,77 @@ fn bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The per-cell candidate scan the bitset listing replaced: the oracle
-/// of its property test, like `router::reference` for the router.
+/// What the fast paths replaced, kept as their test oracles (like
+/// `router::reference` for the router): the per-cell candidate scan the
+/// bitset listing replaced, and the movement engine the journal
+/// replaced, which deep-clones the mapping per movement and prices it by
+/// rescanning.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+
+    /// [`mapping_cost`] recomputed by scanning placements, routes and
+    /// the occupancy grid, as every movement paid before the running
+    /// counters.
+    pub(crate) fn mapping_cost_scan(m: &Mapping<'_>) -> f64 {
+        let lateness: u64 = m
+            .dfg()
+            .node_ids()
+            .filter_map(|n| m.placement(n))
+            .map(|p| u64::from(p.time))
+            .sum();
+        1000.0 * m.unplaced_nodes().len() as f64
+            + 100.0 * m.unrouted_edges().len() as f64
+            + m.routing_cells_scan() as f64
+            + 0.01 * lateness as f64
+    }
+
+    /// [`super::movement_throughput`] on the pre-journal engine: clone
+    /// before each movement, price by [`mapping_cost_scan`], restore the
+    /// clone on reject, and route every movement to the end.
+    pub(crate) fn movement_throughput(
+        dfg: &Dfg,
+        acc: &Accelerator,
+        ii: u32,
+        seed: u64,
+        moves: u32,
+    ) -> u32 {
+        let (mut policy, mut rng, mut mapping, mut bufs) = throughput_start(dfg, acc, ii, seed);
+        let temp = SaParams::paper().initial_temp;
+        let mut stats = MoveStats::default();
+        let mut fstats = FilterStats::default();
+        let mut cost = mapping_cost_scan(&mapping);
+        let mut improved = 0;
+        for _ in 0..moves {
+            stats.attempted += 1;
+            let snapshot = mapping.clone();
+            movement(
+                &mut policy,
+                &mut mapping,
+                &mut bufs,
+                stats,
+                &mut rng,
+                temp,
+                None,
+                &mut fstats,
+                false,
+                None,
+            );
+            let new_cost = mapping_cost_scan(&mapping);
+            let accept =
+                new_cost <= cost || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
+            if accept {
+                if new_cost < cost {
+                    stats.accepted += 1;
+                    improved += 1;
+                }
+                cost = new_cost;
+            } else {
+                mapping = snapshot;
+            }
+        }
+        improved
+    }
 
     /// Probes every supporting PE's FU cell at each time of the window,
     /// in PE order, keeping the first two free times.
@@ -474,7 +521,6 @@ pub(crate) fn anneal<'a>(
             let verdict = movement(
                 &mut policy,
                 &mut mapping,
-                params,
                 &mut bufs,
                 stats,
                 &mut rng,
@@ -565,7 +611,6 @@ pub(crate) fn anneal<'a>(
 fn movement(
     policy: &mut Policy<'_>,
     mapping: &mut Mapping<'_>,
-    params: &SaParams,
     bufs: &mut MoveBuffers,
     stats: MoveStats,
     rng: &mut Rng,
@@ -593,7 +638,7 @@ fn movement(
     // (capped by the node count so the loop always terminates); earlier
     // versions silently shrank the unmap set on collisions, biasing
     // movements toward smaller perturbations than the drawn count.
-    let count = rng.gen_range(1..=params.max_unmap).min(dfg.node_count());
+    let count = rng.gen_range(1..=MAX_UNMAP).min(dfg.node_count());
     let victims = &mut bufs.victims;
     victims.clear();
     while victims.len() < count {
@@ -715,115 +760,73 @@ fn route_all(
     (bufs.edges.len() as u64, false)
 }
 
-/// Rejected-movement restoration strategy driven by
-/// [`movement_throughput`]: the historical per-movement deep clone, or the
-/// transaction journal the annealer uses today.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MovementEngine {
-    /// Pre-journal engine: deep-clone the mapping before each movement,
-    /// price the cost function by rescanning, restore the clone on reject.
-    SnapshotClone,
-    /// Journal engine: record deltas in a transaction, read the running
-    /// cost counters, roll back on reject.
-    Journal,
-}
-
-/// Runs `moves` SA movements at a fixed temperature and returns the number
-/// of strict improvements accepted. Both engines consume the RNG
-/// identically and make the same accept decisions, so for a given seed
-/// they follow byte-identical trajectories — a unit test pins the
-/// equivalence, and the movement benches time the journal engine. Like
-/// the unobserved annealer, the journal engine stops a movement's routing
-/// at a certain reject; the snapshot engine routes every movement to the
-/// end.
-pub fn movement_throughput(
-    dfg: &Dfg,
-    acc: &Accelerator,
-    ii: u32,
-    seed: u64,
-    moves: u32,
-    engine: MovementEngine,
-) -> u32 {
-    let params = SaParams::paper();
-    let mut policy = Policy::vanilla();
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut mapping = Mapping::new(dfg, acc, ii).expect("bench II must be valid");
+/// Runs `moves` SA movements at the paper's initial temperature from a
+/// vanilla initial mapping and returns the number of strict improvements
+/// accepted: the annealer's hot loop, which the movement benches time.
+/// Each rejected movement is rolled back through the journal, and, as in
+/// an unobserved annealer, a movement's routing stops at a certain
+/// reject. `reference::movement_throughput`, which deep-clones and
+/// rescans instead, pins the trajectory in a unit test.
+pub fn movement_throughput(dfg: &Dfg, acc: &Accelerator, ii: u32, seed: u64, moves: u32) -> u32 {
+    let (mut policy, mut rng, mut mapping, mut bufs) = throughput_start(dfg, acc, ii, seed);
+    let temp = SaParams::paper().initial_temp;
     let mut stats = MoveStats::default();
     let mut fstats = FilterStats::default();
-    let mut bufs = MoveBuffers::default();
-    bufs.nodes.extend(dfg.node_ids());
-    place_nodes(&mut policy, &mut mapping, &mut bufs, stats, &mut rng);
-    route_all(&policy, &mut mapping, &mut bufs, None);
-    let temp = params.initial_temp;
+    let mut cost = mapping_cost(&mapping);
     let mut improved = 0;
-    match engine {
-        MovementEngine::SnapshotClone => {
-            // Pre-journal per-movement bill: deep clone, full cost rescan.
-            let mut cost = mapping_cost_scan(&mapping);
-            for _ in 0..moves {
-                stats.attempted += 1;
-                let snapshot = mapping.clone();
-                movement(
-                    &mut policy,
-                    &mut mapping,
-                    &params,
-                    &mut bufs,
-                    stats,
-                    &mut rng,
-                    temp,
-                    None,
-                    &mut fstats,
-                    false,
-                    None,
-                );
-                let new_cost = mapping_cost_scan(&mapping);
-                let accept = new_cost <= cost
-                    || rng.gen_bool(((cost - new_cost) / temp).exp().clamp(0.0, 1.0));
-                if accept {
-                    if new_cost < cost {
-                        stats.accepted += 1;
-                        improved += 1;
-                    }
-                    cost = new_cost;
-                } else {
-                    mapping = snapshot;
-                }
+    for _ in 0..moves {
+        stats.attempted += 1;
+        mapping.begin_txn();
+        let mut test = AcceptTest::new(cost, temp);
+        let verdict = movement(
+            &mut policy,
+            &mut mapping,
+            &mut bufs,
+            stats,
+            &mut rng,
+            temp,
+            None,
+            &mut fstats,
+            false,
+            Some(&mut test),
+        );
+        let new_cost = mapping_cost(&mapping);
+        if verdict == MovementVerdict::Admitted && test.accepts(new_cost, &mut rng) {
+            mapping.commit();
+            if new_cost < cost {
+                stats.accepted += 1;
+                improved += 1;
             }
-        }
-        MovementEngine::Journal => {
-            let mut cost = mapping_cost(&mapping);
-            for _ in 0..moves {
-                stats.attempted += 1;
-                mapping.begin_txn();
-                let mut test = AcceptTest::new(cost, temp);
-                let verdict = movement(
-                    &mut policy,
-                    &mut mapping,
-                    &params,
-                    &mut bufs,
-                    stats,
-                    &mut rng,
-                    temp,
-                    None,
-                    &mut fstats,
-                    false,
-                    Some(&mut test),
-                );
-                let new_cost = mapping_cost(&mapping);
-                if verdict == MovementVerdict::Admitted && test.accepts(new_cost, &mut rng) {
-                    mapping.commit();
-                    if new_cost < cost {
-                        stats.accepted += 1;
-                        improved += 1;
-                    }
-                    cost = new_cost;
-                } else {
-                    mapping.rollback();
-                }
-            }
+            cost = new_cost;
+        } else {
+            mapping.rollback();
         }
     }
     improved
+}
+
+/// The state [`movement_throughput`] starts from: the vanilla policy,
+/// the seeded stream, and every node placed and routed once.
+fn throughput_start<'a>(
+    dfg: &'a Dfg,
+    acc: &'a Accelerator,
+    ii: u32,
+    seed: u64,
+) -> (Policy<'static>, Rng, Mapping<'a>, MoveBuffers) {
+    let mut policy = Policy::vanilla();
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut mapping = Mapping::new(dfg, acc, ii).expect("bench II must be valid");
+    let mut bufs = MoveBuffers::default();
+    bufs.nodes.extend(dfg.node_ids());
+    place_nodes(
+        &mut policy,
+        &mut mapping,
+        &mut bufs,
+        MoveStats::default(),
+        &mut rng,
+    );
+    route_all(&policy, &mut mapping, &mut bufs, None);
+    (policy, rng, mapping, bufs)
 }
 
 /// Runs one vanilla-policy annealing chain with an optional movement
@@ -1093,8 +1096,8 @@ mod tests {
         let dfg = polybench::kernel("doitgen").unwrap();
         let acc = Accelerator::cgra("3x3", 3, 3);
         for seed in [1, 7, 42] {
-            let a = movement_throughput(&dfg, &acc, 3, seed, 120, MovementEngine::SnapshotClone);
-            let b = movement_throughput(&dfg, &acc, 3, seed, 120, MovementEngine::Journal);
+            let a = reference::movement_throughput(&dfg, &acc, 3, seed, 120);
+            let b = movement_throughput(&dfg, &acc, 3, seed, 120);
             assert_eq!(a, b, "engines diverged for seed {seed}");
         }
     }

@@ -89,7 +89,8 @@ pub struct IiSearch {
 
 impl IiSearch {
     /// Runs the search and returns the outcome with the successful
-    /// mapping. IIs are attempted in waves of `parallelism`; every wave
+    /// mapping. IIs are attempted in waves of `parallelism` (the last
+    /// wave holds what remains of the range); every wave
     /// is fully joined before judging, and the smallest successful II
     /// wins, so the outcome — including the `attempts` count, which bills
     /// exactly the IIs a one-at-a-time search would have tried — is
@@ -113,27 +114,23 @@ impl IiSearch {
         let start = Instant::now();
         let lo = mii(dfg, acc);
         let hi = self.max_ii.unwrap_or(acc.max_ii()).min(acc.max_ii());
-        let stride = parallelism.max(1) as u32;
+        let iis: Vec<u32> = (lo..=hi).collect();
         let mut attempts = 0;
-        let mut ii = lo;
         let mut found = None;
-        'waves: while ii <= hi {
-            let wave_end = hi.min(ii + stride - 1);
-            let targets: Vec<u32> = (ii..=wave_end).collect();
-            let results = crate::portfolio::par_map(parallelism, targets, |_, target| {
+        'waves: for wave in iis.chunks(parallelism.max(1)) {
+            let results = crate::portfolio::par_map(parallelism, wave.to_vec(), |_, target| {
                 let mut chain = mapper.clone();
                 chain.map_at_ii(dfg, acc, target)
             });
-            for (offset, result) in results.into_iter().enumerate() {
+            for (&ii, result) in wave.iter().zip(results) {
                 attempts += 1;
                 if let Some(m) = result {
                     debug_assert!(m.is_complete());
                     debug_assert_eq!(m.verify(), Ok(()));
-                    found = Some((ii + offset as u32, m));
+                    found = Some((ii, m));
                     break 'waves;
                 }
             }
-            ii = wave_end + 1;
         }
         let outcome = MappingOutcome {
             mapper: mapper.name().to_string(),
@@ -307,6 +304,25 @@ mod tests {
         let four_lanes = LabelSaMapper::new(GuidanceLabels::initial(&doitgen), sa, 7)
             .with_strategy(StrategySpec::parse("sa,sa,sa,sa").unwrap());
         assert_thread_count_invariant(&four_lanes, &doitgen, &acc4);
+        // Budgets past the II range (and past `u32`, where `usize` has
+        // 64 bits): one wave takes the whole range and bills what
+        // parallelism 1 bills.
+        let gemm = lisa_dfg::unroll::unroll(&lisa_dfg::polybench::kernel("gemm").unwrap(), 2);
+        assert!(mii(&gemm, &acc4) >= 2);
+        let search = IiSearch { max_ii: Some(12) };
+        let constructive = ConstructiveStrategy::new();
+        let want = search.run(&constructive, &gemm, &acc4, 1).0;
+        for threads in [Some(u32::MAX as usize), 1usize.checked_shl(32)]
+            .into_iter()
+            .flatten()
+        {
+            let got = search.run(&constructive, &gemm, &acc4, threads).0;
+            assert_eq!(
+                (got.ii, got.attempts),
+                (want.ii, want.attempts),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

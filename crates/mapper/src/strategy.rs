@@ -21,7 +21,7 @@
 //! so a complete constructive mapping wins outright. The annealing lanes
 //! then run in lane-index order, and the winner is the lowest-cost
 //! complete mapping, ties broken by lane index. Lane seeds derive from
-//! the lane *index* via [`chain_seed`], so the outcome is a pure
+//! the lane *index* via `portfolio::chain_seed`, so the outcome is a pure
 //! function of the spec, the seed and the problem. The only thread
 //! fan-out inside a request is the wave of II attempts in
 //! [`crate::schedule::IiSearch::run`].

@@ -3,7 +3,7 @@
 //!
 //! A property is an ordinary `#[test]` that draws its inputs from a seeded
 //! [`crate::Rng`] and runs its body over a fixed number of cases. The
-//! [`props!`] macro generates the loop; on failure it reports the case
+//! [`props!`](crate::props) macro generates the loop; on failure it reports the case
 //! number and the concrete inputs (shrink-free: the inputs are printed
 //! verbatim, no minimisation), then re-raises the panic so the test fails
 //! normally. The case stream is derived from the property's name, so runs

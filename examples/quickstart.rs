@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dfg.node_count(),
         dfg.edge_count()
     );
-    let (outcome, mapping) = lisa.map(&dfg, &acc);
+    let (outcome, mapping) = lisa.map_capped(&dfg, &acc, acc.max_ii());
     match outcome.ii {
         Some(ii) => {
             let m = mapping.expect("outcome and mapping agree");

@@ -22,6 +22,12 @@ echo "verify: lisa-lint clean"
 cargo build --release --offline
 cargo test -q --offline
 
+# Rustdoc is warning-free too, so a doc link to a private or deleted item
+# fails the tier. `--lib`: the root package's `lisa-serve` binary and the
+# `lisa-serve` library would otherwise collide on one doc path.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --lib
+echo "verify: rustdoc is warning-free"
+
 # Frozen benchmark API: the benchmark package in lisa-benchmark/ drives
 # the program through its public functions and sits outside this
 # workspace, so a change that breaks it must fail here. Its own tests
@@ -59,6 +65,22 @@ if [ "$STATUS" -ne 2 ] || grep -q panicked target/cli-smoke/nosuch.err; then
     exit 1
 fi
 echo "verify: an unknown kernel is a clean usage error"
+
+# Oversized-fabric smoke: a `ROWSxCOLS` grid past the accelerator's PE
+# limit (or whose product overflows) is a usage error, not a panic in
+# the distance index.
+for ARCH in 300x300 4294967296x4294967296; do
+    STATUS=0
+    target/release/lisa-map gemm --arch "$ARCH" --mapper sa \
+        >/dev/null 2>target/cli-smoke/bigarch.err || STATUS=$?
+    if [ "$STATUS" -ne 2 ] || [ "$(wc -l <target/cli-smoke/bigarch.err)" -ne 1 ] ||
+        grep -q panicked target/cli-smoke/bigarch.err; then
+        echo "verify: --arch $ARCH exited $STATUS:" >&2
+        cat target/cli-smoke/bigarch.err >&2
+        exit 1
+    fi
+done
+echo "verify: an oversized fabric is a clean usage error"
 
 # Unknown-mapper smoke: the mapper name is checked with the flags, so a
 # typo is a usage error (exit 2) before any `mapping ...` line is printed.

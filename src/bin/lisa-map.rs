@@ -19,8 +19,9 @@
 //!          `core:<kernel>` for the systolic compute core, or
 //!          `rand:<seed>` for a synthetic DFG
 //! --arch:  3x3 | 4x4 | 4x4-lr | 4x4-lm | 8x8 | systolic   (default 4x4),
-//!          or any `ROWSxCOLS` (e.g. 16x16) for a baseline CGRA — big
-//!          fabrics index hop distances with the landmark oracle
+//!          or any `ROWSxCOLS` (e.g. 16x16, at most 65535 PEs) for a
+//!          baseline CGRA — big fabrics index hop distances with the
+//!          landmark oracle
 //! --show:  print the time-extended mapping grid (Fig. 5 style)
 //! ```
 //!
@@ -110,7 +111,7 @@ struct TrainPredictorOptions {
 }
 
 struct TrainOptions {
-    arch: String,
+    acc: Accelerator,
     full: bool,
     dfgs: Option<usize>,
     seed: Option<u64>,
@@ -228,7 +229,7 @@ fn parse_train_predictor_args() -> Result<TrainPredictorOptions, String> {
 fn parse_train_args() -> Result<TrainOptions, String> {
     let mut args = std::env::args().skip(2);
     let mut opts = TrainOptions {
-        arch: "4x4".to_string(),
+        acc: build_arch("4x4")?,
         full: false,
         dfgs: None,
         seed: None,
@@ -245,7 +246,7 @@ fn parse_train_args() -> Result<TrainOptions, String> {
                 .ok_or_else(|| format!("{name} needs a value\n{}", train_usage()))
         };
         match flag.as_str() {
-            "--arch" => opts.arch = value("--arch")?,
+            "--arch" => opts.acc = build_arch(&value("--arch")?)?,
             "--full" => opts.full = true,
             "--dfgs" => {
                 opts.dfgs = Some(
@@ -324,7 +325,8 @@ fn train_usage() -> String {
 /// `ROWSxCOLS` dimension spec (e.g. `16x16`) building a baseline CGRA —
 /// the escape hatch for fabrics beyond the paper suite, where the
 /// accelerator automatically switches its hop-distance index from the
-/// dense table to the landmark oracle.
+/// dense table to the landmark oracle. A grid of more than
+/// [`Accelerator::MAX_PES`] PEs is refused.
 fn build_arch(key: &str) -> Result<Accelerator, String> {
     if let Some(acc) = Accelerator::standard(key) {
         return Ok(acc);
@@ -332,7 +334,15 @@ fn build_arch(key: &str) -> Result<Accelerator, String> {
     if let Some((r, c)) = key.split_once('x') {
         if let (Ok(rows), Ok(cols)) = (r.parse::<usize>(), c.parse::<usize>()) {
             if rows > 0 && cols > 0 {
-                return Ok(Accelerator::cgra(key, rows, cols));
+                return match rows.checked_mul(cols) {
+                    Some(pes) if pes <= Accelerator::MAX_PES => {
+                        Ok(Accelerator::cgra(key, rows, cols))
+                    }
+                    _ => Err(format!(
+                        "architecture {key} has more than {} PEs",
+                        Accelerator::MAX_PES
+                    )),
+                };
             }
         }
     }
@@ -368,7 +378,7 @@ fn mapping_config(acc: &Accelerator, seed: u64, strategy: StrategySpec) -> LisaC
 }
 
 fn run_train(opts: TrainOptions) -> Result<(), String> {
-    let acc = build_arch(&opts.arch)?;
+    let acc = &opts.acc;
     let mut config = if opts.full {
         LisaConfig::default()
     } else {
@@ -384,7 +394,7 @@ fn run_train(opts: TrainOptions) -> Result<(), String> {
         config = config.for_systolic();
     }
 
-    let mut pipeline = Pipeline::new(&acc, config);
+    let mut pipeline = Pipeline::new(acc, config);
     if !opts.quiet {
         let observer = if opts.verbose {
             StderrObserver::verbose()
@@ -591,7 +601,7 @@ fn main() {
     let (outcome, mapping) = match opts.mapper {
         MapperKind::Lisa => {
             let config = mapping_config(&acc, opts.seed, opts.strategy.clone());
-            let mut lisa = if let Some(path) = &opts.model {
+            let lisa = if let Some(path) = &opts.model {
                 match load_model(path, &acc, &config) {
                     Ok(l) => l,
                     Err(msg) => {
@@ -609,11 +619,13 @@ fn main() {
                     }
                 }
             };
+            let mut mapper = lisa
+                .mapper(&dfg, opts.seed, &opts.strategy)
+                .with_observer(sink.clone());
             if let Some(f) = &filter {
-                lisa = lisa.with_movement_filter(f.clone());
+                mapper = mapper.with_movement_filter(f.clone());
             }
-            let lisa = lisa.with_observer(sink.clone());
-            lisa.map_capped(&dfg, &acc, opts.max_ii)
+            search.run(&mapper, &dfg, &acc, config.parallelism)
         }
         MapperKind::Sa => {
             let mut sa = LabelSaMapper::vanilla(SaParams::paper(), opts.seed)

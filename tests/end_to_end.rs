@@ -59,7 +59,7 @@ fn systolic_pipeline_end_to_end() {
     let lisa = Lisa::train_for(&acc, &LisaConfig::fast().for_systolic()).unwrap();
     // At least the simplest core must map on the systolic array.
     let dfg = polybench::kernel_core("doitgen").unwrap();
-    let (outcome, mapping) = lisa.map(&dfg, &acc);
+    let (outcome, mapping) = lisa.map_capped(&dfg, &acc, acc.max_ii());
     assert!(
         outcome.mapped(),
         "doitgen-core must map on the systolic array"

@@ -224,7 +224,8 @@ lisa_rng::props! {
         blocked_mask in 0u64..u64::MAX,
     ) {
         use lisa::arch::{Mrrg, Resource};
-        use lisa::mapper::router::find_route;
+        use lisa::mapper::router::find_route_in;
+        use lisa::mapper::RouterScratch;
 
         let acc = Accelerator::cgra("4x4", 4, 4);
         let mrrg = Mrrg::new(&acc, ii).expect("ii in range");
@@ -240,7 +241,8 @@ lisa_rng::props! {
                 Some(1)
             }
         };
-        if let Some(steps) = find_route(&mrrg, src_pe, 0, dst_pe, latency, cost) {
+        let mut scratch = RouterScratch::default();
+        if let Some(steps) = find_route_in(&mut scratch, &mrrg, src_pe, 0, dst_pe, latency, cost) {
             assert_eq!(steps.len() as u32, latency - 1);
             let mut prev = Resource::Fu(src_pe);
             for (k, s) in steps.iter().enumerate() {
